@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -47,7 +48,8 @@ def to_jsonable(obj):
     """Recursively convert results to JSON-friendly structures.
 
     Exact rationals become "num/den" strings; complex numbers become
-    [re, im] pairs; numpy scalars and arrays unwrap to Python values.
+    [re, im] pairs; numpy scalars and arrays unwrap to Python values;
+    non-finite floats become None, so documents stay strict JSON.
     """
     if hasattr(obj, "to_coeff_text"):
         return str(obj)
@@ -59,9 +61,11 @@ def to_jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [to_jsonable(obj.real), to_jsonable(obj.imag)]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -87,6 +91,11 @@ def _parse_poly(text: str):
         raise ConfigError(str(exc), field="poly") from exc
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError("--threads must be >= 1", field="threads")
+
+
 def _parse_grid(text: str) -> list[int]:
     try:
         grid = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -109,7 +118,7 @@ def _resolve_out(path: str | None) -> Path | None:
 
 def _emit(doc: dict, out: Path | None, as_csv_rows=None) -> None:
     if out is None:
-        json.dump(doc, sys.stdout, indent=2)
+        json.dump(doc, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
         return
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -121,7 +130,7 @@ def _emit(doc: dict, out: Path | None, as_csv_rows=None) -> None:
                 fh.write(",".join(str(v) for v in row) + "\n")
     else:
         with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 
@@ -306,6 +315,7 @@ def _cmd_clt(args, started: float) -> int:
         raise ConfigError("--n must be >= 1", field="n")
     if args.reps < 100:
         raise ConfigError("--reps must be >= 100", field="reps")
+    _check_threads(args.threads)
     cls = classify(poly)
     if not cls.clt_admissible:
         if cls.is_pure_power:
@@ -337,6 +347,7 @@ def _cmd_fluct(args, started: float) -> int:
         raise ConfigError(f"bad ratio {args.ratio!r}", field="ratio") from exc
     if args.reps < 1:
         raise ConfigError("--reps must be >= 1", field="reps")
+    _check_threads(args.threads)
     config = {"poly": str(poly), "x": args.x, "k": args.k,
               "ratio": str(ratio), "reps": args.reps, "seed": seed,
               "conditional": args.conditional, "threads": args.threads,
@@ -391,7 +402,7 @@ def _error_json(kind: str, exit_code: int, message: str,
                          "message": message}}
     if field:
         payload["error"]["field"] = field
-    json.dump(payload, sys.stderr)
+    json.dump(payload, sys.stderr, allow_nan=False)
     sys.stderr.write("\n")
 
 

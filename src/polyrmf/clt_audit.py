@@ -27,6 +27,15 @@ classes are enumerated, so the rational outputs are exact:
   p != q, and A counts the rarer class v1 v2 w1 = w2 across distinct
   groups (its mirror contributes the factor 2).
 
+Every count comes from exact pair histograms (``energy.pair_histogram``)
+of the |P(n)| in each group.  C22 is the sum of squared product
+multiplicities, and D is the distinct-prime part of the ratio-histogram
+count that ``energy.paired_prime_count`` shares with the energy layer.
+C31 and A come from one divisor pass per group g: each (u, t) in g^2
+with u | t and m = t / u adds the pair count of m inside g to C31 and
+the pair count of m over all other groups to A, so the pass costs
+O(|g|^2) instead of the O(|g|^3) of a direct triple loop.
+
 Normalization convention: the summation pieces themselves are raw
 complex sums; every 1/sqrt(N) or 1/sqrt(N/2) factor is applied here at
 the audit layer.
@@ -43,7 +52,7 @@ from math import erf, sqrt
 import numpy as np
 
 from .polynomial import IntPolynomial, classify
-from .energy import lpf_groups
+from .energy import lpf_groups, pair_histogram, paired_prime_count
 from .rmf import M64, PhaseTable, angles_for_key, derive_seed, mix64
 from .sieve import FactorTable, factor_values
 
@@ -208,71 +217,6 @@ class McLeishAudit:
     scales: tuple[McLeishScale, ...]
 
 
-def _group_moments(values: list[int]) -> tuple[int, int, int]:
-    """(equal-value pairs, C22, C31) for one largest-prime group.
-
-    Values enter by absolute value (that is where f lives); they are all
-    >= 2 inside a prime group, so the all-unconjugated classes vanish.
-    """
-    vs = [abs(v) for v in values]
-    value_counts = Counter(vs)
-    eq_pairs = sum(c * c for c in value_counts.values())
-    pair_counts: Counter = Counter()
-    for v in vs:
-        for w in vs:
-            pair_counts[v * w] += 1
-    c22 = sum(c * c for c in pair_counts.values())
-    c31 = 0
-    for v in vs:
-        for w in vs:
-            vw = v * w
-            for u in vs:
-                c31 += value_counts.get(vw * u, 0)
-    return eq_pairs, c22, c31
-
-
-def _cross_class_a(groups: dict[int, list[int]]) -> int:
-    """#{v1*v2*w1 = w2 : v's in group p, w's in group q, p != q}."""
-    pair_by_group: dict[int, Counter] = {}
-    pair_all: Counter = Counter()
-    for p, values in groups.items():
-        ctr: Counter = Counter()
-        for v in values:
-            av = abs(v)
-            for w in values:
-                ctr[av * abs(w)] += 1
-        pair_by_group[p] = ctr
-        pair_all.update(ctr)
-    total = 0
-    for q, values in groups.items():
-        own = pair_by_group[q]
-        for w1 in values:
-            a1 = abs(w1)
-            for w2 in values:
-                a2 = abs(w2)
-                if a2 % a1 == 0:
-                    m = a2 // a1
-                    total += pair_all.get(m, 0) - own.get(m, 0)
-    return total
-
-
-def _cross_class_d(groups: dict[int, list[int]]) -> int:
-    """#{v1*w1 = v2*w2 : v's in group p, w's in group q, p != q}."""
-    ratio_by_group: dict[int, Counter] = {}
-    ratio_all: Counter = Counter()
-    for p, values in groups.items():
-        ctr: Counter = Counter()
-        for v in values:
-            av = abs(v)
-            for w in values:
-                ctr[Fraction(av, abs(w))] += 1
-        ratio_by_group[p] = ctr
-        ratio_all.update(ctr)
-    total = sum(c * c for c in ratio_all.values())
-    same = sum(c * c for ctr in ratio_by_group.values() for c in ctr.values())
-    return total - same
-
-
 def mcleish_audit(
     poly: IntPolynomial, table: FactorTable, grid: list[int]
 ) -> McLeishAudit:
@@ -281,15 +225,30 @@ def mcleish_audit(
         raise ValueError("table does not cover the audit grid")
     scales = []
     for n_max in grid:
-        groups = lpf_groups(table, n_max)
-        eq_total = 0
-        lindeberg = Fraction(0)
-        for values in groups.values():
-            eq, c22, c31 = _group_moments(values)
-            eq_total += eq
-            lindeberg += Fraction(6 * c22 + 8 * c31, 4 * n_max * n_max)
-        d_count = _cross_class_d(groups)
-        a_count = _cross_class_a(groups)
+        groups = {
+            p: [abs(v) for v in values]
+            for p, values in lpf_groups(table, n_max).items()
+        }
+        pair_counts = {p: pair_histogram(vs) for p, vs in groups.items()}
+        pair_all: Counter = Counter()
+        for ctr in pair_counts.values():
+            pair_all.update(ctr)
+        eq_total = c22 = c31 = a_count = 0
+        for p, vs in groups.items():
+            counts = Counter(vs)
+            own = pair_counts[p]
+            eq_total += sum(c * c for c in counts.values())
+            c22 += sum(c * c for c in own.values())
+            # (u, t) in g^2 with u | t: C31 takes v*w = t/u inside g, A
+            # takes it from the pairs of every other group
+            for u, cu in counts.items():
+                for t, ct in counts.items():
+                    if t % u == 0:
+                        m = t // u
+                        c31 += cu * ct * own[m]
+                        a_count += cu * ct * (pair_all[m] - own[m])
+        d_count = paired_prime_count(groups).distinct_prime
+        lindeberg = Fraction(6 * c22 + 8 * c31, 4 * n_max * n_max)
         cross = Fraction(d_count + 2 * a_count, n_max * n_max)
         small = sum(
             1 for row in table.rows[:n_max] if abs(row.value) <= 1

@@ -27,7 +27,7 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log, sqrt
+from math import exp, gcd, log, sqrt
 
 import numpy as np
 
@@ -144,15 +144,29 @@ def _pair_total_int64(values: list[int]) -> int:
     return int(np.sum(sums * sums))
 
 
-def _pair_total_dict(values: list[int]) -> int:
+def pair_histogram(values: list[int], *, ratio: bool = False) -> Counter:
+    """Exact ordered-pair multiplicities of v*w over (v, w) in values^2.
+
+    With ``ratio=True`` the keys are the ratios v/w instead, as reduced
+    integer pairs (v//g, w//g), g = gcd(v, w), signed so that the
+    denominator is positive; every w must then be nonzero.  Products are
+    accumulated from the canonical pair stream.
+    """
     acc: Counter = Counter()
-    m = len(values)
-    for i in range(m):
-        vi = values[i]
-        acc[vi * vi] += 1
-        for j in range(i + 1, m):
-            acc[vi * values[j]] += 2
-    return sum(c * c for c in acc.values())
+    if ratio:
+        for v in values:
+            for w in values:
+                g = gcd(v, w) if w > 0 else -gcd(v, w)
+                acc[v // g, w // g] += 1
+        return acc
+    for prods, weights in _canonical_pair_stream(values):
+        for prod, weight in zip(prods, weights):
+            acc[prod] += weight
+    return acc
+
+
+def _pair_total_dict(values: list[int]) -> int:
+    return sum(c * c for c in pair_histogram(values).values())
 
 
 def _pair_total_chunked(values: list[int], run_items: int = _RUN_ITEMS) -> int:
@@ -283,17 +297,8 @@ def energy_cross(
     if m * (m + 1) // 2 > budget:
         raise BudgetError(f"{m * (m + 1) // 2} pair products exceed budget {budget}")
 
-    def pair_counter(values: list[int]) -> Counter:
-        acc: Counter = Counter()
-        for i in range(len(values)):
-            vi = values[i]
-            acc[vi * vi] += 1
-            for j in range(i + 1, len(values)):
-                acc[vi * values[j]] += 2
-        return acc
-
-    c1 = pair_counter([poly1(x) for x in members])
-    c2 = pair_counter([poly2(x) for x in members])
+    c1 = pair_histogram([poly1(x) for x in members])
+    c2 = pair_histogram([poly2(x) for x in members])
     if len(c2) < len(c1):
         c1, c2 = c2, c1
     return sum(mult * c2[v] for v, mult in c1.items())
@@ -325,6 +330,24 @@ def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[i
     return groups
 
 
+def paired_prime_count(groups: dict[int, list[int]]) -> PairedPrimeCount:
+    """:class:`PairedPrimeCount` of value groups keyed by largest prime.
+
+    Ordered pairs within a group are keyed by their exact ratio: (n1, n2)
+    from group p and (n3, n4) from group q solve P(n1)P(n3) = P(n2)P(n4)
+    iff ratio(n1, n2) = ratio(n4, n3), and the swap bijection makes
+    per-ratio counts symmetric under inversion.
+    """
+    combined: Counter = Counter()
+    same = 0
+    for values in groups.values():
+        ctr = pair_histogram(values, ratio=True)
+        combined.update(ctr)
+        same += sum(c * c for c in ctr.values())
+    total = sum(c * c for c in combined.values())
+    return PairedPrimeCount(total=total, same_prime=same, distinct_prime=total - same)
+
+
 def energy_constrained_lpf(
     table: FactorTable,
     mode: str,
@@ -339,35 +362,9 @@ def energy_constrained_lpf(
     """
     groups = lpf_groups(table, n_max)
     if mode == "same-prime-all-four":
-        total = 0
-        for values in groups.values():
-            acc: Counter = Counter()
-            for v in values:
-                for w in values:
-                    acc[v * w] += 1
-            total += sum(c * c for c in acc.values())
-        return total
+        return sum(_pair_total_dict(values) for values in groups.values())
     if mode == "paired-primes":
-        # Ordered pairs within a group, keyed by the exact value ratio.
-        # (n1,n2) from group p and (n3,n4) from group q solve
-        # P(n1)P(n3) = P(n2)P(n4) iff ratio(n1,n2) = ratio(n4,n3), and the
-        # swap bijection makes per-ratio counts symmetric under inversion.
-        per_group: dict[int, Counter] = {}
-        combined: Counter = Counter()
-        for p, values in groups.items():
-            ctr: Counter = Counter()
-            for v in values:
-                for w in values:
-                    ctr[Fraction(v, w)] += 1
-            per_group[p] = ctr
-            combined.update(ctr)
-        total = sum(c * c for c in combined.values())
-        same = sum(
-            c * c for ctr in per_group.values() for c in ctr.values()
-        )
-        return PairedPrimeCount(
-            total=total, same_prime=same, distinct_prime=total - same
-        )
+        return paired_prime_count(groups)
     raise ValueError(f"unknown mode {mode!r}")
 
 

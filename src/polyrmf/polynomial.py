@@ -19,7 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd
+
+from .primes import factorize
 
 
 @dataclass(frozen=True)
@@ -196,13 +198,10 @@ def pure_power_witness(p: IntPolynomial) -> PurePowerWitness | None:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
+    """Positive divisors of n != 0, built from its prime factorization."""
+    out = [1]
+    for p, e in factorize(abs(n)).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

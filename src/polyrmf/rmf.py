@@ -163,7 +163,8 @@ class PhaseTable:
             for p, _ in row.factors:
                 prime_set.add(p)
         self.primes = sorted(prime_set)
-        self.primes_u64 = np.array(self.primes, dtype=np.uint64)
+        # the angle hash only sees p mod 2^64, so primes >= 2^64 reduce
+        self.primes_u64 = np.array([p & M64 for p in self.primes], dtype=np.uint64)
         index = {p: i for i, p in enumerate(self.primes)}
         indptr = np.zeros(n_max + 1, dtype=np.int64)
         cols: list[int] = []
@@ -188,8 +189,8 @@ class PhaseTable:
 
     def membership_mask(self, primes: Iterable[int]) -> np.ndarray:
         """Boolean mask over this table's primes for a given prime set."""
-        wanted = np.array(sorted(set(primes)), dtype=np.uint64)
-        return np.isin(self.primes_u64, wanted)
+        wanted = set(primes)
+        return np.array([p in wanted for p in self.primes], dtype=bool)
 
     def unit_values(self, angles: np.ndarray, rotation: float = 0.0) -> np.ndarray:
         """f(P(n)) for n = 1..n_max as complex128; 0 where P(n) = 0."""

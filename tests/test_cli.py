@@ -156,6 +156,30 @@ def test_fluct_subcommand():
     assert "max_stat_quantiles" in res
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_fluct_single_replicate_is_strict_json():
+    proc = run_cli("fluct", "--poly", "x^2+1", "--x", "100", "--k", "2",
+                   "--ratio", "4", "--reps", "1", "--seed", "5")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert doc["result"]["scales"][0]["var_re_s1"] is None
+
+
+def test_threads_below_one_exit_2():
+    for sub, opts in (
+        ("clt", ["--n", "50", "--reps", "100", "--seed", "1"]),
+        ("fluct", ["--x", "100", "--k", "2", "--ratio", "4", "--reps", "8",
+                   "--seed", "1"]),
+    ):
+        proc = run_cli(sub, "--poly", "x^2+1", *opts, "--threads", "0")
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == "config" and err["field"] == "threads"
+
+
 def test_fluct_budget_exit_3():
     proc = run_cli("fluct", "--poly", "x^2+1", "--x", "10000", "--k", "5",
                    "--ratio", "8", "--reps", "4", "--seed", "5")

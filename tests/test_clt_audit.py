@@ -110,6 +110,7 @@ def test_thread_counts_bit_identical(x2p1):
     ("x^2+1", 200),
     ("0,-6,1", 60),   # zeros, repeats, negative values
     ("x^2+x", 40),
+    ("2,-6,1", 30),   # repeated values inside C31 divisor pairs
 ])
 def test_mcleish_audit_matches_brute_force(text, n_max):
     poly = parse_polynomial(text)
@@ -120,6 +121,18 @@ def test_mcleish_audit_matches_brute_force(text, n_max):
     assert sc.variance_sum == variance
     assert sc.lindeberg_sum == lindeberg
     assert sc.cross_term == cross
+
+
+def test_mcleish_audit_pinned_fractions():
+    # values from the O(|g|^3) triple-loop implementation; the largest
+    # groups here are beyond the reach of the brute-force oracle
+    poly = parse_polynomial("x^2+x")
+    table = factor_values(poly, 2000)
+    sc1000, sc2000 = mcleish_audit(poly, table, [1000, 2000]).scales
+    assert (sc1000.variance_sum, sc1000.lindeberg_sum, sc1000.cross_term) == (
+        1, Fraction(8637, 250000), Fraction(247513, 250000))
+    assert (sc2000.variance_sum, sc2000.lindeberg_sum, sc2000.cross_term) == (
+        1, Fraction(22401, 1000000), Fraction(198691, 200000))
 
 
 def test_variance_sum_exactly_one_for_injective():

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from polyrmf.energy import (
     energy_cross,
     error_exponent,
     exponent_fit,
+    pair_histogram,
 )
 from polyrmf.errors import BudgetError
 from polyrmf.polynomial import IntPolynomial, parse_polynomial
@@ -282,3 +285,13 @@ def test_counting_paths_agree_on_arbitrary_values(values):
 @settings(max_examples=60)
 def test_pair_counting_matches_quadruple_loop(values):
     assert _pair_total_dict(values) == energy_quadruple_loop(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10**12, 10**12).filter(bool), min_size=1, max_size=12))
+def test_pair_histogram_matches_ordered_pairs(values):
+    assert pair_histogram(values) == Counter(v * w for v, w in product(values, repeat=2))
+    ratios = Counter(Fraction(v, w) for v, w in product(values, repeat=2))
+    got = pair_histogram(values, ratio=True)
+    assert all(den > 0 for _, den in got)
+    assert {Fraction(num, den): c for (num, den), c in got.items()} == ratios

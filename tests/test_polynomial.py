@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from polyrmf.polynomial import (
     IntPolynomial,
+    _divisors,
     classify,
     generalized_even_center,
     parse_polynomial,
@@ -190,3 +192,14 @@ def test_str_round_trips_through_parser():
         p = parse_polynomial(text)
         assert parse_polynomial(str(p)).coeffs == p.coeffs
         assert parse_polynomial(p.to_coeff_text()).coeffs == p.coeffs
+
+
+def test_classify_huge_trailing_coefficient_is_fast():
+    # 10^20 = 2^20 * 5^20: divisors come from the factorization, not
+    # from trial division up to 10^10
+    assert len(_divisors(10**20)) == 441
+    assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
+    started = time.perf_counter()
+    cls = classify(parse_polynomial("100000000000000000000,0,1"))
+    assert time.perf_counter() - started < 5.0
+    assert cls.rational_roots == () and cls.clt_admissible

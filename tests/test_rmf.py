@@ -8,6 +8,7 @@ from scipy import stats
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
 from polyrmf.rmf import (
+    M64,
     ConditionalSampler,
     PhaseTable,
     SteinhausSampler,
@@ -220,3 +221,17 @@ def test_mix64_is_64_bit():
     assert mix64(0) == 0
     for z in (1, 2**63, 2**64 - 1, 123456789):
         assert 0 <= mix64(z) < 2**64
+
+
+def test_phase_table_primes_above_2_64():
+    # P(19) = 19^2 + 10^20 is itself a prime above 2^64
+    table = factor_values(parse_polynomial("100000000000000000000,0,1"), 20)
+    big = table.row(19).largest_prime
+    assert big > M64
+    pt = PhaseTable(table, 20)
+    s = SteinhausSampler(2718)
+    i = pt.primes.index(big)
+    assert pt.angles(s)[i] == s.angle(big)
+    assert pt.membership_mask([big]).tolist() == [p == big for p in pt.primes]
+    z = pt.unit_values(pt.angles(s))
+    assert abs(z.sum() - s.partial_sum(table, 20)) <= 1e-9
