@@ -14,7 +14,7 @@ from .energy import (
     energy_cross,
     exponent_fit,
 )
-from .rmf import ConditionalSampler, PhaseTable, SteinhausSampler, derive_seed
+from .rmf import PhaseTable, SteinhausSampler, derive_seed
 from .clt_audit import McLeishAudit, mcleish_audit, run_clt
 from .fluctuations import (
     PrimeSetFamily,
@@ -22,7 +22,6 @@ from .fluctuations import (
     build_grid,
     build_prime_sets,
     run_fluct,
-    split_sums,
     s2_second_moment,
     variance_floor,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "energy_constrained_lpf",
     "energy_cross",
     "exponent_fit",
-    "ConditionalSampler",
     "PhaseTable",
     "SteinhausSampler",
     "derive_seed",
@@ -55,7 +53,6 @@ __all__ = [
     "build_grid",
     "build_prime_sets",
     "run_fluct",
-    "split_sums",
     "s2_second_moment",
     "variance_floor",
     "__version__",

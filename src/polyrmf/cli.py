@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clt_audit import mcleish_audit, run_clt
+from .clt_audit import check_clt_config, mcleish_audit, run_clt
 from .energy import (
     DEFAULT_PAIR_BUDGET,
     ProgressionRange,
@@ -39,9 +39,9 @@ from .energy import (
     exponent_fit,
 )
 from .errors import BudgetError, ConfigError
-from .fluctuations import DEFAULT_FACTOR_BUDGET, build_grid, run_fluct
+from .fluctuations import build_grid, run_fluct
 from .polynomial import classify, parse_polynomial
-from .sieve import factor_values, lpf_density
+from .sieve import DEFAULT_FACTOR_BUDGET, factor_values, lpf_density
 
 
 def to_jsonable(obj):
@@ -311,19 +311,8 @@ def _check_pair_budget(rng: ProgressionRange, budget: int, chunked: bool) -> Non
 def _cmd_clt(args, started: float) -> int:
     poly = _parse_poly(args.poly)
     seed = _parse_seed(args.seed)
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1", field="n")
-    if args.reps < 100:
-        raise ConfigError("--reps must be >= 100", field="reps")
     _check_threads(args.threads)
-    cls = classify(poly)
-    if not cls.clt_admissible:
-        if cls.is_pure_power:
-            w = cls.pure_power_witness
-            raise ConfigError(
-                f"polynomial {poly} is the excluded pure power w*(x+c)^d "
-                f"(w={w.w}, c={w.c})", field="poly")
-        raise ConfigError("degree must be >= 2", field="poly")
+    check_clt_config(poly, args.n, args.reps)
     config = {"poly": str(poly), "n": args.n, "reps": args.reps,
               "seed": seed, "threads": args.threads}
     if args.dry_run:

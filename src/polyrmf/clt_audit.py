@@ -44,19 +44,18 @@ the audit layer.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import erf, sqrt
 
 import numpy as np
+from scipy import sparse
 
+from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial, classify
 from .energy import lpf_groups, pair_histogram, paired_prime_count
-from .rmf import M64, PhaseTable, angles_for_key, derive_seed, mix64
-from .sieve import FactorTable, factor_values
-
-_CHUNK = 512
+from .rmf import PhaseTable, replicate_sums
+from .sieve import DEFAULT_FACTOR_BUDGET, FactorTable, factor_values
 
 
 def normal_cdf_half_variance(x: float) -> float:
@@ -103,41 +102,35 @@ class CltRun:
     stats: CltStats
 
 
-def _replicate_keys(seed: int, reps: int) -> list[int]:
-    return [mix64(derive_seed(seed, r) & M64) for r in range(reps)]
-
-
-def _batch_sums(pt: PhaseTable, keys: list[int], rotation: float) -> np.ndarray:
-    theta = np.empty((len(pt.primes), len(keys)), dtype=np.float64)
-    for b, key in enumerate(keys):
-        theta[:, b] = angles_for_key(key, pt.primes_u64)
-    z = pt.unit_values_batch(theta, rotation)
-    return z.sum(axis=0)
+def check_clt_config(poly: IntPolynomial, n_max: int, reps: int) -> None:
+    """Reject a clt request: ConfigError names the field, BudgetError
+    flags an N beyond the factorization budget."""
+    if n_max < 1:
+        raise ConfigError("N must be >= 1", field="n")
+    cls = classify(poly)
+    if not cls.clt_admissible:
+        if cls.is_pure_power:
+            w = cls.pure_power_witness
+            raise ConfigError(
+                f"polynomial {poly} is the excluded pure power w*(x+c)^d "
+                f"(w={w.w}, c={w.c}); its normalized sums degenerate",
+                field="poly")
+        raise ConfigError("degree must be >= 2", field="poly")
+    if reps < 100:
+        raise ConfigError("need at least 100 replicates", field="reps")
+    if n_max > DEFAULT_FACTOR_BUDGET:
+        raise BudgetError(
+            f"N={n_max} exceeds the factorization budget of "
+            f"{DEFAULT_FACTOR_BUDGET}")
 
 
 def sample_normalized_sums(
-    pt: PhaseTable,
-    n_max: int,
-    seed: int,
-    reps: int,
-    *,
-    threads: int = 1,
-    rotation: float = 0.0,
+    pt: PhaseTable, n_max: int, seed: int, reps: int, *, threads: int = 1
 ) -> np.ndarray:
-    """R replicates of N^(-1/2) sum_{n<=N} f(P(n)), reproducibly.
-
-    Replicates are evaluated in fixed-size chunks whose boundaries do not
-    depend on the thread count, and chunk results are concatenated in
-    chunk order, so outputs are bit-identical for any ``threads``.
-    """
-    keys = _replicate_keys(seed, reps)
-    chunks = [keys[lo:lo + _CHUNK] for lo in range(0, reps, _CHUNK)]
-    if threads <= 1:
-        parts = [_batch_sums(pt, chunk, rotation) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ch: _batch_sums(pt, ch, rotation), chunks))
-    return np.concatenate(parts) / sqrt(n_max)
+    """R replicates of N^(-1/2) sum_{n<=N} f(P(n)), reproducibly; the
+    replicate engine with a single all-ones selector row."""
+    ones = sparse.csr_matrix(np.ones((1, pt.n_max)))
+    return replicate_sums(pt, seed, reps, ones, threads=threads)[0] / sqrt(n_max)
 
 
 def run_clt(
@@ -148,26 +141,13 @@ def run_clt(
     *,
     threads: int = 1,
     table: FactorTable | None = None,
-    rotation: float = 0.0,
 ) -> CltRun:
     """Monte-Carlo sample of the normalized partial sums with statistics."""
-    cls = classify(poly)
-    if not cls.clt_admissible:
-        if cls.is_pure_power:
-            w = cls.pure_power_witness
-            raise ValueError(
-                f"polynomial {poly} is the excluded pure power w*(x+c)^d "
-                f"(w={w.w}, c={w.c}); its normalized sums degenerate"
-            )
-        raise ValueError("degree must be >= 2")
-    if reps < 100:
-        raise ValueError("need at least 100 replicates")
+    check_clt_config(poly, n_max, reps)
     if table is None:
         table = factor_values(poly, n_max)
     pt = PhaseTable(table, n_max)
-    samples = sample_normalized_sums(
-        pt, n_max, seed, reps, threads=threads, rotation=rotation
-    )
+    samples = sample_normalized_sums(pt, n_max, seed, reps, threads=threads)
 
     re, im = samples.real, samples.imag
     abs2 = re * re + im * im

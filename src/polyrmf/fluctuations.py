@@ -24,20 +24,17 @@ below quantify the conditional-variance picture.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log, sqrt
 
 import numpy as np
+from scipy import sparse
 
 from .errors import BudgetError
 from .polynomial import IntPolynomial, classify
-from .rmf import PhaseTable, SteinhausSampler, angles_for_key, derive_seed
-from .sieve import FactorTable, factor_values
-
-DEFAULT_FACTOR_BUDGET = 2_000_000
-_CHUNK = 256
+from .rmf import PhaseTable, replicate_sums
+from .sieve import DEFAULT_FACTOR_BUDGET, FactorTable, factor_values
 
 
 @dataclass(frozen=True)
@@ -180,36 +177,6 @@ def classification_labels(
     return labels
 
 
-@dataclass(frozen=True)
-class SplitSums:
-    scale_index: int  # 0-based
-    s1: complex
-    s2: complex
-    s3: complex
-
-
-def split_sums(
-    sampler, table: FactorTable, family: PrimeSetFamily, i: int
-) -> SplitSums:
-    """Reference (scalar) evaluation of the three-way split at scale i."""
-    x = family.grid.points[i]
-    hits = _hit_scales(table, family, x)
-    s1 = s2 = s3 = 0j
-    for n in range(1, x + 1):
-        row = table.rows[n - 1]
-        if row.value == 0:
-            continue
-        value = sampler.f_of(row)
-        h = hits[n - 1]
-        if not h:
-            s3 += value
-        elif any(j != i for j in h):
-            s2 += value
-        else:
-            s1 += value
-    return SplitSums(scale_index=i, s1=s1, s2=s2, s3=s3)
-
-
 def s2_second_moment(
     table: FactorTable, family: PrimeSetFamily, i: int, *, normalized: bool = False
 ):
@@ -348,50 +315,19 @@ def run_fluct(
     family = build_prime_sets(poly, table, grid)
     labels = classification_labels(table, family)
     pt = PhaseTable(table, top)
-    a_mask = pt.membership_mask(family.a_union)
-
+    # three selector rows per scale: S1_i, S2_i and the prefix n <= x_i
     index_sets = []
-    for i, x in enumerate(grid.points):
-        lab = labels[i]
-        index_sets.append(
-            (
-                np.flatnonzero(lab == 1),
-                np.flatnonzero(lab == 2),
-                np.flatnonzero(lab == 0),
-                x,
-            )
-        )
-
-    base_key = SteinhausSampler(seed).key
-    base_angles = angles_for_key(base_key, pt.primes_u64)
-    rep_keys = [SteinhausSampler(derive_seed(seed, r)).key for r in range(reps)]
-
-    def eval_chunk(keys: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        theta = np.empty((len(pt.primes), len(keys)), dtype=np.float64)
-        for b, key in enumerate(keys):
-            col = angles_for_key(key, pt.primes_u64)
-            if conditional:
-                col = np.where(a_mask, col, base_angles)
-            theta[:, b] = col
-        z = pt.unit_values_batch(theta)
-        s1 = np.empty((len(grid.points), len(keys)), dtype=np.complex128)
-        s2 = np.empty_like(s1)
-        partial = np.empty_like(s1)
-        for i, (idx1, idx2, _idx3, x) in enumerate(index_sets):
-            s1[i] = z[idx1, :].sum(axis=0)
-            s2[i] = z[idx2, :].sum(axis=0)
-            partial[i] = z[:x, :].sum(axis=0)
-        return s1, s2, partial
-
-    chunks = [rep_keys[lo:lo + _CHUNK] for lo in range(0, reps, _CHUNK)]
-    if threads <= 1:
-        results = [eval_chunk(ch) for ch in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_chunk, chunks))
-    s1_matrix = np.concatenate([r[0] for r in results], axis=1)
-    s2_matrix = np.concatenate([r[1] for r in results], axis=1)
-    partial_matrix = np.concatenate([r[2] for r in results], axis=1)
+    for lab in labels:
+        index_sets += [np.flatnonzero(lab == 1), np.flatnonzero(lab == 2),
+                       np.arange(len(lab))]
+    indptr = np.cumsum([0] + [len(idx) for idx in index_sets])
+    selector = sparse.csr_matrix(
+        (np.ones(indptr[-1]), np.concatenate(index_sets), indptr),
+        shape=(len(index_sets), top),
+    )
+    frozen = ~pt.membership_mask(family.a_union) if conditional else None
+    out = replicate_sums(pt, seed, reps, selector, frozen=frozen, threads=threads)
+    s1_matrix, s2_matrix, partial_matrix = out[0::3], out[1::3], out[2::3]
 
     max_stats = _max_stat(partial_matrix, grid.points)
     qs = np.quantile(max_stats, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -17,11 +17,17 @@ this mapping is part of the output contract and will not change.
 structure of a table into a sparse exponent matrix so that whole
 replicate batches reduce to one hash pass and one sparse matmul.  The
 scalar and vectorized paths produce bit-identical angles.
+
+``replicate_sums`` is the one replicate engine behind both ``clt`` and
+``fluct``: it sums f(P(n)) over the index sets of a 0/1 selector matrix
+for every replicate, in fixed chunks whose results do not depend on the
+thread count or on the chunk width.
 """
 
 from __future__ import annotations
 
 import cmath
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -37,6 +43,11 @@ GOLDEN = 0x9E3779B97F4A7C15
 _NP_GOLDEN = np.uint64(GOLDEN)
 _NP_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _NP_C2 = np.uint64(0x94D049BB133111EB)
+
+# replicate chunks hold at most _CHUNK columns and at most BLOCK_BYTES of
+# dense complex128 unit values per worker thread
+_CHUNK = 256
+BLOCK_BYTES = 128 << 20
 
 
 def mix64(z: int) -> int:
@@ -70,25 +81,25 @@ class _PhaseSource:
     def angle(self, p: int) -> float:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def f_of(self, fv: FactoredValue, rotation: float = 0.0) -> complex:
+    def f_of(self, fv: FactoredValue) -> complex:
         """Unit-circle value at |fv.value|; rejects value 0."""
         if fv.value == 0:
             raise ValueError(f"f is undefined at 0 (n={fv.n} is a root)")
-        phase = rotation % 1.0
+        phase = 0.0
         for p, e in fv.factors:
             phase = (phase + e * self.angle(p)) % 1.0
         if phase == 0.0:
             return complex(1.0, 0.0)
         return cmath.exp(2j * cmath.pi * phase)
 
-    def partial_sum(self, table: FactorTable, x: int, rotation: float = 0.0) -> complex:
+    def partial_sum(self, table: FactorTable, x: int) -> complex:
         """Sum of f(P(n)) over n <= x, skipping roots of P; ascending n."""
         if x > table.N:
             raise ValueError(f"x={x} exceeds table range {table.N}")
         acc = 0j
         for row in table.rows[:max(0, x)]:
             if row.value != 0:
-                acc += self.f_of(row, rotation)
+                acc += self.f_of(row)
         return acc
 
     def martingale_piece(self, table: FactorTable, p: int, x: int) -> complex:
@@ -131,26 +142,11 @@ class SteinhausSampler(_PhaseSource):
         return SteinhausSampler(derive_seed(self.seed, r))
 
 
-@dataclass(frozen=True)
-class ConditionalSampler(_PhaseSource):
-    """Two-stream sampler: primes in ``resample`` follow ``inner``, the
-    rest stay frozen on ``base``.  Used to resample only a chosen prime
-    set while conditioning on everything else."""
-
-    base: SteinhausSampler
-    inner: SteinhausSampler
-    resample: frozenset[int]
-
-    def angle(self, p: int) -> float:
-        src = self.inner if p in self.resample else self.base
-        return src.angle(p)
-
-
 class PhaseTable:
     """Sparse exponent structure of a factor table for batched evaluation.
 
-    Row n-1 holds the prime exponents of |P(n)|; ``unit_values`` maps a
-    per-prime angle vector to the n-vector of f(P(n)) (0 at roots of P).
+    Row n-1 holds the prime exponents of |P(n)|; ``unit_values_batch``
+    maps per-prime angles to f(P(n)) (0 at roots of P).
     """
 
     def __init__(self, table: FactorTable, n_max: int | None = None):
@@ -192,17 +188,51 @@ class PhaseTable:
         wanted = set(primes)
         return np.array([p in wanted for p in self.primes], dtype=bool)
 
-    def unit_values(self, angles: np.ndarray, rotation: float = 0.0) -> np.ndarray:
-        """f(P(n)) for n = 1..n_max as complex128; 0 where P(n) = 0."""
-        phases = self.matrix @ angles
-        z = np.exp(2j * np.pi * ((phases + rotation) % 1.0))
+    def unit_values_batch(self, angle_matrix: np.ndarray) -> np.ndarray:
+        """Column b holds f(P(n)) under the b-th angle vector; a 1-D angle
+        vector gives the n-vector of f(P(n))."""
+        phases = self.matrix @ angle_matrix
+        z = np.exp(2j * np.pi * (phases % 1.0))
         z[self.zero_mask] = 0.0
         return z
 
-    def unit_values_batch(self, angle_matrix: np.ndarray,
-                          rotation: float = 0.0) -> np.ndarray:
-        """Column b holds f(P(n)) under the b-th angle vector."""
-        phases = self.matrix @ angle_matrix
-        z = np.exp(2j * np.pi * ((phases + rotation) % 1.0))
-        z[self.zero_mask, :] = 0.0
-        return z
+
+def replicate_sums(
+    pt: PhaseTable,
+    seed: int,
+    reps: int,
+    selector: sparse.csr_matrix,
+    *,
+    frozen: np.ndarray | None = None,
+    threads: int = 1,
+) -> np.ndarray:
+    """Sums of f(P(n)) over index sets for replicates 0..reps-1.
+
+    ``selector`` is a 0/1 CSR matrix with one row per index set and one
+    column per table row; entry [s, r] of the complex result is row s's
+    sum under the stream ``derive_seed(seed, r)``.  Primes marked in the
+    boolean mask ``frozen`` keep their base-stream (``seed``) angle in
+    every replicate.  Each CSR row adds its terms in ascending n, and
+    chunks are concatenated in chunk order, so the result is
+    bit-identical for any thread count and any chunk width.
+    """
+    width = max(1, min(_CHUNK, BLOCK_BYTES // (16 * pt.n_max)))
+    root = SteinhausSampler(seed)
+    base = None if frozen is None else pt.angles(root)[frozen, None]
+
+    def chunk(lo: int) -> np.ndarray:
+        cols = range(lo, min(lo + width, reps))
+        theta = np.empty((len(pt.primes), len(cols)), dtype=np.float64)
+        for b, r in enumerate(cols):
+            theta[:, b] = pt.angles(root.replicate(r))
+        if base is not None:
+            theta[frozen] = base
+        return selector @ pt.unit_values_batch(theta)
+
+    starts = range(0, reps, width)
+    if threads <= 1:
+        parts = [chunk(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(chunk, starts))
+    return np.concatenate(parts, axis=1)

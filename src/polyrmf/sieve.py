@@ -26,6 +26,8 @@ from .polynomial import IntPolynomial
 from .primes import is_prime, sieve_primes, _factor_rough
 
 DEFAULT_TRIAL_BOUND = 10_000
+# largest N that clt factors and that fluct's top grid point may reach
+DEFAULT_FACTOR_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)

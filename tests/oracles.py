@@ -2,14 +2,18 @@
 
 Everything here recounts from first principles, sharing no code path with
 the implementations under test: quadruple loops and all-pairs comparison
-matrices for energy counts, and literal sign-pattern enumeration for the
-exact moment sums.
+matrices for energy counts, literal sign-pattern enumeration for the
+exact moment sums, and scalar per-row evaluation of the split sums that
+the batched replicate engine computes.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from polyrmf.rmf import SteinhausSampler, _PhaseSource
 
 
 def energy_quadruple_loop(values):
@@ -163,3 +167,47 @@ def s2_membership_scan(table, a_sets, i, x):
         if any(p in earlier for p, _ in row.factors):
             count += 1
     return count
+
+
+@dataclass(frozen=True)
+class ConditionalSampler(_PhaseSource):
+    """Two-stream scalar sampler: primes in ``resample`` follow ``inner``,
+    the rest stay frozen on ``base`` (what ``fluct --conditional`` does
+    to each replicate)."""
+
+    base: SteinhausSampler
+    inner: SteinhausSampler
+    resample: frozenset
+
+    def angle(self, p: int) -> float:
+        src = self.inner if p in self.resample else self.base
+        return src.angle(p)
+
+
+@dataclass(frozen=True)
+class SplitSums:
+    scale_index: int  # 0-based
+    s1: complex
+    s2: complex
+    s3: complex
+
+
+def split_sums(sampler, table, family, i):
+    """Three-way split of sum_{n <= x_i} f(P(n)) at scale i, one row at a
+    time in ascending n, reading A-prime membership off each row's factor
+    list: S1 when every A-prime dividing P(n) lies in A_i, S2 when one
+    lies elsewhere, S3 when there is none."""
+    scale_of = {p: j for j, a in enumerate(family.a_sets) for p in a}
+    s1 = s2 = s3 = 0j
+    for row in table.rows[:family.grid.points[i]]:
+        if row.value == 0:
+            continue
+        value = sampler.f_of(row)
+        hits = [scale_of[p] for p, _ in row.factors if p in scale_of]
+        if not hits:
+            s3 += value
+        elif any(j != i for j in hits):
+            s2 += value
+        else:
+            s1 += value
+    return SplitSums(scale_index=i, s1=s1, s2=s2, s3=s3)

@@ -193,6 +193,10 @@ def test_dry_run_still_validates_budget():
     proc = run_cli("energy", "--poly", "x^2+1", "--n", "5000",
                    "--budget", "1000", "--chunked", "--dry-run")
     assert proc.returncode == 0
+    proc = run_cli("clt", "--poly", "x^2+1", "--n", "1000000000",
+                   "--reps", "100", "--seed", "1", "--dry-run")
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr)["error"]["kind"] == "budget"
 
 
 def test_dry_run_skips_compute(tmp_path):

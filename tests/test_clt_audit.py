@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from oracles import mcleish_brute
 from polyrmf.clt_audit import (
@@ -9,11 +10,10 @@ from polyrmf.clt_audit import (
     mcleish_audit,
     normal_cdf_half_variance,
     run_clt,
-    sample_normalized_sums,
 )
 from polyrmf.energy import ProgressionRange, energy
 from polyrmf.polynomial import parse_polynomial
-from polyrmf.rmf import PhaseTable
+from polyrmf.rmf import PhaseTable, replicate_sums
 from polyrmf.sieve import factor_values
 
 
@@ -85,22 +85,17 @@ def test_samples_use_documented_replicate_seeds(x2p1):
         assert abs(run.samples[r] - scalar / sqrt(90)) <= 1e-9
 
 
-def test_rotation_swaps_re_im(x2p1):
-    table = factor_values(x2p1, 80)
-    pt = PhaseTable(table, 80)
-    base = sample_normalized_sums(pt, 80, 17, 64)
-    rot = sample_normalized_sums(pt, 80, 17, 64, rotation=0.25)
-    assert np.max(np.abs(rot - 1j * base)) <= 1e-9
-    assert np.max(np.abs(rot.real + base.imag)) <= 1e-9
-    assert np.max(np.abs(rot.imag - base.real)) <= 1e-9
-
-
 def test_thread_counts_bit_identical(x2p1):
     table = factor_values(x2p1, 150)
     pt = PhaseTable(table, 150)
-    one = sample_normalized_sums(pt, 150, 9, 1300, threads=1)
-    three = sample_normalized_sums(pt, 150, 9, 1300, threads=3)
-    eight = sample_normalized_sums(pt, 150, 9, 1300, threads=8)
+    # rows: the full prefix, then the even n; every third prime frozen
+    selector = sparse.csr_matrix(
+        np.vstack([np.ones(150), np.arange(1, 151) % 2 == 0]))
+    frozen = np.arange(len(pt.primes)) % 3 == 0
+    one, three, eight = (
+        replicate_sums(pt, 9, 1300, selector, frozen=frozen, threads=t)
+        for t in (1, 3, 8))
+    assert one.shape == (2, 1300)
     assert np.array_equal(one, three)
     assert np.array_equal(one, eight)
 

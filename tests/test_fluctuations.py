@@ -1,10 +1,12 @@
 from fractions import Fraction
-from math import log
+from math import log, sqrt
 
 import numpy as np
 import pytest
 
-from oracles import s2_membership_scan
+from oracles import ConditionalSampler, s2_membership_scan, split_sums
+from polyrmf import rmf
+from polyrmf.clt_audit import run_clt
 from polyrmf.errors import BudgetError
 from polyrmf.fluctuations import (
     build_grid,
@@ -12,7 +14,6 @@ from polyrmf.fluctuations import (
     classification_labels,
     run_fluct,
     s2_second_moment,
-    split_sums,
     variance_floor,
 )
 from polyrmf.polynomial import parse_polynomial
@@ -176,7 +177,7 @@ def test_classification_labels_match_scalar(family_200):
     from polyrmf.rmf import PhaseTable
 
     pt = PhaseTable(table, grid.points[-1])
-    z = pt.unit_values(pt.angles(s))
+    z = pt.unit_values_batch(pt.angles(s))
     for i in range(2):
         lab = labels[i]
         s1 = z[:len(lab)][lab == 1].sum()
@@ -275,3 +276,38 @@ def test_report_carries_admissibility_flag(x2p1):
     rep = run_fluct(x2p1, 100, 2, 4, 4, 1)
     assert rep.fluct_admissible
     assert "surrogate" in rep.grid_model
+
+
+def test_run_fluct_conditional_matches_scalar_oracle(x2p1):
+    reps, seed = 9, 23
+    rep = run_fluct(x2p1, 100, 2, 4, reps, seed, conditional=True)
+    table = factor_values(x2p1, 400)
+    fam = build_prime_sets(x2p1, table, rep.grid)
+    for r in (0, reps - 1):
+        sampler = ConditionalSampler(
+            base=SteinhausSampler(seed),
+            inner=SteinhausSampler(derive_seed(seed, r)),
+            resample=fam.a_union)
+        for i in range(2):
+            parts = split_sums(sampler, table, fam, i)
+            assert abs(rep.s1_matrix[i, r] - parts.s1) <= 1e-9
+            assert abs(rep.s2_matrix[i, r] - parts.s2) <= 1e-9
+            assert abs(rep.s3_matrix()[i, r] - parts.s3) <= 1e-9
+
+
+def test_clt_and_fluct_share_one_engine(x2p1):
+    rep = run_fluct(x2p1, 100, 3, 4, 300, 7)
+    for i, x in enumerate(rep.grid.points):
+        samples = run_clt(x2p1, x, 300, 7).samples
+        assert np.array_equal(samples, rep.partial_matrix[i] / sqrt(x))
+
+
+def test_chunk_width_does_not_change_results(x2p1, monkeypatch):
+    clt = run_clt(x2p1, 300, 260, 4).samples
+    fl = run_fluct(x2p1, 100, 2, 4, 260, 4, conditional=True)
+    # a block budget below one column leaves chunks of a single replicate
+    monkeypatch.setattr(rmf, "BLOCK_BYTES", 0)
+    assert np.array_equal(run_clt(x2p1, 300, 260, 4).samples, clt)
+    narrow = run_fluct(x2p1, 100, 2, 4, 260, 4, conditional=True)
+    for name in ("s1_matrix", "s2_matrix", "partial_matrix", "max_stats"):
+        assert np.array_equal(getattr(narrow, name), getattr(fl, name))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import ConditionalSampler
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
 from polyrmf.rmf import (
     M64,
-    ConditionalSampler,
     PhaseTable,
     SteinhausSampler,
     angles_for_key,
@@ -163,7 +163,7 @@ def test_phase_table_matches_scalar(x2p1):
     table = factor_values(x2p1, 200)
     s = SteinhausSampler(314159)
     pt = PhaseTable(table, 200)
-    z = pt.unit_values(pt.angles(s))
+    z = pt.unit_values_batch(pt.angles(s))
     for n in (1, 2, 50, 200):
         assert abs(z[n - 1] - s.f_of(table.row(n))) <= 1e-9
     assert abs(z[:137].sum() - s.partial_sum(table, 137)) <= 1e-9
@@ -172,16 +172,8 @@ def test_phase_table_matches_scalar(x2p1):
 def test_phase_table_zero_rows(x2m6x):
     table = factor_values(x2m6x, 10)
     pt = PhaseTable(table, 10)
-    z = pt.unit_values(pt.angles(SteinhausSampler(4)))
+    z = pt.unit_values_batch(pt.angles(SteinhausSampler(4)))
     assert z[5] == 0  # P(6) = 0 is excluded, not mapped to 1
-
-
-def test_rotation_is_global_phase(x2p1):
-    table = factor_values(x2p1, 60)
-    s = SteinhausSampler(21)
-    base = s.partial_sum(table, 60)
-    rotated = s.partial_sum(table, 60, rotation=0.25)
-    assert abs(rotated - 1j * base) <= 1e-9
 
 
 def test_prime_subsum_skips_roots_at_prime_arguments():
@@ -200,7 +192,7 @@ def test_batch_matches_single_column(x2p1):
     theta = np.stack([pt.angles(s) for s in samplers], axis=1)
     batch = pt.unit_values_batch(theta)
     for b, s in enumerate(samplers):
-        single = pt.unit_values(pt.angles(s))
+        single = pt.unit_values_batch(pt.angles(s))
         assert np.array_equal(batch[:, b], single)
 
 
@@ -233,5 +225,5 @@ def test_phase_table_primes_above_2_64():
     i = pt.primes.index(big)
     assert pt.angles(s)[i] == s.angle(big)
     assert pt.membership_mask([big]).tolist() == [p == big for p in pt.primes]
-    z = pt.unit_values(pt.angles(s))
+    z = pt.unit_values_batch(pt.angles(s))
     assert abs(z.sum() - s.partial_sum(table, 20)) <= 1e-9
