@@ -4,8 +4,9 @@ Subcommands: classify | sieve | energy | clt | fluct | audit.
 Canonical output is JSON (CSV is a row projection where it makes sense);
 every document carries a metadata header with the tool version, the
 echoed configuration, and the wall time.  Exit codes: 0 success,
-2 configuration error, 3 budget error, 1 internal failure; errors are
-emitted as machine-readable JSON on stderr.
+2 configuration error naming its field, 3 budget error, 1 any other
+failure; errors are emitted as machine-readable JSON on stderr.
+``--dry-run`` runs the library check that the real run starts with.
 
 Polynomials are accepted in both supported text forms everywhere
 ("c0,c1,...,cd" and "x^2+1").  Seeds parse as decimal or 0x-hex.
@@ -32,16 +33,13 @@ import numpy as np
 
 from . import __version__
 from .clt_audit import check_clt_config, mcleish_audit, run_clt
-from .energy import (
-    DEFAULT_PAIR_BUDGET,
-    ProgressionRange,
-    energy,
-    exponent_fit,
-)
+from .energy import DEFAULT_PAIR_BUDGET, check_energy_config, energy, exponent_fit
 from .errors import BudgetError, ConfigError
 from .fluctuations import build_grid, run_fluct
 from .polynomial import classify, parse_polynomial
-from .sieve import DEFAULT_FACTOR_BUDGET, factor_values, lpf_density
+from .rmf import check_replicates
+from .sieve import (DEFAULT_FACTOR_BUDGET, check_factor_budget, check_grid,
+                    factor_values, lpf_density)
 
 
 def to_jsonable(obj):
@@ -77,11 +75,15 @@ def to_jsonable(obj):
 
 
 def _parse_seed(text: str) -> int:
+    # streams see seed mod 2^64; a longer hex seed would overflow the JSON echo
     try:
-        return int(text, 0)
+        seed = int(text, 0)
     except ValueError as exc:
         raise ConfigError(f"seed {text!r} is not a decimal or hex integer",
                           field="seed") from exc
+    if abs(seed) >= 1 << 64:
+        raise ConfigError(f"seed {text!r} does not fit in 64 bits", field="seed")
+    return seed
 
 
 def _parse_poly(text: str):
@@ -91,9 +93,16 @@ def _parse_poly(text: str):
         raise ConfigError(str(exc), field="poly") from exc
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ConfigError("--threads must be >= 1", field="threads")
+def _parse_fraction(text: str, field: str) -> Fraction:
+    # Fraction("1e999999999") builds a billion-digit integer: no exponents
+    try:
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"bad {field} {text!r}", field=field) from exc
+    return value
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -101,9 +110,14 @@ def _parse_grid(text: str) -> list[int]:
         grid = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}", field="grid") from exc
-    if not grid or grid != sorted(set(grid)):
-        raise ConfigError("grid must be strictly ascending", field="grid")
+    check_grid(grid)
     return grid
+
+
+def _parse_sizes(n: int | None, grid: str | None) -> list[int]:
+    if grid is None and n is None:
+        raise ConfigError("one of --n or --grid is required", field="n")
+    return [n] if grid is None else _parse_grid(grid)
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -212,34 +226,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args, started: float) -> int:
+def _cmd_classify(args):
     poly = _parse_poly(args.poly)
-    if args.dry_run:
-        _emit({"dry_run": True, "poly": str(poly)}, _resolve_out(args.out))
-        return 0
-    result = classify(poly)
-    doc = _document("classify", {"poly": str(poly)}, result, started)
-    _emit(doc, _resolve_out(args.out))
-    return 0
+    return {"poly": str(poly)}, None if args.dry_run else classify(poly)
 
 
-def _cmd_sieve(args, started: float) -> int:
+def _cmd_sieve(args):
     poly = _parse_poly(args.poly)
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1", field="n")
-    scale = Fraction(args.lpf_scale) if args.lpf_scale else None
+    scale = _parse_fraction(args.lpf_scale, "lpf_scale") if args.lpf_scale else None
+    config = {"poly": str(poly), "n": args.n}
     if args.dry_run:
-        _emit({"dry_run": True, "poly": str(poly), "n": args.n},
-              _resolve_out(args.out))
-        return 0
+        check_factor_budget(args.n)
+        return config, None
     table = factor_values(poly, args.n)
     out = _resolve_out(args.out)
     if args.format == "csv" and out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", newline="") as fh:
             table.write_csv(fh)
-        return 0
-    count, fraction = (0, Fraction(0)) if args.n < 2 else lpf_density(table, scale)
+        return config, None
+    count, fraction = lpf_density(table, scale)
     buf = io.StringIO()
     table.write_json(buf)
     result = json.loads(buf.getvalue())
@@ -248,131 +254,76 @@ def _cmd_sieve(args, started: float) -> int:
         "count": count,
         "fraction": to_jsonable(fraction),
     }
-    doc = _document("sieve", {"poly": str(poly), "n": args.n}, result, started)
-    _emit(doc, out)
-    return 0
+    return config, result
 
 
-def _cmd_energy(args, started: float) -> int:
+def _cmd_energy(args):
     poly = _parse_poly(args.poly)
-    cls = classify(poly)
-    if cls.is_pure_power:
-        w = cls.pure_power_witness
-        raise ConfigError(
-            f"polynomial {poly} is the excluded pure power w*(x+c)^d "
-            f"(w={w.w}, c={w.c})", field="poly")
-    if args.grid is None and args.n is None:
-        raise ConfigError("one of --n or --grid is required", field="n")
-    if args.q < 1 or not 0 <= args.a < args.q:
-        raise ConfigError("need q >= 1 and 0 <= a < q", field="q/a")
-
+    sizes = _parse_sizes(args.n, args.grid)
+    # energy() counts pure powers too; the CLI refuses them for --n as well
+    ranges = check_energy_config(poly, sizes, q=args.q, a=args.a,
+                                 budget=args.budget, chunked=args.chunked)
     config = {
         "poly": str(poly), "n": args.n, "q": args.q, "a": args.a,
         "grid": args.grid, "chunked": args.chunked, "budget": args.budget,
     }
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        if args.dry_run:
-            for n in grid:
-                _check_pair_budget(ProgressionRange(n, args.q, args.a),
-                                   args.budget, args.chunked)
-            _emit({"dry_run": True, **config}, _resolve_out(args.out))
-            return 0
-        fit = exponent_fit(poly, grid, q=args.q, a=args.a,
-                           budget=args.budget, chunked=args.chunked)
-        doc = _document("energy", config, fit, started)
-        rows = [(pt.N, pt.offdiag, pt.ratio) for pt in fit.points]
-        _emit(doc, _resolve_out(args.out),
-              as_csv_rows=(("N", "offdiag", "ratio"), rows))
-        return 0
-
-    rng = ProgressionRange(args.n, args.q, args.a)
-    if rng.size < 1:
-        raise ConfigError("progression has no members in [1, N]", field="a")
     if args.dry_run:
-        _check_pair_budget(rng, args.budget, args.chunked)
-        _emit({"dry_run": True, **config}, _resolve_out(args.out))
-        return 0
-    report = energy(poly, rng, budget=args.budget, chunked=args.chunked)
-    doc = _document("energy", config, report, started)
-    _emit(doc, _resolve_out(args.out))
-    return 0
+        return config, None
+    if args.grid is None:
+        return config, energy(poly, ranges[0], budget=args.budget, chunked=args.chunked)
+    fit = exponent_fit(poly, sizes, q=args.q, a=args.a,
+                       budget=args.budget, chunked=args.chunked)
+    rows = [(pt.N, pt.offdiag, pt.ratio) for pt in fit.points]
+    return config, fit, (("N", "offdiag", "ratio"), rows)
 
 
-def _check_pair_budget(rng: ProgressionRange, budget: int, chunked: bool) -> None:
-    m = rng.size
-    est = m * (m + 1) // 2
-    if est > budget and not chunked:
-        raise BudgetError(
-            f"{est} canonical pair products exceed the budget of {budget}; "
-            "enable --chunked or raise --budget")
-
-
-def _cmd_clt(args, started: float) -> int:
+def _cmd_clt(args):
     poly = _parse_poly(args.poly)
     seed = _parse_seed(args.seed)
-    _check_threads(args.threads)
-    check_clt_config(poly, args.n, args.reps)
     config = {"poly": str(poly), "n": args.n, "reps": args.reps,
               "seed": seed, "threads": args.threads}
     if args.dry_run:
-        _emit({"dry_run": True, **config}, _resolve_out(args.out))
-        return 0
+        check_clt_config(poly, args.n, args.reps, args.threads)
+        return config, None
     run = run_clt(poly, args.n, args.reps, seed, threads=args.threads)
     result = {"stats": run.stats}
     if args.dump_samples:
         result["samples"] = run.samples
-    doc = _document("clt", config, result, started)
-    _emit(doc, _resolve_out(args.out))
-    return 0
+    return config, result
 
 
-def _cmd_fluct(args, started: float) -> int:
+def _cmd_fluct(args):
     poly = _parse_poly(args.poly)
     seed = _parse_seed(args.seed)
-    try:
-        ratio = Fraction(args.ratio)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad ratio {args.ratio!r}", field="ratio") from exc
-    if args.reps < 1:
-        raise ConfigError("--reps must be >= 1", field="reps")
-    _check_threads(args.threads)
+    ratio = _parse_fraction(args.ratio, "ratio")
     config = {"poly": str(poly), "x": args.x, "k": args.k,
               "ratio": str(ratio), "reps": args.reps, "seed": seed,
               "conditional": args.conditional, "threads": args.threads,
               "factor_budget": args.factor_budget}
-    # validates X/k/ratio and the factorization budget
-    build_grid(args.x, args.k, ratio, factor_budget=args.factor_budget)
     if args.dry_run:
-        _emit({"dry_run": True, **config}, _resolve_out(args.out))
-        return 0
+        check_replicates(args.reps, args.threads)
+        build_grid(args.x, args.k, ratio, factor_budget=args.factor_budget)
+        return config, None
     report = run_fluct(poly, args.x, args.k, ratio, args.reps, seed,
                        conditional=args.conditional, threads=args.threads,
                        factor_budget=args.factor_budget)
     result = to_jsonable(report)
     # replicate-level matrices stay out of the document; quantiles and
     # per-scale summaries carry the reportable content
-    result.pop("s1_matrix")
-    result.pop("s2_matrix")
-    result.pop("partial_matrix")
-    result.pop("max_stats")
-    doc = _document("fluct", config, result, started)
-    _emit(doc, _resolve_out(args.out))
-    return 0
+    for key in ("s1_matrix", "s2_matrix", "partial_matrix", "max_stats"):
+        result.pop(key)
+    return config, result
 
 
-def _cmd_audit(args, started: float) -> int:
+def _cmd_audit(args):
     poly = _parse_poly(args.poly)
     grid = _parse_grid(args.grid)
     config = {"poly": str(poly), "grid": grid}
     if args.dry_run:
-        _emit({"dry_run": True, **config}, _resolve_out(args.out))
-        return 0
-    table = factor_values(poly, max(grid))
-    audit = mcleish_audit(poly, table, grid)
-    doc = _document("audit", config, audit, started)
-    _emit(doc, _resolve_out(args.out))
-    return 0
+        check_factor_budget(grid[-1])
+        return config, None
+    table = factor_values(poly, grid[-1])
+    return config, mcleish_audit(poly, table, grid)
 
 
 _COMMANDS = {
@@ -386,31 +337,34 @@ _COMMANDS = {
 
 
 def _error_json(kind: str, exit_code: int, message: str,
-                field: str | None = None) -> None:
+                field: str | None = None) -> int:
     payload = {"error": {"kind": kind, "exit_code": exit_code,
                          "message": message}}
     if field:
         payload["error"]["field"] = field
     json.dump(payload, sys.stderr, allow_nan=False)
     sys.stderr.write("\n")
+    return exit_code
 
 
 def dispatch(args) -> int:
     started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args, started)
+        # a handler returns (config, result[, csv rows]); a result of None
+        # is a dry run or output the handler wrote itself
+        config, result, *csv_rows = _COMMANDS[args.command](args)
+        out = _resolve_out(args.out)
+        if args.dry_run:
+            _emit({"dry_run": True, **config}, out)
+        elif result is not None:
+            _emit(_document(args.command, config, result, started), out, *csv_rows)
+        return 0
     except ConfigError as exc:
-        _error_json("config", 2, str(exc), exc.field)
-        return 2
+        return _error_json("config", 2, str(exc), exc.field)
     except BudgetError as exc:
-        _error_json("budget", 3, str(exc))
-        return 3
-    except ValueError as exc:
-        _error_json("config", 2, str(exc))
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        _error_json("internal", 1, f"{type(exc).__name__}: {exc}")
-        return 1
+        return _error_json("budget", 3, str(exc))
+    except Exception as exc:
+        return _error_json("internal", 1, f"{type(exc).__name__}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

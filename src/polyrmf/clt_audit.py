@@ -51,11 +51,10 @@ from math import erf, sqrt
 import numpy as np
 from scipy import sparse
 
-from .errors import BudgetError, ConfigError
-from .polynomial import IntPolynomial, classify
+from .polynomial import IntPolynomial, require_not_pure_power
 from .energy import lpf_groups, pair_histogram, paired_prime_count
-from .rmf import PhaseTable, replicate_sums
-from .sieve import DEFAULT_FACTOR_BUDGET, FactorTable, factor_values
+from .rmf import PhaseTable, check_replicates, replicate_sums
+from .sieve import FactorTable, check_factor_budget, check_grid, factor_values
 
 
 def normal_cdf_half_variance(x: float) -> float:
@@ -102,26 +101,12 @@ class CltRun:
     stats: CltStats
 
 
-def check_clt_config(poly: IntPolynomial, n_max: int, reps: int) -> None:
-    """Reject a clt request: ConfigError names the field, BudgetError
-    flags an N beyond the factorization budget."""
-    if n_max < 1:
-        raise ConfigError("N must be >= 1", field="n")
-    cls = classify(poly)
-    if not cls.clt_admissible:
-        if cls.is_pure_power:
-            w = cls.pure_power_witness
-            raise ConfigError(
-                f"polynomial {poly} is the excluded pure power w*(x+c)^d "
-                f"(w={w.w}, c={w.c}); its normalized sums degenerate",
-                field="poly")
-        raise ConfigError("degree must be >= 2", field="poly")
-    if reps < 100:
-        raise ConfigError("need at least 100 replicates", field="reps")
-    if n_max > DEFAULT_FACTOR_BUDGET:
-        raise BudgetError(
-            f"N={n_max} exceeds the factorization budget of "
-            f"{DEFAULT_FACTOR_BUDGET}")
+def check_clt_config(poly: IntPolynomial, n_max: int, reps: int,
+                     threads: int = 1) -> None:
+    """The checks ``run_clt`` runs first; they raise ConfigError or BudgetError."""
+    check_factor_budget(n_max)
+    require_not_pure_power(poly)
+    check_replicates(reps, threads, minimum=100)
 
 
 def sample_normalized_sums(
@@ -143,7 +128,7 @@ def run_clt(
     table: FactorTable | None = None,
 ) -> CltRun:
     """Monte-Carlo sample of the normalized partial sums with statistics."""
-    check_clt_config(poly, n_max, reps)
+    check_clt_config(poly, n_max, reps, threads)
     if table is None:
         table = factor_values(poly, n_max)
     pt = PhaseTable(table, n_max)
@@ -201,8 +186,7 @@ def mcleish_audit(
     poly: IntPolynomial, table: FactorTable, grid: list[int]
 ) -> McLeishAudit:
     """Exact martingale-condition sums at each N of the grid."""
-    if max(grid) > table.N:
-        raise ValueError("table does not cover the audit grid")
+    check_grid(grid)  # lpf_groups refuses an N beyond the table
     scales = []
     for n_max in grid:
         groups = {

@@ -31,9 +31,9 @@ from math import exp, gcd, log, sqrt
 
 import numpy as np
 
-from .errors import BudgetError
-from .polynomial import IntPolynomial, classify
-from .sieve import FactorTable
+from .errors import BudgetError, ConfigError
+from .polynomial import IntPolynomial, classify, require_not_pure_power
+from .sieve import FactorTable, check_grid
 
 DEFAULT_PAIR_BUDGET = 80_000_000
 _RUN_ITEMS = 4_000_000
@@ -52,11 +52,9 @@ class ProgressionRange:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if not 0 <= self.a < self.q:
-            raise ValueError("need 0 <= a < q")
+            raise ConfigError("progression needs N >= 1", field="n")
+        if self.q < 1 or not 0 <= self.a < self.q:
+            raise ConfigError("need q >= 1 and 0 <= a < q", field="q/a")
 
     @property
     def indicator_a(self) -> int:
@@ -71,6 +69,11 @@ class ProgressionRange:
     def members(self) -> range:
         start = self.a if self.a >= 1 else self.q
         return range(start, self.N + 1, self.q)
+
+    def require_members(self) -> None:
+        """ConfigError(field="a") when no x in [1, N] is a mod q."""
+        if self.size < 1:
+            raise ConfigError("progression has no members in [1, N]", field="a")
 
 
 @dataclass(frozen=True)
@@ -216,6 +219,33 @@ def _pair_total_chunked(values: list[int], run_items: int = _RUN_ITEMS) -> int:
     return total
 
 
+def check_pair_budget(m: int, budget: int, chunked: bool = False) -> None:
+    """BudgetError when m values have more than ``budget`` canonical pair
+    products and chunked (sort-merge) counting is off."""
+    est = m * (m + 1) // 2
+    if est > budget and not chunked:
+        raise BudgetError(
+            f"{est} canonical pair products exceed the budget of {budget}; "
+            "enable chunked (sort-merge) counting or raise the budget"
+        )
+
+
+def check_energy_config(
+    poly: IntPolynomial, grid: list[int], *, q: int = 1, a: int = 0,
+    budget: int = DEFAULT_PAIR_BUDGET, chunked: bool = False,
+) -> list[ProgressionRange]:
+    """The checks ``exponent_fit`` runs first (the CLI also runs them for
+    one ``--n``); returns the progression of each N of the grid."""
+    require_not_pure_power(poly)
+    # progressions first, so that a single N below 1 is reported as n
+    ranges = [ProgressionRange(n, q, a) for n in grid]
+    check_grid(grid)
+    for rng in ranges:
+        rng.require_members()
+        check_pair_budget(rng.size, budget, chunked)
+    return ranges
+
+
 def count_pair_products(
     values: list[int],
     *,
@@ -228,14 +258,9 @@ def count_pair_products(
     count exceeds ``budget`` and chunked mode was not requested.
     """
     m = len(values)
-    est = m * (m + 1) // 2
+    check_pair_budget(m, budget, chunked)
     if chunked:
         return _pair_total_chunked(values), "chunked"
-    if est > budget:
-        raise BudgetError(
-            f"{est} canonical pair products exceed the budget of {budget}; "
-            "enable chunked (sort-merge) counting or raise the budget"
-        )
     if values and max(abs(v) for v in values) <= _INT64_VALUE_LIMIT and m > 64:
         return _pair_total_int64(values), "direct"
     return _pair_total_dict(values), "direct"
@@ -249,9 +274,8 @@ def energy(
     chunked: bool = False,
 ) -> EnergyReport:
     """Exact multiplicative energy of P([N]_{a,q}) with diagonal splits."""
+    rng.require_members()
     members = list(rng.members())
-    if not members:
-        raise ValueError("progression has no members in [1, N]")
     values = [poly(x) for x in members]
     total, mode = count_pair_products(values, budget=budget, chunked=chunked)
 
@@ -290,13 +314,9 @@ def energy_cross(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> int:
     """Count (x, y, X, Y) in members^4 with P1(x)P1(y) = P2(X)P2(Y)."""
+    rng.require_members()
+    check_pair_budget(rng.size, budget)
     members = list(rng.members())
-    if not members:
-        raise ValueError("progression has no members in [1, N]")
-    m = len(members)
-    if m * (m + 1) // 2 > budget:
-        raise BudgetError(f"{m * (m + 1) // 2} pair products exceed budget {budget}")
-
     c1 = pair_histogram([poly1(x) for x in members])
     c2 = pair_histogram([poly2(x) for x in members])
     if len(c2) < len(c1):
@@ -392,21 +412,12 @@ def exponent_fit(
     chunked: bool = False,
 ) -> ExponentFit:
     """Off-diagonal counts across a grid of N, normalized by N^exponent."""
-    cls = classify(poly)
-    if cls.is_pure_power:
-        w = cls.pure_power_witness
-        raise ValueError(
-            f"polynomial {poly} is the excluded pure power w*(x+c)^d "
-            f"(w={w.w}, c={w.c}); its off-diagonal asymptotics degenerate"
-        )
-    if poly.degree < 2:
-        raise ValueError("degree must be >= 2 for an exponent fit")
-    if list(grid) != sorted(set(grid)):
-        raise ValueError("grid must be strictly ascending")
+    ranges = check_energy_config(poly, grid, q=q, a=a, budget=budget,
+                                 chunked=chunked)
     expo = error_exponent(poly.degree)
     points = []
-    for n in grid:
-        rep = energy(poly, ProgressionRange(n, q, a), budget=budget, chunked=chunked)
+    for n, rng in zip(grid, ranges):
+        rep = energy(poly, rng, budget=budget, chunked=chunked)
         offdiag = rep.total - rep.diagonal_arg
         points.append(
             ExponentFitPoint(N=n, offdiag=offdiag, ratio=offdiag / n ** float(expo))

@@ -26,15 +26,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, sqrt
+from math import log, nan, sqrt
 
 import numpy as np
 from scipy import sparse
 
-from .errors import BudgetError
+from .errors import ConfigError
 from .polynomial import IntPolynomial, classify
-from .rmf import PhaseTable, replicate_sums
-from .sieve import DEFAULT_FACTOR_BUDGET, FactorTable, factor_values
+from .rmf import PhaseTable, check_replicates, replicate_sums
+from .sieve import (DEFAULT_FACTOR_BUDGET, FactorTable, check_factor_budget,
+                    factor_values)
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,21 @@ def build_grid(
     *,
     factor_budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> ScaleGrid:
-    """Geometric grid x_i = round(X * ratio^(i-1)), i = 1..k."""
+    """Geometric grid x_i = round(X * ratio^(i-1)), i = 1..k, strictly
+    ascending for X >= 100 and ratio >= 2; a huge k stops at the first
+    point beyond the factorization budget."""
     if x_base < 100:
-        raise ValueError("X must be >= 100")
+        raise ConfigError("X must be >= 100", field="x")
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise ConfigError("k must be >= 2", field="k")
     r = Fraction(ratio)
     if r < 2:
-        raise ValueError("ratio must be >= 2")
-    points = tuple(round(x_base * r ** i) for i in range(k))
-    if sorted(set(points)) != list(points):
-        raise ValueError("grid points must be distinct and ascending")
-    if points[-1] > factor_budget:
-        raise BudgetError(
-            f"top grid point {points[-1]} exceeds the factorization budget "
-            f"of {factor_budget}"
-        )
-    return ScaleGrid(X=x_base, points=points)
+        raise ConfigError("ratio must be >= 2", field="ratio")
+    points = []
+    for i in range(k):
+        points.append(round(x_base * r ** i))
+        check_factor_budget(points[-1], factor_budget)
+    return ScaleGrid(X=x_base, points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -280,6 +279,11 @@ class FluctReport:
         return self.partial_matrix - self.s1_matrix - self.s2_matrix
 
 
+def _sample_var(x: np.ndarray) -> float:
+    """Unbiased sample variance; NaN (JSON null) for one replicate."""
+    return float(np.var(x, ddof=1)) if len(x) > 1 else nan
+
+
 def _max_stat(partials: np.ndarray, points: tuple[int, ...]) -> np.ndarray:
     k, _ = partials.shape
     scaled = np.empty_like(partials, dtype=np.float64)
@@ -308,10 +312,11 @@ def run_fluct(
     the base seed and only A-primes are resampled per replicate, so S3
     is constant across replicates while S1 fluctuates.
     """
+    check_replicates(reps, threads)
     grid = build_grid(x_base, k, ratio, factor_budget=factor_budget)
     top = grid.points[-1]
     if table is None:
-        table = factor_values(poly, top)
+        table = factor_values(poly, top, budget=factor_budget)
     family = build_prime_sets(poly, table, grid)
     labels = classification_labels(table, family)
     pt = PhaseTable(table, top)
@@ -356,9 +361,9 @@ def run_fluct(
                 mu=floor.mu,
                 mu_lower_bound=floor.lower_bound,
                 mean_re_s1=float(np.mean(re_s1)),
-                var_re_s1=float(np.var(re_s1, ddof=1)),
+                var_re_s1=_sample_var(re_s1),
                 mc_abs_s1_sq_mean=float(np.mean(abs_sq)),
-                mc_abs_s1_sq_se=float(np.std(abs_sq, ddof=1) / sqrt(reps)),
+                mc_abs_s1_sq_se=sqrt(_sample_var(abs_sq)) / sqrt(reps),
                 exact_abs_s1_sq=2 * x * floor.mu,
             )
         )
@@ -373,8 +378,9 @@ def run_fluct(
                 CovarianceEntry(
                     scale_i=i,
                     scale_j=j,
-                    covariance=float(np.sum(prod) / (reps - 1)),
-                    standard_error=float(np.std(prod, ddof=1) / sqrt(reps)),
+                    covariance=(float(np.sum(prod) / (reps - 1)) if reps > 1
+                                else nan),
+                    standard_error=sqrt(_sample_var(prod)) / sqrt(reps),
                 )
             )
 

@@ -21,7 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
+from .errors import ConfigError
 from .primes import factorize
+
+MAX_DEGREE = 256  # classify takes under a second at degree 256, ~30 s at 3000
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
     if not s:
         raise ValueError("empty polynomial text")
     if "," in s:
+        _check_degree(s.count(","))
         try:
             coeffs = [int(tok.strip()) for tok in s.split(",")]
         except ValueError as exc:
@@ -105,8 +109,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
         return IntPolynomial(tuple(coeffs))
 
     compact = s.replace("**", "^").replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial text")
     chunks = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(chunks) != compact:
         raise ValueError(f"cannot parse polynomial {text!r}")
@@ -125,10 +127,16 @@ def parse_polynomial(text: str) -> IntPolynomial:
             power = 1
         powers[power] = powers.get(power, 0) + sign * coeff
     deg = max(powers)
+    _check_degree(deg)
     coeffs = [powers.get(k, 0) for k in range(deg + 1)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return IntPolynomial(tuple(coeffs))
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the maximum of {MAX_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,9 @@ class PolynomialClass:
 
     ``rational_roots`` holds (root, multiplicity) pairs sorted by root;
     ``is_product_of_linear_factors`` is true when the multiplicities sum
-    to the degree.  ``clt_admissible`` requires degree >= 2 and not being
-    of the pure-power form w*(x+c)^d; ``fluct_admissible`` requires degree
-    >= 2 and not splitting into rational linear factors.
+    to the degree.  ``clt_admissible`` excludes the pure-power form
+    w*(x+c)^d; ``fluct_admissible`` excludes splitting into rational
+    linear factors.  Degree 1 is both, as a1*x + a0 = a1*(x + a0/a1).
     """
 
     degree: int
@@ -195,6 +203,16 @@ def pure_power_witness(p: IntPolynomial) -> PurePowerWitness | None:
         if Fraction(p.coeffs[k]) != w * comb(d, k) * c ** (d - k):
             return None
     return PurePowerWitness(w=w, c=c)
+
+
+def require_not_pure_power(p: IntPolynomial) -> None:
+    """ConfigError(field="poly") when P(x) = w*(x+c)^d, the form where the
+    normalized sums and the off-diagonal energy asymptotics degenerate."""
+    w = pure_power_witness(p)
+    if w is not None:
+        raise ConfigError(
+            f"polynomial {p} is the excluded pure power w*(x+c)^d "
+            f"(w={w.w}, c={w.c})", field="poly")
 
 
 def _divisors(n: int) -> list[int]:
@@ -276,14 +294,13 @@ def classify(p: IntPolynomial) -> PolynomialClass:
     total_mult = sum(m for _, m in roots)
     is_linear_product = total_mult == p.degree
     center = generalized_even_center(p)
-    d = p.degree
     return PolynomialClass(
-        degree=d,
+        degree=p.degree,
         is_pure_power=witness is not None,
         pure_power_witness=witness,
         rational_roots=roots,
         is_product_of_linear_factors=is_linear_product,
         generalized_even_center=center,
-        clt_admissible=(d >= 2 and witness is None),
-        fluct_admissible=(d >= 2 and not is_linear_product),
+        clt_admissible=witness is None,
+        fluct_admissible=not is_linear_product,
     )

@@ -34,6 +34,7 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
+from .errors import ConfigError
 from .primes import sieve_primes
 from .sieve import FactoredValue, FactorTable
 
@@ -195,6 +196,14 @@ class PhaseTable:
         z = np.exp(2j * np.pi * (phases % 1.0))
         z[self.zero_mask] = 0.0
         return z
+
+
+def check_replicates(reps: int, threads: int, minimum: int = 1) -> None:
+    """ConfigError unless reps >= minimum and threads >= 1."""
+    if reps < minimum:
+        raise ConfigError(f"too few replicates: {reps} < {minimum}", field="reps")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1", field="threads")
 
 
 def replicate_sums(

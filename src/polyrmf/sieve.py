@@ -22,12 +22,29 @@ from typing import IO
 
 import numpy as np
 
+from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial
 from .primes import is_prime, sieve_primes, _factor_rough
 
 DEFAULT_TRIAL_BOUND = 10_000
-# largest N that clt factors and that fluct's top grid point may reach
+# largest N that factor_values accepts unless fluct passes --factor-budget
 DEFAULT_FACTOR_BUDGET = 2_000_000
+
+
+def check_factor_budget(n_max: int, budget: int = DEFAULT_FACTOR_BUDGET) -> None:
+    """ConfigError(field="n") below N = 1, BudgetError above ``budget``."""
+    if n_max < 1:
+        raise ConfigError("N must be >= 1", field="n")
+    if n_max > budget:
+        raise BudgetError(
+            f"N={n_max} exceeds the factorization budget of {budget}")
+
+
+def check_grid(grid: list[int]) -> None:
+    """ConfigError(field="grid") unless the N values ascend strictly from 1."""
+    if not grid or grid[0] < 1 or list(grid) != sorted(set(grid)):
+        raise ConfigError("grid must be strictly ascending values >= 1",
+                          field="grid")
 
 
 @dataclass(frozen=True)
@@ -104,11 +121,11 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> np.ndarray:
 
 
 def factor_values(
-    poly: IntPolynomial, n_max: int, trial_bound: int = DEFAULT_TRIAL_BOUND
+    poly: IntPolynomial, n_max: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
+    *, budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> FactorTable:
-    """Factor |P(n)| completely for every n = 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    """Factor |P(n)| completely for every n = 1..n_max <= budget."""
+    check_factor_budget(n_max, budget)
     values = [poly(n) for n in range(1, n_max + 1)]
     residual = [abs(v) for v in values]
     fac_lists: list[list[tuple[int, int]]] = [[] for _ in range(n_max)]
@@ -158,10 +175,8 @@ def lpf_density(
     """How often the largest prime factor of P(n) beats scale * n * ln(n).
 
     Counts 2 <= n <= N with P+(P(n)) >= threshold_scale * n * ln(n) and
-    returns (count, count/(N-1)).  The default scale is 1/(2 d^2).
+    returns (count, count/(N-1)), or (0, 0) at N = 1; scale 1/(2 d^2) by default.
     """
-    if table.N < 2:
-        raise ValueError("need N >= 2 for a density")
     if threshold_scale is None:
         d = table.polynomial.degree
         threshold_scale = Fraction(1, 2 * d * d)
@@ -170,4 +185,4 @@ def lpf_density(
     for n in range(2, table.N + 1):
         if table.rows[n - 1].largest_prime >= scale * n * log(n):
             count += 1
-    return count, Fraction(count, table.N - 1)
+    return count, Fraction(count, max(1, table.N - 1))

@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyrmf import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -193,10 +202,15 @@ def test_dry_run_still_validates_budget():
     proc = run_cli("energy", "--poly", "x^2+1", "--n", "5000",
                    "--budget", "1000", "--chunked", "--dry-run")
     assert proc.returncode == 0
-    proc = run_cli("clt", "--poly", "x^2+1", "--n", "1000000000",
-                   "--reps", "100", "--seed", "1", "--dry-run")
-    assert proc.returncode == 3
-    assert json.loads(proc.stderr)["error"]["kind"] == "budget"
+    for argv in (
+        ("clt", "--poly", "x^2+1", "--n", "1000000000", "--reps", "100",
+         "--seed", "1", "--dry-run"),
+        ("sieve", "--poly", "x^2+1", "--n", "1000000000", "--dry-run"),
+        ("audit", "--poly", "x^2+1", "--grid", "1000000000", "--dry-run"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3, argv
+        assert json.loads(proc.stderr)["error"]["kind"] == "budget"
 
 
 def test_dry_run_skips_compute(tmp_path):
@@ -220,3 +234,174 @@ def test_help_for_every_subcommand():
         proc = run_cli(sub, "--help")
         assert proc.returncode == 0
         assert "--poly" in proc.stdout
+
+
+def call_cli(*argv):
+    """polyrmf.cli.main in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_config_errors_name_their_field():
+    sieve = ("sieve", "--poly", "x^2+1", "--n", "10", "--lpf-scale")
+    cases = [
+        ((*sieve, "1/0"), "lpf_scale"),
+        ((*sieve, "1e999999999"), "lpf_scale"),  # would build 10^999999999
+        ((*sieve, "1" + "0" * 400), "lpf_scale"),  # beyond the float range
+        (("audit", "--poly", "x^2+1", "--grid", "0,5"), "grid"),
+        (("energy", "--poly", "x^2+1", "--grid", "0,5"), "grid"),
+        (("energy", "--poly", "x^2+1", "--grid", "40,20"), "grid"),
+        (("energy", "--poly", "x^2+1", "--n", "0"), "n"),
+        (("energy", "--poly", "x^2+1", "--n", "5", "--q", "3", "--a", "5"),
+         "q/a"),
+        (("energy", "--poly", "x^2+1", "--n", "2", "--q", "3"), "a"),
+        (("energy", "--poly", "x^2+1", "--n", "2", "--q", "3", "--dry-run"), "a"),
+        (("classify", "--poly", "x^257+1"), "poly"),
+        (("classify", "--poly", "x^100000+1"), "poly"),
+    ]
+    fluct = ("fluct", "--poly", "x^2+1", "--reps", "8", "--seed", "1")
+    for opts, field in ((("--x", "100", "--k", "3", "--ratio", "1"), "ratio"),
+                        (("--x", "100", "--k", "3", "--ratio", "1e999999999"),
+                         "ratio"),
+                        (("--x", "99", "--k", "3", "--ratio", "4"), "x"),
+                        (("--x", "100", "--k", "1", "--ratio", "4"), "k")):
+        cases += [((*fluct, *opts), field), ((*fluct, *opts, "--dry-run"), field)]
+    for argv, field in cases:
+        rc, out, err = call_cli(*argv)
+        assert rc == 2 and out == "", argv
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("config", field), argv
+
+
+def test_internal_value_error_exits_1(monkeypatch):
+    def broken(poly):
+        raise ValueError("not a user error")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    rc, _, err = call_cli("classify", "--poly", "x^2+1")
+    assert rc == 1
+    assert json.loads(err)["error"]["kind"] == "internal"
+
+
+# --- CLI fuzz gate --------------------------------------------------------
+# argv drawn from the CLI grammar: each option takes a valid value or, for
+# at most two options per call, a well-typed but hostile one.  Valid sizes
+# stay small and hostile ones exceed a budget, so every call ends quickly.
+# Left out on purpose, as nothing bounds them: huge --reps without
+# --dry-run, huge sizes with --chunked without --dry-run, and constant
+# terms with large prime factors, which classify has to factor.
+
+HUGE = 10**12
+CALL_CAP_S = 20.0
+
+
+def _opt(flag, values):
+    return st.sampled_from(values).map(lambda v: [] if v is None else [f"{flag}={v}"])
+
+
+_POLY_OK = ["x^2+1", "x^3+2x+1", "0,-6,1", "x^2+x"]
+_POLY_BAD = ["x^2", "2x^2+4x+2", "x+1", "-3x+6",  # pure powers
+             "x^100000+1", "1," + "0," * 300 + "1",  # degree beyond the bound
+             "1,0,zero", "y^2", "5", ""]  # not polynomials
+_POLY = (_opt("--poly", _POLY_OK + ["x^2+100000000000000000000"]),
+         _opt("--poly", _POLY_BAD))
+_N = (_opt("--n", [1, 2, 17, 60]), _opt("--n", [0, -1, HUGE]))
+_GRID = (_opt("--grid", ["20,40", "60", "1,2,3"]),
+         _opt("--grid", ["40,20", "5,5", "0,5", "-3", "", "a,b", str(HUGE)]))
+_SEED = (_opt("--seed", ["1", "0x10", "-5", "18446744073709551615"]),
+         _opt("--seed", ["0xZZ", "banana", "0x" + "f" * 4000]))
+_THREADS = (_opt("--threads", [1, 2]), _opt("--threads", [0, -3]))
+_BAD_FRACTIONS = ["1/0", "abc", "1e999999999", "1" + "0" * 400]
+_GRAMMAR = {
+    "classify": {"poly": _POLY},
+    "sieve": {
+        "poly": _POLY, "n": _N,
+        "format": (_opt("--format", ["json", "csv"]),) * 2,
+        "scale": (_opt("--lpf-scale", [None, "1/8", "0", "-1", "2.5"]),
+                  _opt("--lpf-scale", _BAD_FRACTIONS)),
+    },
+    "energy": {
+        "poly": _POLY,
+        "sizes": (st.one_of(_N[0], _GRID[0]), st.one_of(st.just([]), _N[1], _GRID[1])),
+        "q/a": (st.sampled_from([(1, 0), (2, 1), (3, 2)]),
+                st.sampled_from([(3, 5), (0, 0), (-2, 0), (HUGE, 0), (3, -1),
+                                 (50, 0)])),
+        "budget": (_opt("--budget", [None, 10**6]), _opt("--budget", [1000, 0, -1])),
+    },
+    "clt": {
+        "poly": _POLY, "n": _N, "seed": _SEED, "threads": _THREADS,
+        "reps": (_opt("--reps", [100, 130]), _opt("--reps", [0, -1, 99])),
+    },
+    "fluct": {
+        # no 1e20 coefficient here: fluct factors up to 1600 values
+        "poly": (_opt("--poly", _POLY_OK), _POLY[1]),
+        "x": (_opt("--x", [100, 150]), _opt("--x", [0, 99, HUGE])),
+        "k": (_opt("--k", [2, 3]), _opt("--k", [-1, 1, HUGE])),
+        "ratio": (_opt("--ratio", ["2", "3", "2.5"]),
+                  _opt("--ratio", ["1", "3/2", "0", "-1"] + _BAD_FRACTIONS)),
+        "seed": _SEED, "threads": _THREADS,
+        "reps": (_opt("--reps", [1, 2, 8]), _opt("--reps", [0, -1])),
+        "budget": (_opt("--factor-budget", [None, 100_000]),
+                   _opt("--factor-budget", [0, -5])),
+    },
+    "audit": {"poly": _POLY, "grid": _GRID},
+}
+_FLAGS = {"energy": "--chunked", "clt": "--dump-samples", "fluct": "--conditional"}
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(sorted(_GRAMMAR)))
+    options = _GRAMMAR[sub]
+    hostile = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
+    argv = [sub]
+    for name, (ok, bad) in options.items():
+        value = draw(bad if name in hostile else ok)
+        if name == "q/a":
+            value = [f"--q={value[0]}", f"--a={value[1]}"]
+        argv += value
+    dry = draw(st.booleans())
+    argv += ["--dry-run"] if dry else []
+    huge = any(tok.endswith(f"={HUGE}") for tok in argv)
+    if sub in _FLAGS and draw(st.booleans()) and (dry or not huge):
+        argv.append(_FLAGS[sub])
+    if dry and sub in ("clt", "fluct") and draw(st.booleans()):
+        argv.append(f"--reps={HUGE}")  # the last --reps wins
+    return argv
+
+
+class _CallTimeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _CallTimeout()
+
+
+@given(argv=_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_exit_codes_and_strict_json(argv):
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, CALL_CAP_S)
+    started = time.perf_counter()
+    try:
+        rc, out, err = call_cli(*argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - started < CALL_CAP_S, argv
+    assert rc in (0, 2, 3), (argv, err)
+    if out:
+        json.loads(out, parse_constant=_reject_constant)
+    if rc == 0:
+        assert err == "", argv
+        return
+    lines = err.splitlines()
+    assert len(lines) == 1, (argv, err)
+    error = json.loads(lines[0], parse_constant=_reject_constant)["error"]
+    assert error["kind"] == {2: "config", 3: "budget"}[rc], (argv, error)
+    assert error["exit_code"] == rc
+    if rc == 2:
+        assert error["field"], (argv, error)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrmf.polynomial import (
+    MAX_DEGREE,
     IntPolynomial,
     _divisors,
     classify,
     generalized_even_center,
     parse_polynomial,
+    pure_power_witness,
     rational_roots,
     shifted_even_check,
 )
@@ -35,6 +37,27 @@ def test_parse_rejects_garbage():
     for bad in ["", "x^", "1,0,zero", "y^2", "x^2++1", "5"]:
         with pytest.raises(ValueError):
             parse_polynomial(bad)
+
+
+def test_parse_bounds_the_degree():
+    assert parse_polynomial(f"x^{MAX_DEGREE}+1").degree == MAX_DEGREE
+    assert parse_polynomial("1," * MAX_DEGREE + "1").degree == MAX_DEGREE
+    started = time.perf_counter()
+    for bad in [f"x^{MAX_DEGREE + 1}+1", "x^100000+1", "x^99999999999999",
+                "1," * (MAX_DEGREE + 1) + "1"]:
+        with pytest.raises(ValueError, match="exceeds the maximum"):
+            parse_polynomial(bad)
+    assert time.perf_counter() - started < 1.0
+
+
+@given(a1=st.integers(-10**6, 10**6).filter(bool), a0=st.integers(-10**6, 10**6))
+def test_every_linear_polynomial_is_a_pure_power(a1, a0):
+    # a1*x + a0 = a1*(x + a0/a1): degree 1 is excluded with the pure powers
+    p = IntPolynomial((a0, a1))
+    w = pure_power_witness(p)
+    assert w is not None and (w.w, w.c) == (a1, Fraction(a0, a1))
+    cls = classify(p)
+    assert not cls.clt_admissible and not cls.fluct_admissible
 
 
 def test_constructor_invariants():
