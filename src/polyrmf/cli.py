@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -159,8 +160,21 @@ def _document(command: str, config: dict, result, started: float) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors raise ConfigError instead of printing a
+    usage text, so they reach the JSON error line like every other."""
+
+    def error(self, message):
+        # "argument --n: ..." and "the following arguments are required:
+        # --seed, ..." name an option; "unrecognized arguments: ..." none
+        named = re.match(r"argument (\S+):|.*required: ([^,\s]+)", message)
+        option = named and (named[1] or named[2]).split("/")[-1]
+        field = option.lstrip("-").replace("-", "_") if option else "argv"
+        raise ConfigError(message, field=field)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyrmf",
         description="Exact multiplicative-energy counts and Steinhaus "
         "random multiplicative function experiments over polynomial values.",
@@ -194,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--grid", default=None,
                           help="comma list of N values for an exponent fit")
     p_energy.add_argument("--chunked", action="store_true",
-                          help="sort-merge counting (memory bounded)")
+                          help="lift the pair budget (counting memory is "
+                               "bounded either way)")
     p_energy.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
 
     p_clt = sub.add_parser("clt", help="Monte-Carlo normalized partial sums")
@@ -368,8 +383,10 @@ def dispatch(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        return _error_json("config", 2, str(exc), exc.field)
     return dispatch(args)
 
 

@@ -14,16 +14,15 @@ signed big integers, and the count is split into
 
 Counting groups the M*(M+1)/2 canonical pair products by exact value
 (ordered totals are reconstructed from weights 1 on the diagonal and 2
-off it).  Products never pass through floats; an int64 fast path is used
-only when the largest product provably fits.  Beyond the pair budget a
-sort-merge mode spills fixed-size sorted runs to disk and merge-counts.
+off it).  Products never pass through floats: they are int64 when the
+largest product provably fits and exact Python ints otherwise.  One
+counter sorts them in passes of bounded size, each pass taking the
+products of one hash class, so memory stays bounded for any M; chunked
+mode only lifts the pair budget, which caps the time.
 """
 
 from __future__ import annotations
 
-import heapq
-import pickle
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,11 +32,10 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial, classify, require_not_pure_power
-from .sieve import FactorTable, check_grid
+from .sieve import FactorTable, check_factor_budget, check_grid
 
 DEFAULT_PAIR_BUDGET = 80_000_000
 _RUN_ITEMS = 4_000_000
-_PICKLE_BATCH = 65_536
 # |v| <= 3e9 guarantees v1*v2 fits in int64.
 _INT64_VALUE_LIMIT = 3_000_000_000
 
@@ -102,49 +100,46 @@ def error_exponent(degree: int) -> Fraction | None:
     return 2 - Fraction(1, 2 * (2 * degree - 1))
 
 
-def _canonical_pair_stream(values, block_rows: int = 64):
-    """Yield (sorted products array-like, weights) blocks of canonical pairs.
+def _pair_total(values: list[int]) -> int:
+    """Sum over distinct products v*w of the squared ordered-pair count.
 
-    Canonical pairs are (i, j) with i <= j; weight 2 off the diagonal
-    reconstructs ordered-pair multiplicities.
+    The canonical pairs (i <= j) are built row by row as numpy arrays,
+    weight 1 on the diagonal and 2 off it.  At most about ``_RUN_ITEMS``
+    of them are sorted at once: pass k keeps the products whose mixed key
+    mod ``passes`` is k, so equal products always meet in the same pass.
+    Values with |v| <= ``_INT64_VALUE_LIMIT`` count in int64, larger ones
+    as exact Python ints in object arrays, through the same statements.
     """
     m = len(values)
-    i = 0
-    while i < m:
-        rows = 0
-        prods: list[int] = []
-        weights: list[int] = []
-        while i < m and rows < block_rows:
-            vi = values[i]
-            prods.append(vi * vi)
-            weights.append(1)
-            for j in range(i + 1, m):
-                prods.append(vi * values[j])
-                weights.append(2)
-            rows += 1
-            i += 1
-        yield prods, weights
-
-
-def _pair_total_int64(values: list[int]) -> int:
-    m = len(values)
-    vals = np.array(values, dtype=np.int64)
-    total_pairs = m * (m + 1) // 2
-    prods = np.empty(total_pairs, dtype=np.int64)
-    weights = np.empty(total_pairs, dtype=np.int64)
-    pos = 0
-    for i in range(m):
-        ln = m - i
-        prods[pos:pos + ln] = vals[i] * vals[i:]
-        weights[pos] = 1
-        weights[pos + 1:pos + ln] = 2
-        pos += ln
-    order = np.argsort(prods, kind="stable")
-    sp = prods[order]
-    sw = weights[order]
-    starts = np.r_[0, np.flatnonzero(np.diff(sp)) + 1]
-    sums = np.add.reduceat(sw, starts)
-    return int(np.sum(sums * sums))
+    small = max(map(abs, values), default=0) <= _INT64_VALUE_LIMIT
+    vals = np.array(values, dtype=np.int64 if small else object)
+    passes = -(-(m * (m + 1) // 2) // _RUN_ITEMS)
+    # the pass of v*w is (v*w mod p) * 48271 mod p mod passes, p = 2^31 - 1
+    # (a MINSTD step: plain residues of polynomial values crowd into a few
+    # classes), computed in int64 from the residues of v and w
+    res = (vals % 2147483647).astype(np.int64)
+    lead = res * 48271 % 2147483647
+    total = 0
+    for k in range(passes):
+        prods, weights = [], []
+        for i in range(m):
+            row = vals[i] * vals[i:]
+            weight = np.full(m - i, 2, dtype=np.int64)
+            weight[0] = 1
+            if passes > 1:
+                keep = lead[i] * res[i:] % 2147483647 % passes == k
+                row, weight = row[keep], weight[keep]
+            prods.append(row)
+            weights.append(weight)
+        prods = np.concatenate(prods)
+        if prods.size == 0:
+            continue
+        order = np.argsort(prods)
+        sp = prods[order]
+        starts = np.r_[0, np.flatnonzero(sp[1:] != sp[:-1]) + 1]
+        sums = np.add.reduceat(np.concatenate(weights)[order], starts)
+        total += int(np.dot(sums, sums))
+    return total
 
 
 def pair_histogram(values: list[int], *, ratio: bool = False) -> Counter:
@@ -153,7 +148,7 @@ def pair_histogram(values: list[int], *, ratio: bool = False) -> Counter:
     With ``ratio=True`` the keys are the ratios v/w instead, as reduced
     integer pairs (v//g, w//g), g = gcd(v, w), signed so that the
     denominator is positive; every w must then be nonzero.  Products are
-    accumulated from the canonical pair stream.
+    accumulated over the canonical pairs i <= j.
     """
     acc: Counter = Counter()
     if ratio:
@@ -162,71 +157,22 @@ def pair_histogram(values: list[int], *, ratio: bool = False) -> Counter:
                 g = gcd(v, w) if w > 0 else -gcd(v, w)
                 acc[v // g, w // g] += 1
         return acc
-    for prods, weights in _canonical_pair_stream(values):
-        for prod, weight in zip(prods, weights):
-            acc[prod] += weight
+    for i, v in enumerate(values):
+        acc[v * v] += 1
+        for w in values[i + 1:]:
+            acc[v * w] += 2
     return acc
-
-
-def _pair_total_dict(values: list[int]) -> int:
-    return sum(c * c for c in pair_histogram(values).values())
-
-
-def _pair_total_chunked(values: list[int], run_items: int = _RUN_ITEMS) -> int:
-    """Sort-merge counting: spill sorted (product, weight) runs, merge-count."""
-    run_files = []
-
-    def flush(prods: list[int], weights: list[int]) -> None:
-        order = sorted(range(len(prods)), key=prods.__getitem__)
-        fh = tempfile.TemporaryFile()
-        for lo in range(0, len(order), _PICKLE_BATCH):
-            batch = [(prods[k], weights[k]) for k in order[lo:lo + _PICKLE_BATCH]]
-            pickle.dump(batch, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        fh.seek(0)
-        run_files.append(fh)
-
-    buf_p: list[int] = []
-    buf_w: list[int] = []
-    for prods, weights in _canonical_pair_stream(values):
-        buf_p.extend(prods)
-        buf_w.extend(weights)
-        if len(buf_p) >= run_items:
-            flush(buf_p, buf_w)
-            buf_p, buf_w = [], []
-    if buf_p:
-        flush(buf_p, buf_w)
-
-    def run_iter(fh):
-        while True:
-            try:
-                batch = pickle.load(fh)
-            except EOFError:
-                return
-            yield from batch
-
-    total = 0
-    current = None
-    wsum = 0
-    for prod, w in heapq.merge(*(run_iter(fh) for fh in run_files)):
-        if prod != current:
-            total += wsum * wsum
-            current = prod
-            wsum = 0
-        wsum += w
-    total += wsum * wsum
-    for fh in run_files:
-        fh.close()
-    return total
 
 
 def check_pair_budget(m: int, budget: int, chunked: bool = False) -> None:
     """BudgetError when m values have more than ``budget`` canonical pair
-    products and chunked (sort-merge) counting is off."""
+    products and chunked counting, which lifts this budget, is off."""
     est = m * (m + 1) // 2
     if est > budget and not chunked:
         raise BudgetError(
             f"{est} canonical pair products exceed the budget of {budget}; "
-            "enable chunked (sort-merge) counting or raise the budget"
+            "enable chunked counting (no pair budget, more passes) or raise "
+            "the budget"
         )
 
 
@@ -235,13 +181,15 @@ def check_energy_config(
     budget: int = DEFAULT_PAIR_BUDGET, chunked: bool = False,
 ) -> list[ProgressionRange]:
     """The checks ``exponent_fit`` runs first (the CLI also runs them for
-    one ``--n``); returns the progression of each N of the grid."""
+    one ``--n``); returns the progression of each N of the grid.  Every
+    progression stays within the factorization budget, chunked or not."""
     require_not_pure_power(poly)
     # progressions first, so that a single N below 1 is reported as n
     ranges = [ProgressionRange(n, q, a) for n in grid]
     check_grid(grid)
     for rng in ranges:
         rng.require_members()
+        check_factor_budget(rng.size)
         check_pair_budget(rng.size, budget, chunked)
     return ranges
 
@@ -251,19 +199,14 @@ def count_pair_products(
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     chunked: bool = False,
-) -> tuple[int, str]:
+) -> int:
     """Sum of squared ordered-pair-product multiplicities, i.e. the energy.
 
-    Returns (total, mode).  Raises BudgetError when the canonical pair
-    count exceeds ``budget`` and chunked mode was not requested.
+    Raises BudgetError when the canonical pair count exceeds ``budget``
+    and chunked mode was not requested.
     """
-    m = len(values)
-    check_pair_budget(m, budget, chunked)
-    if chunked:
-        return _pair_total_chunked(values), "chunked"
-    if values and max(abs(v) for v in values) <= _INT64_VALUE_LIMIT and m > 64:
-        return _pair_total_int64(values), "direct"
-    return _pair_total_dict(values), "direct"
+    check_pair_budget(len(values), budget, chunked)
+    return _pair_total(values)
 
 
 def energy(
@@ -277,7 +220,7 @@ def energy(
     rng.require_members()
     members = list(rng.members())
     values = [poly(x) for x in members]
-    total, mode = count_pair_products(values, budget=budget, chunked=chunked)
+    total = count_pair_products(values, budget=budget, chunked=chunked)
 
     m = len(members)
     diag = 2 * m * m - m
@@ -302,7 +245,7 @@ def energy(
         generalized_even_center=cls.generalized_even_center,
         has_negative_values=any(v < 0 for v in values),
         zero_value_count=sum(1 for v in values if v == 0),
-        mode=mode,
+        mode="chunked" if chunked else "direct",
     )
 
 
@@ -382,7 +325,7 @@ def energy_constrained_lpf(
     """
     groups = lpf_groups(table, n_max)
     if mode == "same-prime-all-four":
-        return sum(_pair_total_dict(values) for values in groups.values())
+        return sum(_pair_total(values) for values in groups.values())
     if mode == "paired-primes":
         return paired_prime_count(groups)
     raise ValueError(f"unknown mode {mode!r}")

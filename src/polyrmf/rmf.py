@@ -35,7 +35,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError
-from .primes import sieve_primes
 from .sieve import FactoredValue, FactorTable
 
 M64 = (1 << 64) - 1
@@ -92,37 +91,6 @@ class _PhaseSource:
         if phase == 0.0:
             return complex(1.0, 0.0)
         return cmath.exp(2j * cmath.pi * phase)
-
-    def partial_sum(self, table: FactorTable, x: int) -> complex:
-        """Sum of f(P(n)) over n <= x, skipping roots of P; ascending n."""
-        if x > table.N:
-            raise ValueError(f"x={x} exceeds table range {table.N}")
-        acc = 0j
-        for row in table.rows[:max(0, x)]:
-            if row.value != 0:
-                acc += self.f_of(row)
-        return acc
-
-    def martingale_piece(self, table: FactorTable, p: int, x: int) -> complex:
-        """Sum of f(P(n)) over n <= x whose largest prime factor is p."""
-        if x > table.N:
-            raise ValueError(f"x={x} exceeds table range {table.N}")
-        acc = 0j
-        for row in table.rows[:max(0, x)]:
-            if row.largest_prime == p:
-                acc += self.f_of(row)
-        return acc
-
-    def prime_subsum(self, table: FactorTable, n_max: int) -> complex:
-        """Sum of f(P(p)) over primes p <= n_max (roots of P skipped)."""
-        if n_max > table.N:
-            raise ValueError(f"N={n_max} exceeds table range {table.N}")
-        acc = 0j
-        for p in sieve_primes(n_max):
-            row = table.rows[p - 1]
-            if row.value != 0:
-                acc += self.f_of(row)
-        return acc
 
 
 @dataclass(frozen=True)

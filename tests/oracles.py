@@ -3,8 +3,10 @@
 Everything here recounts from first principles, sharing no code path with
 the implementations under test: quadruple loops and all-pairs comparison
 matrices for energy counts, literal sign-pattern enumeration for the
-exact moment sums, and scalar per-row evaluation of the split sums that
-the batched replicate engine computes.
+exact moment sums, and scalar per-row evaluation of the partial, per-prime
+and split sums that the batched replicate engine computes.  The energy
+counter is also checked against the Counter of ``pair_histogram``, a
+separate exact path in the package.
 """
 
 from dataclasses import dataclass
@@ -13,6 +15,8 @@ from itertools import product
 
 import numpy as np
 
+from polyrmf.energy import pair_histogram
+from polyrmf.primes import sieve_primes
 from polyrmf.rmf import SteinhausSampler, _PhaseSource
 
 
@@ -27,6 +31,11 @@ def energy_quadruple_loop(values):
                     if ab == c * d:
                         count += 1
     return count
+
+
+def pair_histogram_total(values):
+    """Sum of squared multiplicities of the ``pair_histogram`` Counter."""
+    return sum(c * c for c in pair_histogram(values).values())
 
 
 def energy_allpairs(values):
@@ -167,6 +176,40 @@ def s2_membership_scan(table, a_sets, i, x):
         if any(p in earlier for p, _ in row.factors):
             count += 1
     return count
+
+
+def partial_sum(sampler, table, x):
+    """Sum of f(P(n)) over n <= x, skipping roots of P; ascending n."""
+    if x > table.N:
+        raise ValueError(f"x={x} exceeds table range {table.N}")
+    acc = 0j
+    for row in table.rows[:max(0, x)]:
+        if row.value != 0:
+            acc += sampler.f_of(row)
+    return acc
+
+
+def martingale_piece(sampler, table, p, x):
+    """Sum of f(P(n)) over n <= x whose largest prime factor is p."""
+    if x > table.N:
+        raise ValueError(f"x={x} exceeds table range {table.N}")
+    acc = 0j
+    for row in table.rows[:max(0, x)]:
+        if row.largest_prime == p:
+            acc += sampler.f_of(row)
+    return acc
+
+
+def prime_subsum(sampler, table, n_max):
+    """Sum of f(P(p)) over primes p <= n_max (roots of P skipped)."""
+    if n_max > table.N:
+        raise ValueError(f"N={n_max} exceeds table range {table.N}")
+    acc = 0j
+    for p in sieve_primes(n_max):
+        row = table.rows[p - 1]
+        if row.value != 0:
+            acc += sampler.f_of(row)
+    return acc
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,10 @@ def test_dry_run_still_validates_budget():
                    "--budget", "1000", "--chunked", "--dry-run")
     assert proc.returncode == 0
     for argv in (
+        ("energy", "--poly", "x^2+1", "--n", "1000000000000", "--chunked",
+         "--dry-run"),
+        ("energy", "--poly", "x^2+1", "--n", "1000000000000",
+         "--budget", str(10**24), "--dry-run"),
         ("clt", "--poly", "x^2+1", "--n", "1000000000", "--reps", "100",
          "--seed", "1", "--dry-run"),
         ("sieve", "--poly", "x^2+1", "--n", "1000000000", "--dry-run"),
@@ -260,6 +264,16 @@ def test_config_errors_name_their_field():
         (("energy", "--poly", "x^2+1", "--n", "2", "--q", "3", "--dry-run"), "a"),
         (("classify", "--poly", "x^257+1"), "poly"),
         (("classify", "--poly", "x^100000+1"), "poly"),
+        # argv that argparse itself rejects
+        (("sieve", "--poly", "x^2+1", "--n", "abc"), "n"),
+        (("sieve", "--poly", "x^2+1", "--n"), "n"),
+        (("sieve", "--n", "10"), "poly"),
+        (("clt", "--poly", "x^2+1", "--n", "50", "--reps", "100"), "seed"),
+        (("fluct", "--poly", "x^2+1", "--x", "100", "--k", "3", "--ratio", "2",
+          "--reps", "8", "--seed", "1", "--factor-budget", "2.5"), "factor_budget"),
+        (("sieve", "--poly", "x^2+1", "--n", "10", "--format", "xml"), "format"),
+        (("sieve", "--poly", "x^2+1", "--n", "10", "--bogus"), "argv"),
+        (("classify", "--poly", "x^2+1", "extra"), "argv"),
     ]
     fluct = ("fluct", "--poly", "x^2+1", "--reps", "8", "--seed", "1")
     for opts, field in ((("--x", "100", "--k", "3", "--ratio", "1"), "ratio"),
@@ -287,11 +301,11 @@ def test_internal_value_error_exits_1(monkeypatch):
 
 # --- CLI fuzz gate --------------------------------------------------------
 # argv drawn from the CLI grammar: each option takes a valid value or, for
-# at most two options per call, a well-typed but hostile one.  Valid sizes
-# stay small and hostile ones exceed a budget, so every call ends quickly.
-# Left out on purpose, as nothing bounds them: huge --reps without
-# --dry-run, huge sizes with --chunked without --dry-run, and constant
-# terms with large prime factors, which classify has to factor.
+# at most two options per call, a hostile one: out of range, over a budget
+# or, for integer options, not an integer.  Valid sizes stay small, so
+# every call ends quickly.  Left out on purpose, as nothing bounds them:
+# huge --reps without --dry-run, and constant terms with large prime
+# factors, which classify has to factor.
 
 HUGE = 10**12
 CALL_CAP_S = 20.0
@@ -307,12 +321,13 @@ _POLY_BAD = ["x^2", "2x^2+4x+2", "x+1", "-3x+6",  # pure powers
              "1,0,zero", "y^2", "5", ""]  # not polynomials
 _POLY = (_opt("--poly", _POLY_OK + ["x^2+100000000000000000000"]),
          _opt("--poly", _POLY_BAD))
-_N = (_opt("--n", [1, 2, 17, 60]), _opt("--n", [0, -1, HUGE]))
+_NOT_INT = ["abc", "2.5", "", "0x10"]
+_N = (_opt("--n", [1, 2, 17, 60]), _opt("--n", [0, -1, HUGE] + _NOT_INT))
 _GRID = (_opt("--grid", ["20,40", "60", "1,2,3"]),
          _opt("--grid", ["40,20", "5,5", "0,5", "-3", "", "a,b", str(HUGE)]))
 _SEED = (_opt("--seed", ["1", "0x10", "-5", "18446744073709551615"]),
          _opt("--seed", ["0xZZ", "banana", "0x" + "f" * 4000]))
-_THREADS = (_opt("--threads", [1, 2]), _opt("--threads", [0, -3]))
+_THREADS = (_opt("--threads", [1, 2]), _opt("--threads", [0, -3] + _NOT_INT))
 _BAD_FRACTIONS = ["1/0", "abc", "1e999999999", "1" + "0" * 400]
 _GRAMMAR = {
     "classify": {"poly": _POLY},
@@ -327,24 +342,25 @@ _GRAMMAR = {
         "sizes": (st.one_of(_N[0], _GRID[0]), st.one_of(st.just([]), _N[1], _GRID[1])),
         "q/a": (st.sampled_from([(1, 0), (2, 1), (3, 2)]),
                 st.sampled_from([(3, 5), (0, 0), (-2, 0), (HUGE, 0), (3, -1),
-                                 (50, 0)])),
-        "budget": (_opt("--budget", [None, 10**6]), _opt("--budget", [1000, 0, -1])),
+                                 (50, 0), (3, "abc"), ("2.5", 0)])),
+        "budget": (_opt("--budget", [None, 10**6]),
+                   _opt("--budget", [1000, 0, -1] + _NOT_INT)),
     },
     "clt": {
         "poly": _POLY, "n": _N, "seed": _SEED, "threads": _THREADS,
-        "reps": (_opt("--reps", [100, 130]), _opt("--reps", [0, -1, 99])),
+        "reps": (_opt("--reps", [100, 130]), _opt("--reps", [0, -1, 99] + _NOT_INT)),
     },
     "fluct": {
         # no 1e20 coefficient here: fluct factors up to 1600 values
         "poly": (_opt("--poly", _POLY_OK), _POLY[1]),
-        "x": (_opt("--x", [100, 150]), _opt("--x", [0, 99, HUGE])),
-        "k": (_opt("--k", [2, 3]), _opt("--k", [-1, 1, HUGE])),
+        "x": (_opt("--x", [100, 150]), _opt("--x", [0, 99, HUGE] + _NOT_INT)),
+        "k": (_opt("--k", [2, 3]), _opt("--k", [-1, 1, HUGE] + _NOT_INT)),
         "ratio": (_opt("--ratio", ["2", "3", "2.5"]),
                   _opt("--ratio", ["1", "3/2", "0", "-1"] + _BAD_FRACTIONS)),
         "seed": _SEED, "threads": _THREADS,
-        "reps": (_opt("--reps", [1, 2, 8]), _opt("--reps", [0, -1])),
+        "reps": (_opt("--reps", [1, 2, 8]), _opt("--reps", [0, -1] + _NOT_INT)),
         "budget": (_opt("--factor-budget", [None, 100_000]),
-                   _opt("--factor-budget", [0, -5])),
+                   _opt("--factor-budget", [0, -5] + _NOT_INT)),
     },
     "audit": {"poly": _POLY, "grid": _GRID},
 }
@@ -364,8 +380,7 @@ def _argv(draw):
         argv += value
     dry = draw(st.booleans())
     argv += ["--dry-run"] if dry else []
-    huge = any(tok.endswith(f"={HUGE}") for tok in argv)
-    if sub in _FLAGS and draw(st.booleans()) and (dry or not huge):
+    if sub in _FLAGS and draw(st.booleans()):
         argv.append(_FLAGS[sub])
     if dry and sub in ("clt", "fluct") and draw(st.booleans()):
         argv.append(f"--reps={HUGE}")  # the last --reps wins

@@ -1,6 +1,8 @@
+import importlib
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,13 @@ from oracles import (
     energy_allpairs,
     energy_cross_loop,
     energy_quadruple_loop,
+    pair_histogram_total,
     paired_prime_quadruples_loop,
     same_prime_quadruples_loop,
 )
 from polyrmf.energy import (
     ProgressionRange,
-    _pair_total_chunked,
-    _pair_total_dict,
-    _pair_total_int64,
+    _pair_total,
     bp_bound,
     energy,
     energy_constrained_lpf,
@@ -29,6 +30,9 @@ from polyrmf.energy import (
 from polyrmf.errors import BudgetError
 from polyrmf.polynomial import IntPolynomial, parse_polynomial
 from polyrmf.sieve import factor_values
+
+# polyrmf re-exports a function named energy, so fetch the module itself
+energy_module = importlib.import_module("polyrmf.energy")
 
 POLY_MATRIX = ["x^2+1", "x^2+x", "0,-6,1", "x^3+x", "x^3+2x+1", "2x^3+3x^2+x"]
 
@@ -168,22 +172,44 @@ def test_monotone_domination(x2p1):
             assert sub <= full
 
 
+def pair_total_in_passes(values, run_items):
+    """``_pair_total`` sorting at most about ``run_items`` products at once.
+
+    Patched here rather than by a monkeypatch fixture, which hypothesis
+    refuses to share between examples."""
+    with mock.patch.object(energy_module, "_RUN_ITEMS", run_items):
+        return _pair_total(values)
+
+
 def test_counting_paths_agree():
     poly = parse_polynomial("x^2+x")
     values = [poly(x) for x in range(1, 120)]
-    d = _pair_total_dict(values)
-    assert _pair_total_int64(values) == d
-    assert _pair_total_chunked(values, run_items=500) == d
+    d = pair_histogram_total(values)
+    assert _pair_total(values) == d
+    assert pair_total_in_passes(values, 500) == d
 
 
 def test_counting_big_integers_against_loop():
     # values far beyond int64: exercise the exact big-integer path
     poly = IntPolynomial((1, 0, 10**12))
     values = [poly(x) for x in range(1, 8)]
-    assert _pair_total_dict(values) == energy_quadruple_loop(values)
-    assert _pair_total_chunked(values, run_items=5) == energy_quadruple_loop(values)
+    assert pair_histogram_total(values) == energy_quadruple_loop(values)
+    assert _pair_total(values) == energy_quadruple_loop(values)
+    assert pair_total_in_passes(values, 5) == energy_quadruple_loop(values)
     rep = energy(poly, ProgressionRange(7))
     assert rep.total == energy_quadruple_loop(values)
+
+
+def test_counting_big_integers_with_collisions_in_passes():
+    # object-dtype values with signs, repeats, a zero and many equal
+    # products a*b = c*d, counted in several passes
+    values = [s * k * 2**40 for s in (1, -1) for k in (1, 2, 3, 4, 6, 8, 12)]
+    values += [2**40, -(3 * 2**40), 0]
+    want = energy_quadruple_loop(values)
+    assert pair_histogram_total(values) == want
+    assert _pair_total(values) == want
+    for run_items in (1, 7, 40):
+        assert pair_total_in_passes(values, run_items) == want
 
 
 def test_budget_error_suggests_chunked(x2p1):
@@ -276,15 +302,18 @@ def test_allpairs_oracle_self_consistent(x2p1):
 @settings(max_examples=80)
 def test_counting_paths_agree_on_arbitrary_values(values):
     # repeated values, zeros, and signs included
-    want = _pair_total_dict(values)
-    assert _pair_total_int64(values) == want
-    assert _pair_total_chunked(values, run_items=64) == want
+    want = pair_histogram_total(values)
+    assert _pair_total(values) == want
+    assert pair_total_in_passes(values, 64) == want
 
 
 @given(values=st.lists(st.integers(-9, 9), min_size=1, max_size=8))
 @settings(max_examples=60)
 def test_pair_counting_matches_quadruple_loop(values):
-    assert _pair_total_dict(values) == energy_quadruple_loop(values)
+    want = energy_quadruple_loop(values)
+    assert pair_histogram_total(values) == want
+    assert _pair_total(values) == want
+    assert pair_total_in_passes(values, 5) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import ConditionalSampler
+from oracles import ConditionalSampler, martingale_piece, partial_sum, prime_subsum
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
 from polyrmf.rmf import (
@@ -101,23 +101,23 @@ def test_complete_multiplicativity_bulk():
 def test_partial_sum_edges(x2p1):
     table = factor_values(parse_polynomial("0,0,1"), 5)
     s = SteinhausSampler(9)
-    assert s.partial_sum(table, 0) == 0j
-    assert s.partial_sum(table, 1) == 1 + 0j  # f(1) = 1
+    assert partial_sum(s, table, 0) == 0j
+    assert partial_sum(s, table, 1) == 1 + 0j  # f(1) = 1
     t = factor_values(x2p1, 3)
     expected = s.f_of(t.row(1)) + s.f_of(t.row(2)) + s.f_of(t.row(3))
-    got = s.partial_sum(t, 3)
+    got = partial_sum(s, t, 3)
     assert abs(got - expected) <= 1e-12
     assert abs(got) <= 3
     with pytest.raises(ValueError):
-        s.partial_sum(t, 4)
+        partial_sum(s, t, 4)
 
 
 def test_martingale_piece_examples(x2p1):
     t = factor_values(x2p1, 3)
     s = SteinhausSampler(5)
-    assert s.martingale_piece(t, 97, 3) == 0j  # 97 divides no P(n)
+    assert martingale_piece(s, t, 97, 3) == 0j  # 97 divides no P(n)
     expected = s.f_of(t.row(2)) + s.f_of(t.row(3))  # largest primes 2,5,5
-    assert abs(s.martingale_piece(t, 5, 3) - expected) <= 1e-12
+    assert abs(martingale_piece(s, t, 5, 3) - expected) <= 1e-12
 
 
 def test_partition_identity_with_unit_values():
@@ -126,31 +126,31 @@ def test_partition_identity_with_unit_values():
     poly = parse_polynomial("-2,0,1")
     table = factor_values(poly, 50)
     s = SteinhausSampler(31)
-    pieces = sum(s.martingale_piece(table, p, 50)
+    pieces = sum(martingale_piece(s, table, p, 50)
                  for p in sorted(table.prime_to_indices))
     unit_count = sum(1 for r in table.rows if abs(r.value) == 1)
     assert unit_count == 1
-    assert abs(pieces + unit_count - s.partial_sum(table, 50)) <= 1e-9
+    assert abs(pieces + unit_count - partial_sum(s, table, 50)) <= 1e-9
 
 
 def test_partition_identity_with_zeros(x2m6x):
     table = factor_values(x2m6x, 40)
     s = SteinhausSampler(8)
-    pieces = sum(s.martingale_piece(table, p, 40)
+    pieces = sum(martingale_piece(s, table, p, 40)
                  for p in sorted(table.prime_to_indices))
     units = sum(1 for r in table.rows if abs(r.value) == 1)
-    assert abs(pieces + units - s.partial_sum(table, 40)) <= 1e-9
+    assert abs(pieces + units - partial_sum(s, table, 40)) <= 1e-9
 
 
 def test_prime_subsum(x2p1):
     t = factor_values(x2p1, 3)
     s = SteinhausSampler(2)
-    assert s.prime_subsum(factor_values(x2p1, 1), 1) == 0j  # no primes
+    assert prime_subsum(s, factor_values(x2p1, 1), 1) == 0j  # no primes
     expected = s.f_of(t.row(2)) + s.f_of(t.row(3))  # primes 2, 3
-    assert abs(s.prime_subsum(t, 3) - expected) <= 1e-12
+    assert abs(prime_subsum(s, t, 3) - expected) <= 1e-12
     x = parse_polynomial("0,1")
     t2 = factor_values(x, 2)
-    assert abs(s.prime_subsum(t2, 2) - s.f_of(t2.row(2))) <= 1e-12
+    assert abs(prime_subsum(s, t2, 2) - s.f_of(t2.row(2))) <= 1e-12
 
 
 def test_replicate_seed_derivation():
@@ -166,7 +166,7 @@ def test_phase_table_matches_scalar(x2p1):
     z = pt.unit_values_batch(pt.angles(s))
     for n in (1, 2, 50, 200):
         assert abs(z[n - 1] - s.f_of(table.row(n))) <= 1e-9
-    assert abs(z[:137].sum() - s.partial_sum(table, 137)) <= 1e-9
+    assert abs(z[:137].sum() - partial_sum(s, table, 137)) <= 1e-9
 
 
 def test_phase_table_zero_rows(x2m6x):
@@ -182,7 +182,7 @@ def test_prime_subsum_skips_roots_at_prime_arguments():
     table = factor_values(poly, 5)
     s = SteinhausSampler(6)
     expected = s.f_of(table.row(3)) + s.f_of(table.row(5))  # primes 3, 5
-    assert abs(s.prime_subsum(table, 5) - expected) <= 1e-12
+    assert abs(prime_subsum(s, table, 5) - expected) <= 1e-12
 
 
 def test_batch_matches_single_column(x2p1):
@@ -226,4 +226,4 @@ def test_phase_table_primes_above_2_64():
     assert pt.angles(s)[i] == s.angle(big)
     assert pt.membership_mask([big]).tolist() == [p == big for p in pt.primes]
     z = pt.unit_values_batch(pt.angles(s))
-    assert abs(z.sum() - s.partial_sum(table, 20)) <= 1e-9
+    assert abs(z.sum() - partial_sum(s, table, 20)) <= 1e-9
