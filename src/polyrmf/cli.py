@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -50,6 +49,13 @@ def to_jsonable(obj):
     [re, im] pairs; numpy scalars and arrays unwrap to Python values;
     non-finite floats become None, so documents stay strict JSON.
     """
+    if obj is None or type(obj) in (int, str, bool):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [to_jsonable(v) for v in seq]
     if hasattr(obj, "to_coeff_text"):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -67,11 +73,6 @@ def to_jsonable(obj):
         return None
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in seq]
     return obj
 
 
@@ -261,9 +262,7 @@ def _cmd_sieve(args):
             table.write_csv(fh)
         return config, None
     count, fraction = lpf_density(table, scale)
-    buf = io.StringIO()
-    table.write_json(buf)
-    result = json.loads(buf.getvalue())
+    result = table.json_doc()
     result["lpf_density"] = {
         "threshold_scale": str(scale) if scale is not None else "1/(2d^2)",
         "count": count,

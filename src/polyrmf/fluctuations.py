@@ -83,10 +83,6 @@ class PrimeSetFamily:
             out |= a
         return frozenset(out)
 
-    def scale_of_prime(self) -> dict[int, int]:
-        """Map p -> i (0-based) for p in A_i; well defined by disjointness."""
-        return {p: i for i, a in enumerate(self.a_sets) for p in a}
-
 
 def build_prime_sets(
     poly: IntPolynomial, table: FactorTable, grid: ScaleGrid

@@ -1,10 +1,14 @@
 """Factorization tables for polynomial values P(1..N).
 
 Rather than factoring each |P(n)| independently, small primes are removed
-with a root sieve: for each prime p up to a trial bound, the roots of
+with a root sieve: for each prime p up to a trial bound B, the roots of
 P mod p are found once and p is divided out of every P(n) with
-n = root (mod p).  Rough cofactors (all prime factors above the bound)
-are finished with deterministic Miller-Rabin plus Brent rho.
+n = root (mod p).  Only the residues 0..min(p, N+1)-1 are evaluated,
+since no n <= N reaches the others, so the root search costs
+O(min(p, N)) per prime rather than O(p).  A cofactor m left after
+trial division has no prime factor <= B, so 1 < m < B^2 is prime and
+is taken as it is; only cofactors >= B^2 go to deterministic
+Miller-Rabin, and the composite ones to Brent rho.
 
 Rows with |P(n)| <= 1 carry an empty factor list and largest_prime 0;
 they belong to no per-prime group downstream.  Values are factored by
@@ -32,12 +36,13 @@ DEFAULT_FACTOR_BUDGET = 2_000_000
 
 
 def check_factor_budget(n_max: int, budget: int = DEFAULT_FACTOR_BUDGET) -> None:
-    """ConfigError(field="n") below N = 1, BudgetError above ``budget``."""
+    """ConfigError(field="n") below N = 1, BudgetError when more than
+    ``budget`` values would be factored."""
     if n_max < 1:
         raise ConfigError("N must be >= 1", field="n")
     if n_max > budget:
-        raise BudgetError(
-            f"N={n_max} exceeds the factorization budget of {budget}")
+        raise BudgetError(f"{n_max} values exceed the factorization "
+                          f"budget of {budget} values")
 
 
 def check_grid(grid: list[int]) -> None:
@@ -76,10 +81,6 @@ class FactorTable:
             raise IndexError(f"n={n} outside table range 1..{self.N}")
         return self.rows[n - 1]
 
-    def first_index(self, p: int) -> int:
-        """Smallest n with p | P(n)."""
-        return self.prime_to_indices[p][0]
-
     def write_csv(self, fh: IO[str]) -> None:
         """Columns: n, value, factorization "p1^e1*p2^e2*...", largest_prime.
 
@@ -91,8 +92,9 @@ class FactorTable:
             fac = "*".join(f"{p}^{e}" for p, e in row.factors) or "1"
             w.writerow([row.n, row.value, fac, row.largest_prime])
 
-    def write_json(self, fh: IO[str]) -> None:
-        doc = {
+    def json_doc(self) -> dict:
+        """The table as JSON-ready plain values (values as decimal strings)."""
+        return {
             "polynomial": self.polynomial.to_coeff_text(),
             "N": self.N,
             "rows": [
@@ -105,18 +107,25 @@ class FactorTable:
                 for r in self.rows
             ],
         }
-        json.dump(doc, fh)
+
+    def write_json(self, fh: IO[str]) -> None:
+        json.dump(self.json_doc(), fh)
 
 
-def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> np.ndarray:
-    """All residues r in [0, p) with P(r) = 0 (mod p)."""
-    cs = np.array([c % p for c in reversed(coeffs)], dtype=np.int64)
-    if not cs.any():
-        return np.arange(p, dtype=np.int64)
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in cs:
-        acc = (acc * xs + c) % p
+def _roots_mod_p(coeffs: tuple[int, ...], p: int, n_max: int) -> np.ndarray:
+    """Residues r in [0, min(p, n_max + 1)) with P(r) = 0 (mod p)."""
+    width = min(p, n_max + 1)
+    cs = [c % p for c in reversed(coeffs)]
+    if not any(cs):
+        return np.arange(width)
+    # Horner in place: acc, x < p keep acc * x + c below p^2 + p
+    dtype = np.int32 if p * p + p < 2**31 else np.int64
+    xs = np.arange(width, dtype=dtype)
+    acc = np.full(width, cs[0], dtype=dtype)
+    for c in cs[1:]:
+        acc *= xs
+        acc += c
+        acc %= p
     return np.flatnonzero(acc == 0)
 
 
@@ -126,12 +135,15 @@ def factor_values(
 ) -> FactorTable:
     """Factor |P(n)| completely for every n = 1..n_max <= budget."""
     check_factor_budget(n_max, budget)
+    # every prime <= trial_bound is divided out, so a composite cofactor
+    # is at least (the next prime)^2 > trial_bound^2
+    prime_below = max(trial_bound, 0) ** 2
     values = [poly(n) for n in range(1, n_max + 1)]
     residual = [abs(v) for v in values]
     fac_lists: list[list[tuple[int, int]]] = [[] for _ in range(n_max)]
 
     for p in sieve_primes(trial_bound):
-        for r in _roots_mod_p(poly.coeffs, p):
+        for r in _roots_mod_p(poly.coeffs, p, n_max):
             start = int(r) if r >= 1 else p
             for n in range(start, n_max + 1, p):
                 m = residual[n - 1]
@@ -150,7 +162,7 @@ def factor_values(
     for i in range(n_max):
         m = residual[i]
         if m > 1:
-            if is_prime(m):
+            if m < prime_below or is_prime(m):
                 fac_lists[i].append((m, 1))
             else:
                 rough: dict[int, int] = {}

@@ -6,18 +6,24 @@ matrices for energy counts, literal sign-pattern enumeration for the
 exact moment sums, and scalar per-row evaluation of the partial, per-prime
 and split sums that the batched replicate engine computes.  The energy
 counter is also checked against the Counter of ``pair_histogram``, a
-separate exact path in the package.
+separate exact path in the package.  The ``sieve`` document oracle is
+the two-pass serializer the CLI used before it dumped the table once.
 """
 
+import io
+import json
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+from polyrmf.cli import _document, to_jsonable
 from polyrmf.energy import pair_histogram
 from polyrmf.primes import sieve_primes
 from polyrmf.rmf import SteinhausSampler, _PhaseSource
+from polyrmf.sieve import lpf_density
 
 
 def energy_quadruple_loop(values):
@@ -254,3 +260,34 @@ def split_sums(sampler, table, family, i):
         else:
             s1 += value
     return SplitSums(scale_index=i, s1=s1, s2=s2, s3=s3)
+
+
+def sieve_json_text(table, scale=None):
+    """The ``sieve`` JSON document by the old two-pass route: the table is
+    dumped compactly by ``write_json``, parsed back, wrapped by
+    ``cli._document`` and dumped again with indent 2."""
+    buf = io.StringIO()
+    table.write_json(buf)
+    result = json.loads(buf.getvalue())
+    count, fraction = lpf_density(table, scale)
+    result["lpf_density"] = {
+        "threshold_scale": str(scale) if scale is not None else "1/(2d^2)",
+        "count": count,
+        "fraction": to_jsonable(fraction),
+    }
+    config = {"poly": str(table.polynomial), "n": table.N}
+    doc = _document("sieve", config, result, time.perf_counter())
+    out = io.StringIO()
+    json.dump(doc, out, indent=2, allow_nan=False)
+    out.write("\n")
+    return out.getvalue()
+
+
+def sieve_csv_text(table):
+    """The ``sieve`` CSV rows written out by hand, CRLF-terminated as the
+    csv module writes them."""
+    lines = ["n,value,factorization,largest_prime"]
+    for row in table.rows:
+        fac = "*".join(f"{p}^{e}" for p, e in row.factors) or "1"
+        lines.append(f"{row.n},{row.value},{fac},{row.largest_prime}")
+    return "".join(line + "\r\n" for line in lines)

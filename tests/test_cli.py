@@ -1,16 +1,22 @@
 import contextlib
 import io
 import json
+import re
 import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sieve_csv_text, sieve_json_text
 from polyrmf import cli
+from polyrmf.polynomial import parse_polynomial
+from polyrmf.sieve import factor_values
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -103,6 +109,26 @@ def test_sieve_json_density():
     proc = run_cli("sieve", "--poly", "x^2+1", "--n", "10", "--lpf-scale", "0")
     doc = json.loads(proc.stdout)
     assert doc["result"]["lpf_density"]["fraction"] == "1/1"
+
+
+@pytest.mark.parametrize("text,n,scale", [
+    ("x^2+1", 400, None),
+    ("x^3+2x+1", 300, "1/8"),
+    ("100000000000000000000,0,1", 200, None),
+])
+def test_sieve_bytes_match_the_two_pass_serializer(tmp_path, text, n, scale):
+    poly = parse_polynomial(text)
+    table = factor_values(poly, n)
+    scale_opt = ["--lpf-scale", scale] if scale else []
+    out_json, out_csv = tmp_path / "t.json", tmp_path / "t.csv"
+    assert cli.main(["sieve", f"--poly={text}", "--n", str(n), *scale_opt,
+                     "--out", str(out_json)]) == 0
+    assert cli.main(["sieve", f"--poly={text}", "--n", str(n),
+                     "--format", "csv", "--out", str(out_csv)]) == 0
+    wall = re.compile(r'"wall_time_s": [^,]+,')
+    expected = sieve_json_text(table, Fraction(scale) if scale else None)
+    assert wall.sub("", out_json.read_text()) == wall.sub("", expected)
+    assert out_csv.read_bytes() == sieve_csv_text(table).encode()
 
 
 def test_clt_runs_and_writes(tmp_path):
@@ -215,6 +241,15 @@ def test_dry_run_still_validates_budget():
         proc = run_cli(*argv)
         assert proc.returncode == 3, argv
         assert json.loads(proc.stderr)["error"]["kind"] == "budget"
+
+
+def test_energy_factor_budget_error_counts_values():
+    # 9e6 numbers n = 0 (mod 3) hold 3e6 members: the budget counts values
+    proc = run_cli("energy", "--poly", "x^2+1", "--n", "9000000", "--q", "3",
+                   "--dry-run")
+    assert proc.returncode == 3
+    message = json.loads(proc.stderr)["error"]["message"]
+    assert message.startswith("3000000 values exceed the factorization budget")
 
 
 def test_dry_run_skips_compute(tmp_path):

@@ -2,12 +2,17 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyrmf.polynomial import parse_polynomial
-from polyrmf.sieve import factor_values, lpf_density
+from polyrmf import primes, sieve
+from polyrmf.polynomial import IntPolynomial, parse_polynomial
+from polyrmf.sieve import (DEFAULT_TRIAL_BOUND, _roots_mod_p, factor_values,
+                           lpf_density)
 
 
 def test_factor_rows_x2p1(x2p1):
@@ -143,3 +148,95 @@ def test_csv_and_json_serialization(x2m6x):
     assert doc["rows"][2] == {
         "n": 3, "value": "-9", "factors": [[3, 2]], "largest_prime": 3
     }
+
+
+def _assert_factored(table):
+    for row in table.rows:
+        assert all(sympy.isprime(p) for p, _ in row.factors)
+        if row.value == 0:
+            assert row.factors == ()
+        else:
+            assert prod(p**e for p, e in row.factors) == abs(row.value)
+
+
+# below 2 nothing is sieved; 50_000 is above 46_340, the int32 Horner limit
+TRIAL_BOUNDS = (-3, 0, 2, 3, 10, 47, 100, DEFAULT_TRIAL_BOUND, 50_000)
+
+
+@pytest.mark.parametrize("text,n", [
+    ("6,0,0,6", 300),   # content 6: p = 2, 3 divide every value
+    ("0,-6,1", 300),    # P(6) = 0 and negative values below it
+    ("-7,0,-3", 300),   # every value negative
+    ("x^2+1", 40),      # N below most trial primes
+    ("111,1", 40),      # cofactors 121 = 11^2 and 143 = 11*13 just above 10^2
+])
+def test_trial_bound_does_not_change_the_table(text, n):
+    poly = parse_polynomial(text)
+    default = factor_values(poly, n)
+    _assert_factored(default)
+    for bound in TRIAL_BOUNDS:
+        table = factor_values(poly, n, trial_bound=bound)
+        assert table.rows == default.rows, bound
+        assert table.prime_to_indices == default.prime_to_indices, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.integers(-60, 60), min_size=2, max_size=4)
+       .filter(lambda c: c[-1] != 0),
+       n=st.integers(1, 80),
+       bound=st.sampled_from((-3, 0, 1, 2, 3, 5, 10, 31, 100)))
+def test_any_trial_bound_gives_the_default_table(coeffs, n, bound):
+    poly = IntPolynomial(tuple(coeffs))
+    default = factor_values(poly, n)
+    _assert_factored(default)
+    assert factor_values(poly, n, trial_bound=bound).rows == default.rows
+
+
+@pytest.mark.parametrize("p", [46_337, 46_349])  # the int32 and int64 sides
+def test_roots_mod_p_at_the_dtype_switch(p):
+    # (x^2 - 1)(x - 5): at the root x = p - 1 Horner multiplies p - 6 by
+    # p - 1, which passes 2^31 for p = 46_349
+    coeffs = (5, -1, -5, 1)
+    assert _roots_mod_p(coeffs, p, 10**6).tolist() == [1, 5, p - 1]
+    assert _roots_mod_p(coeffs, p, 4).tolist() == [1]
+
+
+def test_no_primality_test_below_the_square_of_the_trial_bound(monkeypatch, x2p1):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return primes.is_prime(m)
+
+    monkeypatch.setattr(sieve, "is_prime", counting)
+    factor_values(x2p1, 8000)  # every cofactor is at most 8000^2 + 1 < 10^8
+    assert calls == []
+    _assert_factored(factor_values(parse_polynomial("x^3+2x+1"), 600))
+    assert calls and min(calls) >= DEFAULT_TRIAL_BOUND**2
+
+
+def test_brent_rho_splits_exactly_the_composite_cofactors(monkeypatch):
+    poly = parse_polynomial("x^3+2x+1")
+    calls = []
+    brent_rho = primes.brent_rho
+
+    def recording(m):
+        g = brent_rho(m)
+        calls.append((m, g))
+        return g
+
+    monkeypatch.setattr(primes, "brent_rho", recording)
+    factor_values(poly, 3000)
+    # every composite cofactor here is a product of two primes, so rho is
+    # called once per cofactor; 161 calls and these splits as before the
+    # B^2 rule
+    expected = []
+    for n in range(1, 3001):
+        rough = prod(p**e for p, e in sympy.factorint(abs(poly(n))).items()
+                     if p > DEFAULT_TRIAL_BOUND)
+        if rough > 1 and not sympy.isprime(rough):
+            expected.append(rough)
+    assert sorted(m for m, _ in calls) == sorted(expected)
+    assert len(calls) == 161
+    assert sum(g for _, g in calls) == 5_916_863
+    assert all(1 < g < m and m % g == 0 for m, g in calls)
