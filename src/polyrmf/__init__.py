@@ -8,10 +8,8 @@ from .sieve import FactorTable, FactoredValue, factor_values, lpf_density
 from .energy import (
     EnergyReport,
     ProgressionRange,
-    bp_bound,
     energy,
     energy_constrained_lpf,
-    energy_cross,
     exponent_fit,
 )
 from .rmf import PhaseTable, SteinhausSampler, derive_seed
@@ -37,10 +35,8 @@ __all__ = [
     "lpf_density",
     "EnergyReport",
     "ProgressionRange",
-    "bp_bound",
     "energy",
     "energy_constrained_lpf",
-    "energy_cross",
     "exponent_fit",
     "PhaseTable",
     "SteinhausSampler",

@@ -256,10 +256,13 @@ def _cmd_sieve(args):
         return config, None
     table = factor_values(poly, args.n)
     out = _resolve_out(args.out)
-    if args.format == "csv" and out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="") as fh:
-            table.write_csv(fh)
+    if args.format == "csv":
+        if out is None:
+            table.write_csv(sys.stdout)
+        else:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            with open(out, "w", newline="") as fh:
+                table.write_csv(fh)
         return config, None
     count, fraction = lpf_density(table, scale)
     result = table.json_doc()

@@ -14,11 +14,16 @@ signed big integers, and the count is split into
 
 Counting groups the M*(M+1)/2 canonical pair products by exact value
 (ordered totals are reconstructed from weights 1 on the diagonal and 2
-off it).  Products never pass through floats: they are int64 when the
-largest product provably fits and exact Python ints otherwise.  One
-counter sorts them in passes of bounded size, each pass taking the
-products of one hash class, so memory stays bounded for any M; chunked
-mode only lifts the pair budget, which caps the time.
+off it).  Products never pass through floats or Python ints: each is
+keyed by its residue mod 2^64 and mod k primes q_i < 2^31, all in
+machine words.  With V the largest |value|, two products that agree in
+every residue differ by a multiple of 2^64 * prod(q_i), so they are
+equal as long as V^2 < 2^63 * prod(q_i) (the CRT); k is the least count
+that makes this hold, 0 when V^2 < 2^63, so the keys are exact for
+every value size.  One counter sorts them in passes of bounded size,
+each pass taking the products of one hash class, so memory stays
+bounded for any M; chunked mode only lifts the pair budget, which caps
+the time.
 """
 
 from __future__ import annotations
@@ -26,18 +31,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gcd, log, sqrt
+from math import gcd, log
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial, classify, require_not_pure_power
+from .primes import is_prime
 from .sieve import FactorTable, check_factor_budget, check_grid
 
 DEFAULT_PAIR_BUDGET = 80_000_000
 _RUN_ITEMS = 4_000_000
-# |v| <= 3e9 guarantees v1*v2 fits in int64.
-_INT64_VALUE_LIMIT = 3_000_000_000
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,44 @@ def error_exponent(degree: int) -> Fraction | None:
     return 2 - Fraction(1, 2 * (2 * degree - 1))
 
 
+def _crt_primes(v_max: int) -> list[int]:
+    """The primes q < 2^31, descending from 2^31 - 1, that make
+    v_max^2 < 2^63 * prod(q); none when v_max^2 < 2^63."""
+    qs, cover, q = [], 2**63, 2**31
+    while v_max * v_max >= cover:
+        q -= 1
+        while not is_prime(q):
+            q -= 1
+        qs.append(q)
+        cover *= q
+    return qs
+
+
+def _run_starts(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order of the items and the first position of each run of
+    equal keys; keys[0] is the uint64 low word, the rest residues.
+
+    The order is an argsort of the low word alone unless some run of
+    equal low words carries more than one residue (products that agree
+    mod 2^64 but differ), in which case all keys are lexsorted.
+    """
+
+    def changes(order):
+        sk = [k[order] for k in keys]
+        low = sk[0][1:] != sk[0][:-1]
+        any_key = low.copy()
+        for s in sk[1:]:
+            any_key |= s[1:] != s[:-1]
+        return low, any_key
+
+    order = np.argsort(keys[0])
+    low, any_key = changes(order)
+    if not np.array_equal(low, any_key):
+        order = np.lexsort(keys[::-1])
+        _, any_key = changes(order)
+    return order, np.r_[0, np.flatnonzero(any_key) + 1]
+
+
 def _pair_total(values: list[int]) -> int:
     """Sum over distinct products v*w of the squared ordered-pair count.
 
@@ -107,36 +149,36 @@ def _pair_total(values: list[int]) -> int:
     weight 1 on the diagonal and 2 off it.  At most about ``_RUN_ITEMS``
     of them are sorted at once: pass k keeps the products whose mixed key
     mod ``passes`` is k, so equal products always meet in the same pass.
-    Values with |v| <= ``_INT64_VALUE_LIMIT`` count in int64, larger ones
-    as exact Python ints in object arrays, through the same statements.
+    A product is keyed by its residue mod 2^64 (wrapping uint64) and mod
+    each prime of ``_crt_primes`` (int64, below 2^62 before reduction),
+    which fix it exactly by the CRT bound of the module docstring.
     """
     m = len(values)
-    small = max(map(abs, values), default=0) <= _INT64_VALUE_LIMIT
-    vals = np.array(values, dtype=np.int64 if small else object)
+    low = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+    qs = _crt_primes(max(map(abs, values), default=0))
+    crt = [(np.array([v % q for v in values], dtype=np.int64), q) for q in qs]
     passes = -(-(m * (m + 1) // 2) // _RUN_ITEMS)
     # the pass of v*w is (v*w mod p) * 48271 mod p mod passes, p = 2^31 - 1
     # (a MINSTD step: plain residues of polynomial values crowd into a few
     # classes), computed in int64 from the residues of v and w
-    res = (vals % 2147483647).astype(np.int64)
+    res = np.array([v % 2147483647 for v in values], dtype=np.int64)
     lead = res * 48271 % 2147483647
     total = 0
     for k in range(passes):
-        prods, weights = [], []
+        rows, weights = [], []
         for i in range(m):
-            row = vals[i] * vals[i:]
+            row = [low[i] * low[i:]] + [r[i] * r[i:] % q for r, q in crt]
             weight = np.full(m - i, 2, dtype=np.int64)
             weight[0] = 1
             if passes > 1:
                 keep = lead[i] * res[i:] % 2147483647 % passes == k
-                row, weight = row[keep], weight[keep]
-            prods.append(row)
+                row, weight = [key[keep] for key in row], weight[keep]
+            rows.append(row)
             weights.append(weight)
-        prods = np.concatenate(prods)
-        if prods.size == 0:
+        keys = [np.concatenate(column) for column in zip(*rows)]
+        if keys[0].size == 0:
             continue
-        order = np.argsort(prods)
-        sp = prods[order]
-        starts = np.r_[0, np.flatnonzero(sp[1:] != sp[:-1]) + 1]
+        order, starts = _run_starts(keys)
         sums = np.add.reduceat(np.concatenate(weights)[order], starts)
         total += int(np.dot(sums, sums))
     return total
@@ -249,24 +291,6 @@ def energy(
     )
 
 
-def energy_cross(
-    poly1: IntPolynomial,
-    poly2: IntPolynomial,
-    rng: ProgressionRange,
-    *,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> int:
-    """Count (x, y, X, Y) in members^4 with P1(x)P1(y) = P2(X)P2(Y)."""
-    rng.require_members()
-    check_pair_budget(rng.size, budget)
-    members = list(rng.members())
-    c1 = pair_histogram([poly1(x) for x in members])
-    c2 = pair_histogram([poly2(x) for x in members])
-    if len(c2) < len(c1):
-        c1, c2 = c2, c1
-    return sum(mult * c2[v] for v, mult in c1.items())
-
-
 @dataclass(frozen=True)
 class PairedPrimeCount:
     """Quadruple counts with pairwise-matching largest prime factors.
@@ -375,29 +399,3 @@ def exponent_fit(
         if denom > 0:
             slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
     return ExponentFit(points=tuple(points), exponent=expo, slope=slope)
-
-
-@dataclass(frozen=True)
-class IntegralPointBound:
-    """N^(1/d) * exp(12 * sqrt(d ln N ln ln N)) with its validity flag.
-
-    ``asymptotic_regime`` records whether N >= exp(d^6), the regime in
-    which the bound is stated; below it the number is still computed as
-    a trend reference.
-    """
-
-    degree: int
-    N: int
-    value: float
-    asymptotic_regime: bool
-
-
-def bp_bound(degree: int, n: int) -> IntegralPointBound:
-    if degree < 2:
-        raise ValueError("degree must be >= 2")
-    if n <= 15:
-        raise ValueError("need N >= 16 so that ln ln N is safely positive")
-    value = n ** (1.0 / degree) * exp(12.0 * sqrt(degree * log(n) * log(log(n))))
-    return IntegralPointBound(
-        degree=degree, N=n, value=value, asymptotic_regime=log(n) >= degree ** 6
-    )

@@ -7,8 +7,9 @@ n = root (mod p).  Only the residues 0..min(p, N+1)-1 are evaluated,
 since no n <= N reaches the others, so the root search costs
 O(min(p, N)) per prime rather than O(p).  A cofactor m left after
 trial division has no prime factor <= B, so 1 < m < B^2 is prime and
-is taken as it is; only cofactors >= B^2 go to deterministic
-Miller-Rabin, and the composite ones to Brent rho.
+is taken as it is; only cofactors >= B^2 go to ``_factor_rough``, which
+tests each once with deterministic Miller-Rabin and splits the composite
+ones with Brent rho.
 
 Rows with |P(n)| <= 1 carry an empty factor list and largest_prime 0;
 they belong to no per-prime group downstream.  Values are factored by
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial
-from .primes import is_prime, sieve_primes, _factor_rough
+from .primes import sieve_primes, _factor_rough
 
 DEFAULT_TRIAL_BOUND = 10_000
 # largest N that factor_values accepts unless fluct passes --factor-budget
@@ -162,7 +163,7 @@ def factor_values(
     for i in range(n_max):
         m = residual[i]
         if m > 1:
-            if m < prime_below or is_prime(m):
+            if m < prime_below:
                 fac_lists[i].append((m, 1))
             else:
                 rough: dict[int, int] = {}

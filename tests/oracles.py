@@ -8,6 +8,8 @@ and split sums that the batched replicate engine computes.  The energy
 counter is also checked against the Counter of ``pair_histogram``, a
 separate exact path in the package.  The ``sieve`` document oracle is
 the two-pass serializer the CLI used before it dumped the table once.
+``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
+are kept here beside their tests.
 """
 
 import io
@@ -16,11 +18,18 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import exp, log, sqrt
 
 import numpy as np
 
 from polyrmf.cli import _document, to_jsonable
-from polyrmf.energy import pair_histogram
+from polyrmf.energy import (
+    DEFAULT_PAIR_BUDGET,
+    ProgressionRange,
+    check_pair_budget,
+    pair_histogram,
+)
+from polyrmf.polynomial import IntPolynomial
 from polyrmf.primes import sieve_primes
 from polyrmf.rmf import SteinhausSampler, _PhaseSource
 from polyrmf.sieve import lpf_density
@@ -70,6 +79,24 @@ def energy_cross_loop(values1, values2):
     return count
 
 
+def energy_cross(
+    poly1: IntPolynomial,
+    poly2: IntPolynomial,
+    rng: ProgressionRange,
+    *,
+    budget: int = DEFAULT_PAIR_BUDGET,
+) -> int:
+    """Count (x, y, X, Y) in members^4 with P1(x)P1(y) = P2(X)P2(Y)."""
+    rng.require_members()
+    check_pair_budget(rng.size, budget)
+    members = list(rng.members())
+    c1 = pair_histogram([poly1(x) for x in members])
+    c2 = pair_histogram([poly2(x) for x in members])
+    if len(c2) < len(c1):
+        c1, c2 = c2, c1
+    return sum(mult * c2[v] for v, mult in c1.items())
+
+
 def same_prime_quadruples_loop(rows):
     """Quadruples with product equality and all four largest primes equal,
     over FactoredValue rows; rows with largest_prime 0 never qualify."""
@@ -111,6 +138,32 @@ def paired_prime_quadruples_loop(rows):
                         if p == q:
                             same += 1
     return total, same, total - same
+
+
+@dataclass(frozen=True)
+class IntegralPointBound:
+    """N^(1/d) * exp(12 * sqrt(d ln N ln ln N)) with its validity flag.
+
+    ``asymptotic_regime`` records whether N >= exp(d^6), the regime in
+    which the bound is stated; below it the number is still computed as
+    a trend reference.
+    """
+
+    degree: int
+    N: int
+    value: float
+    asymptotic_regime: bool
+
+
+def bp_bound(degree: int, n: int) -> IntegralPointBound:
+    if degree < 2:
+        raise ValueError("degree must be >= 2")
+    if n <= 15:
+        raise ValueError("need N >= 16 so that ln ln N is safely positive")
+    value = n ** (1.0 / degree) * exp(12.0 * sqrt(degree * log(n) * log(log(n))))
+    return IntegralPointBound(
+        degree=degree, N=n, value=value, asymptotic_regime=log(n) >= degree ** 6
+    )
 
 
 def _sign_pattern_count(values):

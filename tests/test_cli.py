@@ -105,6 +105,16 @@ def test_sieve_csv(tmp_path):
     assert lines[6] == "6,0,1,0"
 
 
+def test_sieve_csv_without_out_goes_to_stdout(tmp_path):
+    argv = ["sieve", "--poly", "x^2+1", "--n", "3", "--format", "csv"]
+    out = tmp_path / "t.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rc, stdout, err = call_cli(*argv)
+    assert (rc, err) == (0, "")
+    assert stdout.encode() == out.read_bytes()
+    assert stdout.startswith("n,value,factorization,largest_prime\r\n")
+
+
 def test_sieve_json_density():
     proc = run_cli("sieve", "--poly", "x^2+1", "--n", "10", "--lpf-scale", "0")
     doc = json.loads(proc.stdout)
@@ -443,7 +453,11 @@ def test_cli_fuzz_exit_codes_and_strict_json(argv):
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - started < CALL_CAP_S, argv
     assert rc in (0, 2, 3), (argv, err)
-    if out:
+    csv_table = (argv[0] == "sieve" and "--format=csv" in argv
+                 and "--dry-run" not in argv)
+    if rc == 0 and csv_table:  # no --out is drawn, so the table is stdout
+        assert out.startswith("n,value,factorization,largest_prime\r\n"), argv
+    elif out:
         json.loads(out, parse_constant=_reject_constant)
     if rc == 0:
         assert err == "", argv

@@ -2,14 +2,19 @@ import importlib
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import isqrt, prod
 from unittest import mock
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bp_bound,
     energy_allpairs,
+    energy_cross,
     energy_cross_loop,
     energy_quadruple_loop,
     pair_histogram_total,
@@ -18,11 +23,10 @@ from oracles import (
 )
 from polyrmf.energy import (
     ProgressionRange,
+    _crt_primes,
     _pair_total,
-    bp_bound,
     energy,
     energy_constrained_lpf,
-    energy_cross,
     error_exponent,
     exponent_fit,
     pair_histogram,
@@ -210,6 +214,106 @@ def test_counting_big_integers_with_collisions_in_passes():
     assert _pair_total(values) == want
     for run_items in (1, 7, 40):
         assert pair_total_in_passes(values, run_items) == want
+
+
+# the largest |v| with v^2 < 2^63, and with v^2 < 2^63 * (2^31 - 1): one
+# more takes one more CRT prime
+K0_EDGE = isqrt(2**63 - 1)
+K1_EDGE = isqrt(2**63 * (2**31 - 1) - 1)
+
+
+def test_crt_primes_are_derived_from_the_largest_value():
+    assert _crt_primes(0) == _crt_primes(K0_EDGE) == []
+    assert _crt_primes(K0_EDGE + 1) == _crt_primes(K1_EDGE) == [2**31 - 1]
+    assert _crt_primes(K1_EDGE + 1) == [2**31 - 1, sympy.prevprime(2**31 - 1)]
+    for v in (10**20, 2**100, 3**200):
+        qs = _crt_primes(v)
+        assert qs == sorted(set(qs), reverse=True) and all(map(sympy.isprime, qs))
+        assert v * v < 2**63 * prod(qs) and v * v >= 2**63 * prod(qs[:-1])
+
+
+def _signed_around(v):
+    return [v, -v, v - 1, -(v - 1), v, 1, -1, 2, 0]
+
+
+CRT_EDGE_INPUTS = {
+    # products that agree mod 2^64 but differ (2^70, 2^64, 0)
+    "mod 2^64": [2**40, 2**30, 2**34, -2**34, 3 * 2**40, 0, 1],
+    # 2^47 * 2^17 (2^31 - 1) agrees with 0 mod 2^64 and mod 2^31 - 1
+    "mod 2^64 (2^31-1)": [2**47, 2**17 * (2**31 - 1), 0, 1, -1, 2**47],
+    "k=0 top": _signed_around(K0_EDGE),
+    "k=1 bottom": _signed_around(K0_EDGE + 1),
+    "k=1 top": _signed_around(K1_EDGE),
+    "k=2 bottom": _signed_around(K1_EDGE + 1),
+    "beyond 2^64": [IntPolynomial((10**20, -3, 7))(x) for x in range(-4, 9)],
+}
+
+
+@pytest.mark.parametrize("values", CRT_EDGE_INPUTS.values(), ids=CRT_EDGE_INPUTS)
+def test_crt_keys_at_their_edges(values):
+    want = energy_quadruple_loop(values)
+    assert pair_histogram_total(values) == want
+    assert _pair_total(values) == want
+    for run_items in (1, 7, 40):
+        assert pair_total_in_passes(values, run_items) == want
+
+
+def test_low_word_collisions_are_lexsorted():
+    # argsort alone would leave 2^70, 2^64 and 0 interleaved in one run
+    for key in ("mod 2^64", "mod 2^64 (2^31-1)"):
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            _pair_total(CRT_EDGE_INPUTS[key])
+        assert lexsort.called
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        _pair_total(CRT_EDGE_INPUTS["beyond 2^64"])
+    assert not lexsort.called
+
+
+def _sorted_dtypes(values):
+    """dtypes of every array np.argsort and np.lexsort see in _pair_total."""
+    seen = []
+    argsort, lexsort = np.argsort, np.lexsort
+
+    def record_argsort(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return argsort(a, *args, **kwargs)
+
+    def record_lexsort(keys, *args, **kwargs):
+        seen.extend(np.asarray(k).dtype for k in keys)
+        return lexsort(keys, *args, **kwargs)
+
+    with mock.patch.object(np, "argsort", record_argsort), \
+            mock.patch.object(np, "lexsort", record_lexsort):
+        _pair_total(values)
+    return seen
+
+
+@pytest.mark.parametrize("poly,xs", [
+    (IntPolynomial((0, 1, 0, 1)), range(1, 81)),  # x^3+x at N = 80
+    (IntPolynomial((10**20, 0, 1)), range(1, 41)),
+    (IntPolynomial((1, 0, 10**20)), range(-20, 21)),
+])
+def test_no_object_dtype_is_sorted(poly, xs):
+    # x^3+x stays below K0_EDGE here; the other values and the collision
+    # list (lexsorted) lie past it
+    for values in ([poly(x) for x in xs], CRT_EDGE_INPUTS["mod 2^64"]):
+        seen = _sorted_dtypes(values)
+        assert seen and all(dt != np.dtype(object) for dt in seen), seen
+
+
+@given(values=st.lists(st.integers(-2**100, 2**100), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_counting_agrees_on_values_of_any_size(values):
+    values = values + [-v for v in values[:3]] + [0]
+    want = pair_histogram_total(values)
+    assert _pair_total(values) == want
+    assert pair_total_in_passes(values, 37) == want
+
+
+def test_same_prime_mode_beyond_2_64():
+    table = factor_values(IntPolynomial((10**20, 0, 1)), 14)
+    assert (energy_constrained_lpf(table, "same-prime-all-four")
+            == same_prime_quadruples_loop(table.rows))
 
 
 def test_budget_error_suggests_chunked(x2p1):

@@ -202,13 +202,15 @@ def test_roots_mod_p_at_the_dtype_switch(p):
 
 
 def test_no_primality_test_below_the_square_of_the_trial_bound(monkeypatch, x2p1):
+    # _factor_rough is the sieve's only route to a primality test
     calls = []
+    factor_rough = primes._factor_rough
 
-    def counting(m):
+    def recording(m, out):
         calls.append(m)
-        return primes.is_prime(m)
+        factor_rough(m, out)
 
-    monkeypatch.setattr(sieve, "is_prime", counting)
+    monkeypatch.setattr(sieve, "_factor_rough", recording)
     factor_values(x2p1, 8000)  # every cofactor is at most 8000^2 + 1 < 10^8
     assert calls == []
     _assert_factored(factor_values(parse_polynomial("x^3+2x+1"), 600))
@@ -225,7 +227,15 @@ def test_brent_rho_splits_exactly_the_composite_cofactors(monkeypatch):
         calls.append((m, g))
         return g
 
+    is_prime = primes.is_prime
+    prime_tests = []
+
+    def counting(m):
+        prime_tests.append(m)
+        return is_prime(m)
+
     monkeypatch.setattr(primes, "brent_rho", recording)
+    monkeypatch.setattr(primes, "is_prime", counting)
     factor_values(poly, 3000)
     # every composite cofactor here is a product of two primes, so rho is
     # called once per cofactor; 161 calls and these splits as before the
@@ -240,3 +250,6 @@ def test_brent_rho_splits_exactly_the_composite_cofactors(monkeypatch):
     assert len(calls) == 161
     assert sum(g for _, g in calls) == 5_916_863
     assert all(1 < g < m and m % g == 0 for m, g in calls)
+    # each cofactor >= B^2 is tested once (672 primes, 161 composites) and
+    # so is each of the 322 factors rho splits off: 833 + 322 tests
+    assert len(prime_tests) == 1_155
