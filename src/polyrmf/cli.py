@@ -250,6 +250,9 @@ def _cmd_classify(args):
 def _cmd_sieve(args):
     poly = _parse_poly(args.poly)
     scale = _parse_fraction(args.lpf_scale, "lpf_scale") if args.lpf_scale else None
+    if scale is not None and args.format == "csv":
+        raise ConfigError("--lpf-scale has no place in CSV output",
+                          field="lpf_scale")
     config = {"poly": str(poly), "n": args.n}
     if args.dry_run:
         check_factor_budget(args.n)

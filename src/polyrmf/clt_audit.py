@@ -137,12 +137,11 @@ def run_clt(
     re, im = samples.real, samples.imag
     abs2 = re * re + im * im
     abs4 = abs2 * abs2
-    counts = Counter(
-        abs(row.value) for row in table.rows[:n_max] if row.value != 0
-    )
+    values = table.values[:n_max]
+    counts = Counter(abs(v) for v in values if v != 0)
     exact_second = Fraction(sum(c * c for c in counts.values()), n_max)
-    small = sum(1 for row in table.rows[:n_max] if abs(row.value) == 1)
-    zeros = sum(1 for row in table.rows[:n_max] if row.value == 0)
+    small = counts[1]
+    zeros = values.count(0)
     stats = CltStats(
         n_samples=reps,
         mean_re=float(np.mean(re)),
@@ -214,9 +213,7 @@ def mcleish_audit(
         d_count = paired_prime_count(groups).distinct_prime
         lindeberg = Fraction(6 * c22 + 8 * c31, 4 * n_max * n_max)
         cross = Fraction(d_count + 2 * a_count, n_max * n_max)
-        small = sum(
-            1 for row in table.rows[:n_max] if abs(row.value) <= 1
-        )
+        small = sum(1 for v in table.values[:n_max] if abs(v) <= 1)
         scales.append(
             McLeishScale(
                 N=n_max,

@@ -311,9 +311,9 @@ def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[i
     if n_max > table.N:
         raise ValueError("table does not cover the requested range")
     groups: dict[int, list[int]] = {}
-    for row in table.rows[:n_max]:
-        if row.largest_prime > 0:
-            groups.setdefault(row.largest_prime, []).append(row.value)
+    for value, p in zip(table.values[:n_max], table.largest_primes()):
+        if p > 0:
+            groups.setdefault(p, []).append(value)
     return groups
 
 

@@ -23,7 +23,8 @@ below quantify the conditional-variance picture.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log, nan, sqrt
@@ -78,10 +79,7 @@ class PrimeSetFamily:
 
     @property
     def a_union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for a in self.a_sets:
-            out |= a
-        return frozenset(out)
+        return frozenset().union(*self.a_sets)
 
 
 def build_prime_sets(
@@ -97,30 +95,29 @@ def build_prime_sets(
         raise ValueError("table does not cover the top grid point")
     d = poly.degree
     thresholds = tuple(x * log(x) / (2 * d * d) for x in grid.points)
+    csc = table.by_prime
+    first = csc.indices[csc.indptr[:-1]]  # smallest n - 1 with p | P(n)
 
     e_sets: list[frozenset[int]] = []
     prev_x = 0
-    for i, x in enumerate(grid.points):
-        thr = thresholds[i]
-        members = set()
-        for p, indices in table.prime_to_indices.items():
-            if p >= thr and indices[0] <= x and not indices[0] <= prev_x:
-                members.add(p)
-        e_sets.append(frozenset(members))
+    for x, thr in zip(grid.points, thresholds):
+        lo = bisect_left(table.primes, thr)
+        new = np.flatnonzero((first[lo:] >= prev_x) & (first[lo:] < x)) + lo
+        e_sets.append(frozenset(table.primes[j] for j in new.tolist()))
         prev_x = x
 
-    f_sets: list[frozenset[int]] = [e_sets[0]]
-    for i in range(1, len(e_sets)):
-        f_sets.append(e_sets[i] - e_sets[i - 1])
+    f_sets = [e_sets[0]] + [e - e_prev for e_prev, e in zip(e_sets, e_sets[1:])]
 
     a_sets: list[frozenset[int]] = []
-    for i, x in enumerate(grid.points):
+    for x, f in zip(grid.points, f_sets):
+        primes = sorted(f)
+        cols = _columns(table, primes)
+        rows, ptr = cols.indices.tolist(), cols.indptr.tolist()
         claimed: set[int] = set()
         accepted: set[int] = set()
-        for p in sorted(f_sets[i]):
-            indices = table.prime_to_indices[p]
-            hits = indices[:bisect_right(indices, x)]
-            if not any(n in claimed for n in hits):
+        for k, p in enumerate(primes):
+            hits = [r for r in rows[ptr[k]:ptr[k + 1]] if r < x]
+            if claimed.isdisjoint(hits):
                 accepted.add(p)
                 claimed.update(hits)
         a_sets.append(frozenset(accepted))
@@ -134,41 +131,34 @@ def build_prime_sets(
     )
 
 
-def _hit_scales(table: FactorTable, family: PrimeSetFamily, n_max: int) -> list[list[int]]:
-    """Per n <= n_max: scale indices (0-based) of A-primes dividing P(n)."""
-    hits: list[list[int]] = [[] for _ in range(n_max)]
-    for i, a_set in enumerate(family.a_sets):
-        for p in a_set:
-            for n in table.prime_to_indices[p]:
-                if n <= n_max:
-                    hits[n - 1].append(i)
-    return hits
+def _columns(table: FactorTable, primes) -> sparse.csc_matrix:
+    """The table's CSC columns of ``primes``, in the order given."""
+    cols = [bisect_left(table.primes, p) for p in primes]
+    return table.by_prime[:, np.array(cols, dtype=np.int64)]
+
+
+def _divisor_counts(table: FactorTable, primes) -> np.ndarray:
+    """How many of ``primes`` divide P(n), for n = 1..N."""
+    return np.bincount(_columns(table, primes).indices, minlength=table.N)
 
 
 def classification_labels(
     table: FactorTable, family: PrimeSetFamily
 ) -> list[np.ndarray]:
     """Per scale i: int8 labels over n = 1..x_i (1 = S1, 2 = S2, 0 = S3)."""
-    top = family.grid.points[-1]
-    hits = _hit_scales(table, family, top)
+    total = _divisor_counts(table, family.a_union)
     labels = []
     for i, x in enumerate(family.grid.points):
-        lab = np.zeros(x, dtype=np.int8)
-        for n in range(1, x + 1):
-            h = hits[n - 1]
-            if not h:
-                continue
-            if any(j != i for j in h):
-                lab[n - 1] = 2
-            else:
-                # all hits at scale i; two distinct A_i primes sharing an
-                # n <= x_i would violate the greedy guarantee
-                if len(h) != 1:
-                    raise AssertionError(
-                        f"n={n} divisible by {len(h)} primes of A_{i + 1}"
-                    )
-                lab[n - 1] = 1
-        labels.append(lab)
+        own = _divisor_counts(table, family.a_sets[i])[:x]
+        elsewhere = total[:x] - own
+        # two distinct A_i primes sharing an n <= x_i would violate the
+        # greedy guarantee
+        shared = np.flatnonzero((elsewhere == 0) & (own > 1))
+        if shared.size:
+            n = int(shared[0]) + 1
+            raise AssertionError(
+                f"n={n} divisible by {own[n - 1]} primes of A_{i + 1}")
+        labels.append(np.where(elsewhere > 0, 2, own).astype(np.int8))
     return labels
 
 
@@ -177,14 +167,8 @@ def s2_second_moment(
 ):
     """#{n <= x_i : some prime of A_1..A_{i-1} divides P(n)} (or /x_i)."""
     x = family.grid.points[i]
-    earlier: set[int] = set()
-    for a_set in family.a_sets[:i]:
-        earlier |= a_set
-    marked: set[int] = set()
-    for p in earlier:
-        indices = table.prime_to_indices[p]
-        marked.update(indices[:bisect_right(indices, x)])
-    count = len(marked)
+    earlier = frozenset().union(*family.a_sets[:i])
+    count = int(np.count_nonzero(_divisor_counts(table, earlier)[:x]))
     return Fraction(count, x) if normalized else count
 
 
@@ -204,21 +188,17 @@ def variance_floor(
     P(n); value equality is taken on |P(n)| (where f lives).
     """
     x = family.grid.points[i]
-    hits = _hit_scales(table, family, x)
-    pair_count = 0
-    sizes: dict[int, int] = {}
-    for p in family.a_sets[i]:
-        indices = table.prime_to_indices[p]
-        t_set = [
-            n for n in indices[:bisect_right(indices, x)]
-            if hits[n - 1] == [i]
-        ]
-        sizes[p] = len(t_set)
-        by_value: dict[int, int] = {}
-        for n in t_set:
-            v = abs(table.rows[n - 1].value)
-            by_value[v] = by_value.get(v, 0) + 1
-        pair_count += sum(c * c for c in by_value.values())
+    a_count = _divisor_counts(table, family.a_union)
+    primes = list(family.a_sets[i])
+    cols = _columns(table, primes)
+    # one entry per (p, n) with p | P(n); keep those with n in T_{i,p}
+    col = np.repeat(np.arange(len(primes)), np.diff(cols.indptr))
+    keep = (cols.indices < x) & (a_count[cols.indices] == 1)
+    col, rows = col[keep], cols.indices[keep]
+    sizes = dict(zip(primes, np.bincount(col, minlength=len(primes)).tolist()))
+    by_value = Counter(zip(col.tolist(),
+                           (abs(table.values[r]) for r in rows.tolist())))
+    pair_count = sum(c * c for c in by_value.values())
     total_t = sum(sizes.values())
     return VarianceFloor(
         mu=Fraction(pair_count, 2 * x),

@@ -13,10 +13,11 @@ Replicate r of a run derives its stream from
 ``derive_seed(seed, r) = mix64((seed + (r + 1) * GOLDEN) mod 2^64)``;
 this mapping is part of the output contract and will not change.
 
-``PhaseTable`` is the vectorized companion: it freezes the factorization
-structure of a table into a sparse exponent matrix so that whole
+``PhaseTable`` evaluates f on a factor table: it reads the table's
+exponent matrix as float64 over the table's primes, so that whole
 replicate batches reduce to one hash pass and one sparse matmul.  The
-scalar and vectorized paths produce bit-identical angles.
+scalar ``SteinhausSampler.angle`` and the vectorized ``angles_for_key``
+give bit-identical angles.
 
 ``replicate_sums`` is the one replicate engine behind both ``clt`` and
 ``fluct``: it sums f(P(n)) over the index sets of a 0/1 selector matrix
@@ -26,7 +27,6 @@ thread count or on the chunk width.
 
 from __future__ import annotations
 
-import cmath
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError
-from .sieve import FactoredValue, FactorTable
+from .sieve import FactorTable
 
 M64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -75,26 +75,8 @@ def angles_for_key(key: int, primes_u64: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-class _PhaseSource:
-    """Shared evaluation logic over anything providing .angle(p)."""
-
-    def angle(self, p: int) -> float:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def f_of(self, fv: FactoredValue) -> complex:
-        """Unit-circle value at |fv.value|; rejects value 0."""
-        if fv.value == 0:
-            raise ValueError(f"f is undefined at 0 (n={fv.n} is a root)")
-        phase = 0.0
-        for p, e in fv.factors:
-            phase = (phase + e * self.angle(p)) % 1.0
-        if phase == 0.0:
-            return complex(1.0, 0.0)
-        return cmath.exp(2j * cmath.pi * phase)
-
-
 @dataclass(frozen=True)
-class SteinhausSampler(_PhaseSource):
+class SteinhausSampler:
     """Deterministic map prime -> angle in [0, 1), keyed by a 64-bit seed."""
 
     seed: int
@@ -123,31 +105,16 @@ class PhaseTable:
         if n_max > table.N:
             raise ValueError("table does not cover the requested range")
         self.n_max = n_max
-        prime_set: set[int] = set()
-        for row in table.rows[:n_max]:
-            for p, _ in row.factors:
-                prime_set.add(p)
-        self.primes = sorted(prime_set)
+        # every column of the table is kept: a row's phase sums only its
+        # own entries, in ascending prime order, whatever the other columns
+        self.primes = table.primes
         # the angle hash only sees p mod 2^64, so primes >= 2^64 reduce
         self.primes_u64 = np.array([p & M64 for p in self.primes], dtype=np.uint64)
-        index = {p: i for i, p in enumerate(self.primes)}
-        indptr = np.zeros(n_max + 1, dtype=np.int64)
-        cols: list[int] = []
-        expo: list[float] = []
-        zero_mask = np.zeros(n_max, dtype=bool)
-        for i, row in enumerate(table.rows[:n_max]):
-            if row.value == 0:
-                zero_mask[i] = True
-            for p, e in row.factors:
-                cols.append(index[p])
-                expo.append(float(e))
-            indptr[i + 1] = len(cols)
-        self.zero_mask = zero_mask
-        self.matrix = sparse.csr_matrix(
-            (np.array(expo, dtype=np.float64),
-             np.array(cols, dtype=np.int64), indptr),
-            shape=(n_max, len(self.primes)),
-        )
+        self.matrix = table.exponents[:n_max].astype(np.float64)
+        # only a row without factors can hold P(n) = 0
+        empty = np.flatnonzero(np.diff(self.matrix.indptr) == 0).tolist()
+        self.zero_mask = np.zeros(n_max, dtype=bool)
+        self.zero_mask[[i for i in empty if table.values[i] == 0]] = True
 
     def angles(self, sampler: SteinhausSampler) -> np.ndarray:
         return angles_for_key(sampler.key, self.primes_u64)

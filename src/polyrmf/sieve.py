@@ -11,9 +11,11 @@ is taken as it is; only cofactors >= B^2 go to ``_factor_rough``, which
 tests each once with deterministic Miller-Rabin and splits the composite
 ones with Brent rho.
 
-Rows with |P(n)| <= 1 carry an empty factor list and largest_prime 0;
-they belong to no per-prime group downstream.  Values are factored by
-absolute value; the sign is kept on the ``value`` field.
+The table is the signed ``values`` P(n) and one integer CSR matrix of
+the exponents of |P(n)| over the ascending ``primes``; the per-prime
+columns, largest primes and ``FactoredValue`` rows are views of it.
+Rows with |P(n)| <= 1 are empty, with largest prime 0; they belong to
+no per-prime group downstream.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import log
 from typing import IO
 
 import numpy as np
+from scipy import sparse
 
 from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial
@@ -60,38 +64,68 @@ class FactoredValue:
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
     largest_prime: int  # 0 when |value| <= 1
 
-    def abs_value(self) -> int:
-        return abs(self.value)
 
-
-@dataclass
+@dataclass(eq=False)
 class FactorTable:
     """Complete factorizations of P(n) for n = 1..N.
 
-    ``prime_to_indices`` maps each prime appearing in some factorization
-    to the ascending list of n with p | P(n).
+    Row n-1 of the N x len(primes) CSR ``exponents`` holds the exponents
+    of |P(n)|, its columns in ascending prime order; ``primes`` are
+    Python ints, so primes >= 2^64 fit.
     """
 
     polynomial: IntPolynomial
     N: int
-    rows: list[FactoredValue]
-    prime_to_indices: dict[int, list[int]]
+    values: list[int]
+    primes: list[int]
+    exponents: sparse.csr_matrix
+
+    def _rows(self, lo: int = 0, hi: int | None = None):
+        """(n, value, factors, largest prime) of n = lo+1..hi, from the CSR."""
+        m = self.exponents[lo:hi]
+        ptr = m.indptr.tolist()
+        pairs = list(zip([self.primes[c] for c in m.indices.tolist()],
+                         m.data.tolist()))
+        for n, a, b in zip(range(lo + 1, self.N + 1), ptr, ptr[1:]):
+            f = tuple(pairs[a:b])
+            yield n, self.values[n - 1], f, f[-1][0] if f else 0
 
     def row(self, n: int) -> FactoredValue:
         if not 1 <= n <= self.N:
             raise IndexError(f"n={n} outside table range 1..{self.N}")
-        return self.rows[n - 1]
+        return FactoredValue(*next(self._rows(n - 1, n)))
+
+    @cached_property
+    def rows(self) -> list[FactoredValue]:
+        return [FactoredValue(*r) for r in self._rows()]
+
+    @cached_property
+    def by_prime(self) -> sparse.csc_matrix:
+        """``exponents`` as CSC: column j holds the n-1 with primes[j] | P(n)."""
+        return self.exponents.tocsc()
+
+    def largest_primes(self) -> list[int]:
+        """P+(P(n)) for n = 1..N from each row's last column (0 if empty)."""
+        ptr = self.exponents.indptr
+        cols = np.full(self.N, len(self.primes))  # an empty row reads the 0
+        full = ptr[1:] > ptr[:-1]
+        cols[full] = self.exponents.indices[ptr[1:][full] - 1]
+        return np.array(self.primes + [0], dtype=object)[cols].tolist()
 
     def write_csv(self, fh: IO[str]) -> None:
         """Columns: n, value, factorization "p1^e1*p2^e2*...", largest_prime.
 
         The factorization string is "1" for |value| <= 1.
         """
+        m = self.exponents
+        ptr = m.indptr.tolist()
+        terms = [f"{self.primes[c]}^{e}"
+                 for c, e in zip(m.indices.tolist(), m.data.tolist())]
         w = csv.writer(fh)
         w.writerow(["n", "value", "factorization", "largest_prime"])
-        for row in self.rows:
-            fac = "*".join(f"{p}^{e}" for p, e in row.factors) or "1"
-            w.writerow([row.n, row.value, fac, row.largest_prime])
+        for n, value, a, b, lpf in zip(range(1, self.N + 1), self.values, ptr,
+                                       ptr[1:], self.largest_primes()):
+            w.writerow([n, value, "*".join(terms[a:b]) or "1", lpf])
 
     def json_doc(self) -> dict:
         """The table as JSON-ready plain values (values as decimal strings)."""
@@ -100,12 +134,12 @@ class FactorTable:
             "N": self.N,
             "rows": [
                 {
-                    "n": r.n,
-                    "value": str(r.value),
-                    "factors": [[p, e] for p, e in r.factors],
-                    "largest_prime": r.largest_prime,
+                    "n": n,
+                    "value": str(value),
+                    "factors": [[p, e] for p, e in factors],
+                    "largest_prime": lpf,
                 }
-                for r in self.rows
+                for n, value, factors, lpf in self._rows()
             ],
         }
 
@@ -158,8 +192,6 @@ def factor_values(
                     residual[n - 1] = m
                     fac_lists[n - 1].append((p, e))
 
-    rows: list[FactoredValue] = []
-    prime_to_indices: dict[int, list[int]] = {}
     for i in range(n_max):
         m = residual[i]
         if m > 1:
@@ -169,17 +201,20 @@ def factor_values(
                 rough: dict[int, int] = {}
                 _factor_rough(m, rough)
                 fac_lists[i].extend(sorted(rough.items()))
-        factors = tuple(fac_lists[i])
-        lpf = factors[-1][0] if factors else 0
-        rows.append(
-            FactoredValue(n=i + 1, value=values[i], factors=factors, largest_prime=lpf)
-        )
-        for p, _ in factors:
-            prime_to_indices.setdefault(p, []).append(i + 1)
 
-    return FactorTable(
-        polynomial=poly, N=n_max, rows=rows, prime_to_indices=prime_to_indices
+    # sieve primes come in ascending order and every rough factor exceeds
+    # them, so each row already lists its primes in ascending order
+    flat = [pe for fac in fac_lists for pe in fac]
+    primes = sorted({p for p, _ in flat})
+    column = {p: j for j, p in enumerate(primes)}
+    indptr = np.cumsum([0] + [len(fac) for fac in fac_lists])
+    exponents = sparse.csr_matrix(
+        (np.array([e for _, e in flat], dtype=np.int64),
+         np.array([column[p] for p, _ in flat], dtype=np.int64), indptr),
+        shape=(n_max, len(primes)),
     )
+    return FactorTable(polynomial=poly, N=n_max, values=values, primes=primes,
+                       exponents=exponents)
 
 
 def lpf_density(
@@ -194,8 +229,7 @@ def lpf_density(
         d = table.polynomial.degree
         threshold_scale = Fraction(1, 2 * d * d)
     scale = float(threshold_scale)
-    count = 0
-    for n in range(2, table.N + 1):
-        if table.rows[n - 1].largest_prime >= scale * n * log(n):
-            count += 1
+    lpf = table.largest_primes()
+    count = sum(1 for n in range(2, table.N + 1)
+                if lpf[n - 1] >= scale * n * log(n))
     return count, Fraction(count, max(1, table.N - 1))

@@ -4,7 +4,9 @@ Everything here recounts from first principles, sharing no code path with
 the implementations under test: quadruple loops and all-pairs comparison
 matrices for energy counts, literal sign-pattern enumeration for the
 exact moment sums, and scalar per-row evaluation of the partial, per-prime
-and split sums that the batched replicate engine computes.  The energy
+and split sums that the batched replicate engine computes (``f_of``
+adds one factor's phase at a time), and the prime -> n incidence rebuilt
+from each row's factor list (``prime_to_indices``).  The energy
 counter is also checked against the Counter of ``pair_histogram``, a
 separate exact path in the package.  The ``sieve`` document oracle is
 the two-pass serializer the CLI used before it dumped the table once.
@@ -12,6 +14,7 @@ the two-pass serializer the CLI used before it dumped the table once.
 are kept here beside their tests.
 """
 
+import cmath
 import io
 import json
 import time
@@ -31,7 +34,7 @@ from polyrmf.energy import (
 )
 from polyrmf.polynomial import IntPolynomial
 from polyrmf.primes import sieve_primes
-from polyrmf.rmf import SteinhausSampler, _PhaseSource
+from polyrmf.rmf import SteinhausSampler
 from polyrmf.sieve import lpf_density
 
 
@@ -237,6 +240,28 @@ def s2_membership_scan(table, a_sets, i, x):
     return count
 
 
+def f_of(sampler, fv):
+    """f at |fv.value| for anything with .angle(p), one factor at a time;
+    rejects value 0."""
+    if fv.value == 0:
+        raise ValueError(f"f is undefined at 0 (n={fv.n} is a root)")
+    phase = 0.0
+    for p, e in fv.factors:
+        phase = (phase + e * sampler.angle(p)) % 1.0
+    if phase == 0.0:
+        return complex(1.0, 0.0)
+    return cmath.exp(2j * cmath.pi * phase)
+
+
+def prime_to_indices(table):
+    """prime -> ascending n with p | P(n), from each row's factor list."""
+    incidence = {}
+    for row in table.rows:
+        for p, _ in row.factors:
+            incidence.setdefault(p, []).append(row.n)
+    return incidence
+
+
 def partial_sum(sampler, table, x):
     """Sum of f(P(n)) over n <= x, skipping roots of P; ascending n."""
     if x > table.N:
@@ -244,7 +269,7 @@ def partial_sum(sampler, table, x):
     acc = 0j
     for row in table.rows[:max(0, x)]:
         if row.value != 0:
-            acc += sampler.f_of(row)
+            acc += f_of(sampler, row)
     return acc
 
 
@@ -255,7 +280,7 @@ def martingale_piece(sampler, table, p, x):
     acc = 0j
     for row in table.rows[:max(0, x)]:
         if row.largest_prime == p:
-            acc += sampler.f_of(row)
+            acc += f_of(sampler, row)
     return acc
 
 
@@ -267,12 +292,12 @@ def prime_subsum(sampler, table, n_max):
     for p in sieve_primes(n_max):
         row = table.rows[p - 1]
         if row.value != 0:
-            acc += sampler.f_of(row)
+            acc += f_of(sampler, row)
     return acc
 
 
 @dataclass(frozen=True)
-class ConditionalSampler(_PhaseSource):
+class ConditionalSampler:
     """Two-stream scalar sampler: primes in ``resample`` follow ``inner``,
     the rest stay frozen on ``base`` (what ``fluct --conditional`` does
     to each replicate)."""
@@ -304,7 +329,7 @@ def split_sums(sampler, table, family, i):
     for row in table.rows[:family.grid.points[i]]:
         if row.value == 0:
             continue
-        value = sampler.f_of(row)
+        value = f_of(sampler, row)
         hits = [scale_of[p] for p, _ in row.factors if p in scale_of]
         if not hits:
             s3 += value

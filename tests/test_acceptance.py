@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import energy_allpairs
+from oracles import energy_allpairs, prime_to_indices
 from polyrmf.clt_audit import mcleish_audit, run_clt
 from polyrmf.energy import ProgressionRange, energy, exponent_fit
 from polyrmf.fluctuations import build_grid, build_prime_sets, run_fluct
@@ -132,10 +132,11 @@ def test_criterion_7_prime_set_family(table_32000, fluct_setup):
     for i in range(3):
         for j in range(i + 1, 3):
             assert not (family.a_sets[i] & family.a_sets[j])
+    incidence = prime_to_indices(table_32000)
     for i, x in enumerate(grid.points):
         hits_per_n: dict[int, int] = {}
         for p in family.a_sets[i]:
-            for n in table_32000.prime_to_indices[p]:
+            for n in incidence[p]:
                 if n <= x:
                     hits_per_n[n] = hits_per_n.get(n, 0) + 1
         assert all(h <= 1 for h in hits_per_n.values())

@@ -115,6 +115,16 @@ def test_sieve_csv_without_out_goes_to_stdout(tmp_path):
     assert stdout.startswith("n,value,factorization,largest_prime\r\n")
 
 
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+def test_sieve_csv_refuses_lpf_scale(dry):
+    # CSV has no place for the table-level density
+    rc, out, err = call_cli("sieve", "--poly", "x^2+1", "--n", "3",
+                            "--format", "csv", "--lpf-scale", "1/8", *dry)
+    assert (rc, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["field"]) == ("config", "lpf_scale")
+
+
 def test_sieve_json_density():
     proc = run_cli("sieve", "--poly", "x^2+1", "--n", "10", "--lpf-scale", "0")
     doc = json.loads(proc.stdout)

@@ -4,8 +4,8 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from oracles import (ConditionalSampler, partial_sum, s2_membership_scan,
-                     split_sums)
+from oracles import (ConditionalSampler, partial_sum, prime_to_indices,
+                     s2_membership_scan, split_sums)
 from polyrmf import rmf
 from polyrmf.clt_audit import run_clt
 from polyrmf.errors import BudgetError
@@ -58,9 +58,10 @@ def test_family_threshold_and_divisibility(family_200):
     _, table, _, fam = family_200
     thr = 200 * log(200) / 8
     assert fam.thresholds[0] == pytest.approx(thr)
+    incidence = prime_to_indices(table)
     for p in fam.a_sets[0]:
         assert p >= thr
-        assert any(n <= 200 for n in table.prime_to_indices[p])
+        assert any(n <= 200 for n in incidence[p])
 
 
 def test_family_no_shared_n_exhaustive(family_200):
@@ -111,8 +112,9 @@ def test_family_matches_row_scan_rederivation(family_200):
 def test_e_sets_exclude_earlier_scales(family_200):
     # primes of E_2 divide no P(n) with n <= x_1
     _, table, grid, fam = family_200
+    incidence = prime_to_indices(table)
     for p in fam.e_sets[1]:
-        assert table.prime_to_indices[p][0] > grid.points[0]
+        assert incidence[p][0] > grid.points[0]
 
 
 def test_split_partition_identity(family_200):

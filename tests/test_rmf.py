@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import ConditionalSampler, martingale_piece, partial_sum, prime_subsum
+from oracles import (ConditionalSampler, f_of, martingale_piece, partial_sum,
+                     prime_subsum, prime_to_indices)
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
 from polyrmf.rmf import (
@@ -76,16 +77,16 @@ def test_cross_prime_correlation_small():
 
 def test_f_of_basics():
     s = SteinhausSampler(42)
-    assert s.f_of(_fv(1)) == 1 + 0j
-    z = s.f_of(_fv(17))
+    assert f_of(s, _fv(1)) == 1 + 0j
+    z = f_of(s, _fv(17))
     assert abs(abs(z) - 1.0) <= 1e-9
     assert abs(z - cmath.exp(2j * cmath.pi * s.angle(17))) <= 1e-12
     # p^2 -> square of f(p)
-    assert abs(s.f_of(_fv(289)) - s.f_of(_fv(17)) ** 2) <= 1e-9
+    assert abs(f_of(s, _fv(289)) - f_of(s, _fv(17)) ** 2) <= 1e-9
     # sign ignored
-    assert s.f_of(_fv(-6)) == s.f_of(_fv(6))
+    assert f_of(s, _fv(-6)) == f_of(s, _fv(6))
     with pytest.raises(ValueError):
-        s.f_of(FactoredValue(n=6, value=0, factors=(), largest_prime=0))
+        f_of(s, FactoredValue(n=6, value=0, factors=(), largest_prime=0))
 
 
 def test_complete_multiplicativity_bulk():
@@ -94,7 +95,7 @@ def test_complete_multiplicativity_bulk():
     for _ in range(10_000):
         m = rng.randint(2, 100_000)
         n = rng.randint(2, 100_000)
-        err = abs(s.f_of(_fv(m * n)) - s.f_of(_fv(m)) * s.f_of(_fv(n)))
+        err = abs(f_of(s, _fv(m * n)) - f_of(s, _fv(m)) * f_of(s, _fv(n)))
         assert err <= 1e-9
 
 
@@ -104,7 +105,7 @@ def test_partial_sum_edges(x2p1):
     assert partial_sum(s, table, 0) == 0j
     assert partial_sum(s, table, 1) == 1 + 0j  # f(1) = 1
     t = factor_values(x2p1, 3)
-    expected = s.f_of(t.row(1)) + s.f_of(t.row(2)) + s.f_of(t.row(3))
+    expected = f_of(s, t.row(1)) + f_of(s, t.row(2)) + f_of(s, t.row(3))
     got = partial_sum(s, t, 3)
     assert abs(got - expected) <= 1e-12
     assert abs(got) <= 3
@@ -116,7 +117,7 @@ def test_martingale_piece_examples(x2p1):
     t = factor_values(x2p1, 3)
     s = SteinhausSampler(5)
     assert martingale_piece(s, t, 97, 3) == 0j  # 97 divides no P(n)
-    expected = s.f_of(t.row(2)) + s.f_of(t.row(3))  # largest primes 2,5,5
+    expected = f_of(s, t.row(2)) + f_of(s, t.row(3))  # largest primes 2,5,5
     assert abs(martingale_piece(s, t, 5, 3) - expected) <= 1e-12
 
 
@@ -127,7 +128,7 @@ def test_partition_identity_with_unit_values():
     table = factor_values(poly, 50)
     s = SteinhausSampler(31)
     pieces = sum(martingale_piece(s, table, p, 50)
-                 for p in sorted(table.prime_to_indices))
+                 for p in sorted(prime_to_indices(table)))
     unit_count = sum(1 for r in table.rows if abs(r.value) == 1)
     assert unit_count == 1
     assert abs(pieces + unit_count - partial_sum(s, table, 50)) <= 1e-9
@@ -137,7 +138,7 @@ def test_partition_identity_with_zeros(x2m6x):
     table = factor_values(x2m6x, 40)
     s = SteinhausSampler(8)
     pieces = sum(martingale_piece(s, table, p, 40)
-                 for p in sorted(table.prime_to_indices))
+                 for p in sorted(prime_to_indices(table)))
     units = sum(1 for r in table.rows if abs(r.value) == 1)
     assert abs(pieces + units - partial_sum(s, table, 40)) <= 1e-9
 
@@ -146,11 +147,11 @@ def test_prime_subsum(x2p1):
     t = factor_values(x2p1, 3)
     s = SteinhausSampler(2)
     assert prime_subsum(s, factor_values(x2p1, 1), 1) == 0j  # no primes
-    expected = s.f_of(t.row(2)) + s.f_of(t.row(3))  # primes 2, 3
+    expected = f_of(s, t.row(2)) + f_of(s, t.row(3))  # primes 2, 3
     assert abs(prime_subsum(s, t, 3) - expected) <= 1e-12
     x = parse_polynomial("0,1")
     t2 = factor_values(x, 2)
-    assert abs(prime_subsum(s, t2, 2) - s.f_of(t2.row(2))) <= 1e-12
+    assert abs(prime_subsum(s, t2, 2) - f_of(s, t2.row(2))) <= 1e-12
 
 
 def test_replicate_seed_derivation():
@@ -165,7 +166,7 @@ def test_phase_table_matches_scalar(x2p1):
     pt = PhaseTable(table, 200)
     z = pt.unit_values_batch(pt.angles(s))
     for n in (1, 2, 50, 200):
-        assert abs(z[n - 1] - s.f_of(table.row(n))) <= 1e-9
+        assert abs(z[n - 1] - f_of(s, table.row(n))) <= 1e-9
     assert abs(z[:137].sum() - partial_sum(s, table, 137)) <= 1e-9
 
 
@@ -181,7 +182,7 @@ def test_prime_subsum_skips_roots_at_prime_arguments():
     poly = parse_polynomial("-4,0,1")
     table = factor_values(poly, 5)
     s = SteinhausSampler(6)
-    expected = s.f_of(table.row(3)) + s.f_of(table.row(5))  # primes 3, 5
+    expected = f_of(s, table.row(3)) + f_of(s, table.row(5))  # primes 3, 5
     assert abs(prime_subsum(s, table, 5) - expected) <= 1e-12
 
 
@@ -196,6 +197,21 @@ def test_batch_matches_single_column(x2p1):
         assert np.array_equal(batch[:, b], single)
 
 
+@pytest.mark.parametrize("text", ["x^2+1", "100000000000000000000,0,1"])
+def test_phase_table_on_a_sub_range(text):
+    # a table factored beyond n_max keeps its extra primes as columns
+    # that rows n <= n_max never touch
+    poly = parse_polynomial(text)
+    wide = PhaseTable(factor_values(poly, 200), 120)
+    exact = PhaseTable(factor_values(poly, 120))
+    assert len(wide.primes) > len(exact.primes)
+    rng = np.random.default_rng(17)
+    angle = {p: rng.random(3) for p in wide.primes}
+    batches = [pt.unit_values_batch(np.array([angle[p] for p in pt.primes]))
+               for pt in (wide, exact)]
+    assert np.array_equal(*batches)
+
+
 def test_conditional_sampler_dispatch(x2p1):
     table = factor_values(x2p1, 20)
     base = SteinhausSampler(1)
@@ -206,7 +222,7 @@ def test_conditional_sampler_dispatch(x2p1):
     row = table.row(3)  # 10 = 2 * 5
     expect = cmath.exp(2j * cmath.pi *
                        ((base.angle(2) + inner.angle(5)) % 1.0))
-    assert abs(cs.f_of(row) - expect) <= 1e-12
+    assert abs(f_of(cs, row) - expect) <= 1e-12
 
 
 def test_mix64_is_64_bit():

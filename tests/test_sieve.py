@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 import sympy
+from oracles import prime_to_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,26 +79,48 @@ def test_listed_primes_pass_independent_check(x2p1):
 
 def test_prime_to_indices_is_inverse_image(x2p1):
     table = factor_values(x2p1, 500)
-    for p, indices in table.prime_to_indices.items():
+    incidence = prime_to_indices(table)
+    for p, indices in incidence.items():
         assert indices == sorted(indices)
         for n in indices:
             assert any(q == p for q, _ in table.row(n).factors)
     for row in table.rows:
         for p, _ in row.factors:
-            assert row.n in table.prime_to_indices[p]
+            assert row.n in incidence[p]
+
+
+@pytest.mark.parametrize("text,n", [
+    ("x^2+1", 2000),
+    ("0,-6,1", 40),  # P(6) = 0 gives an empty row
+    ("100000000000000000000,0,1", 20),  # P(19) is a prime above 2^64
+])
+def test_prime_columns_are_the_inverse_image(text, n):
+    table = factor_values(parse_polynomial(text), n)
+    incidence = prime_to_indices(table)
+    assert table.primes == sorted(incidence)
+    columns = table.by_prime
+    for j, p in enumerate(table.primes):
+        lo, hi = columns.indptr[j], columns.indptr[j + 1]
+        ns = (columns.indices[lo:hi] + 1).tolist()
+        # every n in column p has p^e exactly dividing P(n)
+        for n, e in zip(ns, columns.data[lo:hi].tolist()):
+            v = abs(table.values[n - 1])
+            assert v != 0 and v % p**e == 0 and v % p**(e + 1) != 0
+        # every factor p of P(n) lists n in its column, in ascending n
+        assert ns == incidence[p]
 
 
 def test_large_primes_have_few_indices(x2p1):
     # at most d = 2 indices for primes beyond N (root count mod p)
     table = factor_values(x2p1, 500)
-    for p, indices in table.prime_to_indices.items():
+    for p, indices in prime_to_indices(table).items():
         if p > 500:
             assert len(indices) <= 2
 
 
 def test_large_primes_have_few_indices_cubic():
     table = factor_values(parse_polynomial("x^3+2x+1"), 300)
-    for p, indices in table.prime_to_indices.items():
+    for p, indices in prime_to_indices(table).items():
         if p > 300:
             assert len(indices) <= 3
 
@@ -177,7 +200,7 @@ def test_trial_bound_does_not_change_the_table(text, n):
     for bound in TRIAL_BOUNDS:
         table = factor_values(poly, n, trial_bound=bound)
         assert table.rows == default.rows, bound
-        assert table.prime_to_indices == default.prime_to_indices, bound
+        assert prime_to_indices(table) == prime_to_indices(default), bound
 
 
 @settings(max_examples=60, deadline=None)
