@@ -249,7 +249,8 @@ def _cmd_classify(args):
 
 def _cmd_sieve(args):
     poly = _parse_poly(args.poly)
-    scale = _parse_fraction(args.lpf_scale, "lpf_scale") if args.lpf_scale else None
+    scale = (None if args.lpf_scale is None
+             else _parse_fraction(args.lpf_scale, "lpf_scale"))
     if scale is not None and args.format == "csv":
         raise ConfigError("--lpf-scale has no place in CSV output",
                           field="lpf_scale")

@@ -14,19 +14,22 @@ Replicate r of a run derives its stream from
 this mapping is part of the output contract and will not change.
 
 ``PhaseTable`` evaluates f on a factor table: it reads the table's
-exponent matrix as float64 over the table's primes, so that whole
-replicate batches reduce to one hash pass and one sparse matmul.  The
-scalar ``SteinhausSampler.angle`` and the vectorized ``angles_for_key``
-give bit-identical angles.
+exponent matrix as float64 over the table's primes, so that a batch of
+replicates costs one broadcast hash (``angles_for_key`` with an array of
+keys), one sparse matmul for the phases and one cos/sin pass.  The
+scalar ``SteinhausSampler.angle`` and ``angles_for_key`` give
+bit-identical angles.
 
 ``replicate_sums`` is the one replicate engine behind both ``clt`` and
 ``fluct``: it sums f(P(n)) over the index sets of a 0/1 selector matrix
-for every replicate, in fixed chunks whose results do not depend on the
-thread count or on the chunk width.
+for every replicate, in chunks of replicates and tiles of rows whose
+results do not depend on the thread count, the chunk width or the tile
+size.  Memory is bounded by each chunk's primes x replicates angle block.
 """
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -44,9 +47,11 @@ _NP_GOLDEN = np.uint64(GOLDEN)
 _NP_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _NP_C2 = np.uint64(0x94D049BB133111EB)
 
-# replicate chunks hold at most _CHUNK columns and at most BLOCK_BYTES of
-# dense complex128 unit values per worker thread
+# replicate chunks hold at most _CHUNK replicates and at most BLOCK_BYTES of
+# float64 prime angles per worker thread; angles are hashed _TILE primes and
+# f is evaluated _TILE table rows at a time
 _CHUNK = 256
+_TILE = 128
 BLOCK_BYTES = 128 << 20
 
 
@@ -63,16 +68,30 @@ def derive_seed(seed: int, replicate: int) -> int:
     return mix64((seed + (replicate + 1) * GOLDEN) & M64)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _NP_C1
-    z = (z ^ (z >> np.uint64(27))) * _NP_C2
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray) -> None:
+    """splitmix64 finalizer on a uint64 array, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _NP_C1
+    z ^= z >> np.uint64(27)
+    z *= _NP_C2
+    z ^= z >> np.uint64(31)
 
 
-def angles_for_key(key: int, primes_u64: np.ndarray) -> np.ndarray:
-    """Vectorized angles; bit-identical to SteinhausSampler.angle."""
-    z = _mix64_np(np.uint64(key) + primes_u64 * _NP_GOLDEN)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+def angles_for_key(key: int | np.ndarray, primes_u64: np.ndarray) -> np.ndarray:
+    """Angles of every prime, bit-identical to SteinhausSampler.angle.
+
+    A scalar key gives one angle per prime; a 1-D array of keys gives a
+    primes x keys matrix with one column per key.
+    """
+    keys = np.asarray(key, dtype=np.uint64)
+    theta = np.empty(primes_u64.shape + keys.shape)
+    # _TILE primes at a time, so that the uint64 scratch stays in cache
+    for lo in range(0, len(primes_u64), _TILE):
+        z = np.add.outer(primes_u64[lo:lo + _TILE] * _NP_GOLDEN, keys)
+        _mix64_np(z)
+        z >>= np.uint64(11)
+        np.multiply(z, 2.0 ** -53, out=theta[lo:lo + _TILE])
+    return theta
 
 
 @dataclass(frozen=True)
@@ -128,9 +147,23 @@ class PhaseTable:
         """Column b holds f(P(n)) under the b-th angle vector; a 1-D angle
         vector gives the n-vector of f(P(n))."""
         phases = self.matrix @ angle_matrix
-        z = np.exp(2j * np.pi * (phases % 1.0))
+        # phases are >= 0, so this is exactly phases % 1.0, and cos and sin
+        # of 2*pi times it give the bits of exp(2j*pi*(phases % 1.0))
+        phases -= np.floor(phases)
+        phases *= 2 * np.pi
+        z = np.empty(phases.shape, dtype=np.complex128)
+        np.cos(phases, out=z.real)
+        np.sin(phases, out=z.imag)
         z[self.zero_mask] = 0.0
         return z
+
+    def _rows(self, lo: int, hi: int) -> "PhaseTable":
+        """The rows lo..hi-1 as a table over the same primes."""
+        tile = copy.copy(self)
+        tile.n_max = hi - lo
+        tile.matrix = self.matrix[lo:hi]
+        tile.zero_mask = self.zero_mask[lo:hi]
+        return tile
 
 
 def check_replicates(reps: int, threads: int, minimum: int = 1) -> None:
@@ -156,22 +189,41 @@ def replicate_sums(
     column per table row; entry [s, r] of the complex result is row s's
     sum under the stream ``derive_seed(seed, r)``.  Primes marked in the
     boolean mask ``frozen`` keep their base-stream (``seed``) angle in
-    every replicate.  Each CSR row adds its terms in ascending n, and
-    chunks are concatenated in chunk order, so the result is
-    bit-identical for any thread count and any chunk width.
+    every replicate.
+
+    A chunk of replicates hashes all its angles at once and evaluates f
+    in tiles of ``_TILE`` rows.  Each tile is folded into the running
+    sums by one product ``[I | selector[:, tile]] @ [sums; f(tile)]``:
+    scipy adds the terms of a CSR row in stored order, so every row
+    still adds its terms in ascending n, starting from its sum so far.
+    Chunks are concatenated in chunk order, so the result is
+    bit-identical for any thread count, chunk width and tile size.
     """
-    width = max(1, min(_CHUNK, BLOCK_BYTES // (16 * pt.n_max)))
+    if selector.shape[1] != pt.n_max:
+        raise ValueError(f"selector has {selector.shape[1]} columns, "
+                         f"the table {pt.n_max} rows")
+    width = max(1, min(_CHUNK, BLOCK_BYTES // (8 * max(1, len(pt.primes)))))
     root = SteinhausSampler(seed)
     base = None if frozen is None else pt.angles(root)[frozen, None]
+    n_sets, rows = selector.shape[0], _TILE
+    eye = sparse.identity(n_sets, format="csr")
+    tiles = [(pt._rows(lo, min(lo + rows, pt.n_max)),
+              sparse.hstack([eye, selector[:, lo:lo + rows]], format="csr"))
+             for lo in range(0, pt.n_max, rows)]
 
     def chunk(lo: int) -> np.ndarray:
-        cols = range(lo, min(lo + width, reps))
-        theta = np.empty((len(pt.primes), len(cols)), dtype=np.float64)
-        for b, r in enumerate(cols):
-            theta[:, b] = pt.angles(root.replicate(r))
+        keys = [root.replicate(r).key for r in range(lo, min(lo + width, reps))]
+        theta = angles_for_key(np.array(keys, dtype=np.uint64), pt.primes_u64)
         if base is not None:
             theta[frozen] = base
-        return selector @ pt.unit_values_batch(theta)
+        # [sums; f-values of one tile] as float64: a complex sum adds re and
+        # im apart, so summing the real view gives the same bits
+        buf = np.zeros((n_sets + rows, 2 * len(keys)))
+        for tile, fold in tiles:
+            end = n_sets + tile.n_max
+            buf[n_sets:end] = tile.unit_values_batch(theta).view(np.float64)
+            buf[:n_sets] = fold @ buf[:end]
+        return buf[:n_sets].view(np.complex128)
 
     starts = range(0, reps, width)
     if threads <= 1:

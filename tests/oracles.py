@@ -5,7 +5,9 @@ the implementations under test: quadruple loops and all-pairs comparison
 matrices for energy counts, literal sign-pattern enumeration for the
 exact moment sums, and scalar per-row evaluation of the partial, per-prime
 and split sums that the batched replicate engine computes (``f_of``
-adds one factor's phase at a time), and the prime -> n incidence rebuilt
+adds one factor's phase at a time; ``unit_values_reference`` is the
+complex exponential of whole phase arrays that the engine's cos/sin
+kernel must match bit for bit), and the prime -> n incidence rebuilt
 from each row's factor list (``prime_to_indices``).  The energy
 counter is also checked against the Counter of ``pair_histogram``, a
 separate exact path in the package.  The ``sieve`` document oracle is
@@ -251,6 +253,12 @@ def f_of(sampler, fv):
     if phase == 0.0:
         return complex(1.0, 0.0)
     return cmath.exp(2j * cmath.pi * phase)
+
+
+def unit_values_reference(phases):
+    """e(phase) for an array of phases >= 0 by the complex exponential:
+    the reference for the replicate engine's cos/sin kernel."""
+    return np.exp(2j * np.pi * (phases % 1.0))
 
 
 def prime_to_indices(table):

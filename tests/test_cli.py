@@ -309,6 +309,9 @@ def test_config_errors_name_their_field():
         ((*sieve, "1/0"), "lpf_scale"),
         ((*sieve, "1e999999999"), "lpf_scale"),  # would build 10^999999999
         ((*sieve, "1" + "0" * 400), "lpf_scale"),  # beyond the float range
+        # an empty scale is an error, not the default scale
+        ((*sieve[:-1], "--lpf-scale="), "lpf_scale"),
+        ((*sieve[:-1], "--lpf-scale=", "--format", "csv"), "lpf_scale"),
         (("audit", "--poly", "x^2+1", "--grid", "0,5"), "grid"),
         (("energy", "--poly", "x^2+1", "--grid", "0,5"), "grid"),
         (("energy", "--poly", "x^2+1", "--grid", "40,20"), "grid"),

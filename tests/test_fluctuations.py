@@ -314,3 +314,24 @@ def test_chunk_width_does_not_change_results(x2p1, monkeypatch):
     narrow = run_fluct(x2p1, 100, 2, 4, 260, 4, conditional=True)
     for name in ("s1_matrix", "s2_matrix", "partial_matrix", "max_stats"):
         assert np.array_equal(getattr(narrow, name), getattr(fl, name))
+
+
+# 37-row tiles leave a short last tile in both tables (300 and 400 rows);
+# a block budget of 0 gives chunks of a single replicate
+@pytest.mark.parametrize("tile,block,threads",
+                         [(1, None, 1), (1, None, 3), (37, 0, 1), (37, 0, 3)])
+def test_tile_size_does_not_change_results(x2p1, monkeypatch, tile, block,
+                                           threads):
+    def outputs(threads):
+        fl = run_fluct(x2p1, 100, 2, 4, 260, 4, conditional=True,
+                       threads=threads)
+        return [run_clt(x2p1, 300, 260, 4, threads=threads).samples] + [
+            getattr(fl, name)
+            for name in ("s1_matrix", "s2_matrix", "partial_matrix", "max_stats")]
+
+    wide = outputs(1)
+    monkeypatch.setattr(rmf, "_TILE", tile)
+    if block is not None:
+        monkeypatch.setattr(rmf, "BLOCK_BYTES", block)
+    for got, want in zip(outputs(threads), wide):
+        assert np.array_equal(got, want)

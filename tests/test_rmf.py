@@ -1,12 +1,14 @@
 import cmath
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 
 from oracles import (ConditionalSampler, f_of, martingale_piece, partial_sum,
-                     prime_subsum, prime_to_indices)
+                     prime_subsum, prime_to_indices, unit_values_reference)
+from polyrmf import rmf
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
 from polyrmf.rmf import (
@@ -16,6 +18,7 @@ from polyrmf.rmf import (
     angles_for_key,
     derive_seed,
     mix64,
+    replicate_sums,
 )
 from polyrmf.sieve import FactoredValue, factor_values
 
@@ -243,3 +246,79 @@ def test_phase_table_primes_above_2_64():
     assert pt.membership_mask([big]).tolist() == [p == big for p in pt.primes]
     z = pt.unit_values_batch(pt.angles(s))
     assert abs(z.sum() - partial_sum(s, table, 20)) <= 1e-9
+
+
+def test_unit_values_match_the_complex_exponential():
+    # P(n) = n on n <= 2: row 1 is empty (phase 0), row 2 is the prime 2
+    # with exponent 1, so its phases are the angles passed in
+    pt = PhaseTable(factor_values(parse_polynomial("0,1"), 2))
+    assert pt.primes == [2]
+    rng = np.random.default_rng(8)
+    edges = [0.0, 1.0, 2.0, 59.0, 64.0, 1 - 2.0 ** -53, 2 - 2.0 ** -52,
+             0.25, 0.5, 0.75, 2.0 ** -53, 60.5, 61 - 2.0 ** -47, 1e3 + 0.125,
+             2.0 ** 40 + 0.5]
+    phases = np.concatenate([edges, rng.random(700_000),
+                             rng.random(300_000) * 64,
+                             60 + rng.random(100_000) * 40])
+    z = pt.unit_values_batch(phases[None, :])
+    assert np.array_equal(z[1], unit_values_reference(phases))
+    assert np.array_equal(z[0], np.ones(len(phases)))
+    for phase in edges:  # a 1-D angle vector gives the n-vector
+        assert np.array_equal(pt.unit_values_batch(np.array([phase])),
+                              unit_values_reference(np.array([0.0, phase])))
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of mix64: undo each xor-shift and multiply in turn."""
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2 ** 64) & M64
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) & M64
+    return unshift(z, 30)
+
+
+def test_broadcast_hash_matches_scalar_at_the_edges():
+    # keys 0 and 2^64-1 come from the seeds that mix64 maps onto them
+    samplers = [SteinhausSampler(_unmix64(k)) for k in (0, M64, 12345)]
+    assert [s.key for s in samplers] == [0, M64, 12345]
+    primes = sieve_primes(2000) + [M64 - 58, 2 ** 64 + 13, 2 ** 89 - 1,
+                                   10 ** 20 + 39]
+    primes_u64 = np.array([p & M64 for p in primes], dtype=np.uint64)
+    keys = np.array([s.key for s in samplers], dtype=np.uint64)
+    theta = angles_for_key(keys, primes_u64)
+    assert theta.shape == (len(primes), 3)
+    for b, s in enumerate(samplers):
+        scalar = np.array([s.angle(p) for p in primes])
+        assert np.array_equal(theta[:, b], scalar)
+        assert np.array_equal(angles_for_key(s.key, primes_u64), scalar)
+
+
+def test_replicate_sums_memory_is_bounded_by_the_angle_block():
+    # 256 replicates of 20 000 rows: a dense rows x replicates block of
+    # f-values alone would take 78 MiB; the angle block takes 28 MiB
+    n = 20_000
+    pt = PhaseTable(factor_values(parse_polynomial("x^2+1"), n))
+    ones = sparse.csr_matrix(np.ones((1, n)))
+    tracemalloc.start()
+    try:
+        out = replicate_sums(pt, 5, 256, ones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 256)
+    assert peak < 80 * 2 ** 20
+
+
+def test_selector_must_match_the_table_rows(x2p1, monkeypatch):
+    # with 50 rows in tiles of 10, the columns past 50 would fall in no tile
+    monkeypatch.setattr(rmf, "_TILE", 10)
+    pt = PhaseTable(factor_values(x2p1, 50))
+    for cols in (49, 51, 60):
+        with pytest.raises(ValueError):
+            replicate_sums(pt, 1, 3, sparse.csr_matrix(np.ones((1, cols))))
