@@ -19,6 +19,7 @@ float aggregates agree to 1e-9 (in practice bit-identical) for any
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -117,8 +118,8 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _parse_sizes(n: int | None, grid: str | None) -> list[int]:
-    if grid is None and n is None:
-        raise ConfigError("one of --n or --grid is required", field="n")
+    if (grid is None) == (n is None):
+        raise ConfigError("exactly one of --n or --grid is required", field="n")
     return [n] if grid is None else _parse_grid(grid)
 
 
@@ -141,9 +142,7 @@ def _emit(doc: dict, out: Path | None, as_csv_rows=None) -> None:
     if out.suffix == ".csv" and as_csv_rows is not None:
         header, rows = as_csv_rows
         with open(out, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            csv.writer(fh).writerows([header, *rows])
     else:
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2, allow_nan=False)

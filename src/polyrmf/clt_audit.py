@@ -27,14 +27,14 @@ classes are enumerated, so the rational outputs are exact:
   p != q, and A counts the rarer class v1 v2 w1 = w2 across distinct
   groups (its mirror contributes the factor 2).
 
-Every count comes from exact pair histograms (``energy.pair_histogram``)
-of the |P(n)| in each group.  C22 is the sum of squared product
-multiplicities, and D is the distinct-prime part of the ratio-histogram
-count that ``energy.paired_prime_count`` shares with the energy layer.
-C31 and A come from one divisor pass per group g: each (u, t) in g^2
-with u | t and m = t / u adds the pair count of m inside g to C31 and
-the pair count of m over all other groups to A, so the pass costs
-O(|g|^2) instead of the O(|g|^3) of a direct triple loop.
+Every count is read off two exact histograms of each group g of |P(n)|
+(``energy.pair_histogram``): R_g counts the ordered pairs of g^2 by their
+ratio v/w and Pi_g by their product v*w; R and Pi are their sums over g.
+The equal pairs of g are R_g(1).  C22 = sum_r R_g(r)^2, as v1 v2 = v3 v4
+iff v1/v3 = v4/v2, so sum_g C22 and D are the same- and distinct-prime
+parts of ``energy.paired_prime_count``.  C31 = sum_m Pi_g(m) R_g(m), as
+v1 v2 v3 = v4 iff v4/v3 = v1 v2, and A = sum_m Pi(m) R(m) - sum_g C31,
+with Pi(m) R(m) summed group by group so that Pi is never built.
 
 Normalization convention: the summation pieces themselves are raw
 complex sums; every 1/sqrt(N) or 1/sqrt(N/2) factor is applied here at
@@ -188,36 +188,24 @@ def mcleish_audit(
     check_grid(grid)  # lpf_groups refuses an N beyond the table
     scales = []
     for n_max in grid:
-        groups = {
-            p: [abs(v) for v in values]
-            for p, values in lpf_groups(table, n_max).items()
-        }
-        pair_counts = {p: pair_histogram(vs) for p, vs in groups.items()}
-        pair_all: Counter = Counter()
-        for ctr in pair_counts.values():
-            pair_all.update(ctr)
-        eq_total = c22 = c31 = a_count = 0
-        for p, vs in groups.items():
-            counts = Counter(vs)
-            own = pair_counts[p]
-            eq_total += sum(c * c for c in counts.values())
-            c22 += sum(c * c for c in own.values())
-            # (u, t) in g^2 with u | t: C31 takes v*w = t/u inside g, A
-            # takes it from the pairs of every other group
-            for u, cu in counts.items():
-                for t, ct in counts.items():
-                    if t % u == 0:
-                        m = t // u
-                        c31 += cu * ct * own[m]
-                        a_count += cu * ct * (pair_all[m] - own[m])
-        d_count = paired_prime_count(groups).distinct_prime
-        lindeberg = Fraction(6 * c22 + 8 * c31, 4 * n_max * n_max)
-        cross = Fraction(d_count + 2 * a_count, n_max * n_max)
+        groups = [[abs(v) for v in values]
+                  for values in lpf_groups(table, n_max).values()]
+        ratios = [pair_histogram(vs, ratio=True) for vs in groups]
+        paired = paired_prime_count(ratios)
+        c31 = triples = 0  # v1 v2 v3 = v4 with v1 v2 = v4/v3 = m
+        for vs, own in zip(groups, ratios):
+            for m, c in pair_histogram(vs).items():
+                hits = paired.ratios.get((m, 1))
+                if hits:
+                    triples += c * hits
+                    c31 += c * own.get((m, 1), 0)
+        lindeberg = Fraction(6 * paired.same_prime + 8 * c31, 4 * n_max * n_max)
+        cross = Fraction(paired.distinct_prime + 2 * (triples - c31), n_max**2)
         small = sum(1 for v in table.values[:n_max] if abs(v) <= 1)
         scales.append(
             McLeishScale(
                 N=n_max,
-                variance_sum=Fraction(eq_total, n_max),
+                variance_sum=Fraction(sum(r[1, 1] for r in ratios), n_max),
                 lindeberg_sum=lindeberg,
                 cross_term=cross,
                 small_value_count=small,

@@ -29,7 +29,7 @@ the time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, log
 
@@ -298,11 +298,13 @@ class PairedPrimeCount:
     Counts (n1, n2, n3, n4) with P+(P(n1)) = P+(P(n2)), P+(P(n3)) =
     P+(P(n4)) and P(n1)P(n3) = P(n2)P(n4), split by whether the two
     largest primes coincide.  Rows with |P(n)| <= 1 belong to no group.
+    ``ratios`` is R, the sum of the groups' ratio histograms (not compared).
     """
 
     total: int
     same_prime: int
     distinct_prime: int
+    ratios: Counter = field(compare=False, repr=False)
 
 
 def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[int]]:
@@ -317,22 +319,20 @@ def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[i
     return groups
 
 
-def paired_prime_count(groups: dict[int, list[int]]) -> PairedPrimeCount:
-    """:class:`PairedPrimeCount` of value groups keyed by largest prime.
+def paired_prime_count(ratios: list[Counter]) -> PairedPrimeCount:
+    """:class:`PairedPrimeCount` from the ratio histogram R_g of each group.
 
-    Ordered pairs within a group are keyed by their exact ratio: (n1, n2)
-    from group p and (n3, n4) from group q solve P(n1)P(n3) = P(n2)P(n4)
-    iff ratio(n1, n2) = ratio(n4, n3), and the swap bijection makes
-    per-ratio counts symmetric under inversion.
+    (n1, n2) from group p and (n3, n4) from group q solve P(n1)P(n3) =
+    P(n2)P(n4) iff ratio(n1, n2) = ratio(n4, n3), so with R = sum_g R_g
+    the total is sum_r R(r)^2 and the same-prime part sum_g sum_r R_g(r)^2.
     """
     combined: Counter = Counter()
     same = 0
-    for values in groups.values():
-        ctr = pair_histogram(values, ratio=True)
+    for ctr in ratios:
         combined.update(ctr)
         same += sum(c * c for c in ctr.values())
     total = sum(c * c for c in combined.values())
-    return PairedPrimeCount(total=total, same_prime=same, distinct_prime=total - same)
+    return PairedPrimeCount(total, same, total - same, combined)
 
 
 def energy_constrained_lpf(
@@ -343,15 +343,17 @@ def energy_constrained_lpf(
     """Energy counts restricted by largest-prime-factor constraints.
 
     mode "same-prime-all-four": quadruples with product equality whose four
-    largest primes all agree, summed over the shared prime.
+    largest primes all agree, summed over the shared prime; it equals the
+    ``same_prime`` of "paired-primes", by the faster sorting pair counter.
 
-    mode "paired-primes": see :class:`PairedPrimeCount`.
+    mode "paired-primes": :class:`PairedPrimeCount` of the ratio histograms.
     """
-    groups = lpf_groups(table, n_max)
+    groups = lpf_groups(table, n_max).values()
     if mode == "same-prime-all-four":
-        return sum(_pair_total(values) for values in groups.values())
+        return sum(_pair_total(values) for values in groups)
     if mode == "paired-primes":
-        return paired_prime_count(groups)
+        return paired_prime_count(
+            [pair_histogram(values, ratio=True) for values in groups])
     raise ValueError(f"unknown mode {mode!r}")
 
 

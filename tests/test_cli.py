@@ -95,6 +95,17 @@ def test_energy_grid_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_csv_outputs_end_lines_with_crlf(tmp_path):
+    fit, table = tmp_path / "fit.csv", tmp_path / "t.csv"
+    assert cli.main(["energy", "--poly", "x^2+1", "--grid", "20,40",
+                     "--out", str(fit)]) == 0
+    assert cli.main(["sieve", "--poly", "x^2+1", "--n", "5", "--format", "csv",
+                     "--out", str(table)]) == 0
+    for out, rows in ((fit, 3), (table, 6)):
+        data = out.read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") == rows, out.name
+
+
 def test_sieve_csv(tmp_path):
     out = tmp_path / "t.csv"
     proc = run_cli("sieve", "--poly", "0,-6,1", "--n", "6",
@@ -320,6 +331,10 @@ def test_config_errors_name_their_field():
          "q/a"),
         (("energy", "--poly", "x^2+1", "--n", "2", "--q", "3"), "a"),
         (("energy", "--poly", "x^2+1", "--n", "2", "--q", "3", "--dry-run"), "a"),
+        # --n beside --grid would be echoed but never used
+        (("energy", "--poly", "x^2+1", "--n", "4", "--grid", "2,3"), "n"),
+        (("energy", "--poly", "x^2+1", "--n", "4", "--grid", "2,3",
+          "--dry-run"), "n"),
         (("classify", "--poly", "x^257+1"), "poly"),
         (("classify", "--poly", "x^100000+1"), "poly"),
         # argv that argparse itself rejects

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import mcleish_brute, partial_sum
@@ -12,7 +14,7 @@ from polyrmf.clt_audit import (
     run_clt,
 )
 from polyrmf.energy import ProgressionRange, energy
-from polyrmf.polynomial import parse_polynomial
+from polyrmf.polynomial import IntPolynomial, parse_polynomial
 from polyrmf.rmf import PhaseTable, replicate_sums
 from polyrmf.sieve import factor_values
 
@@ -116,6 +118,21 @@ def test_mcleish_audit_matches_brute_force(text, n_max):
     assert sc.variance_sum == variance
     assert sc.lindeberg_sum == lindeberg
     assert sc.cross_term == cross
+
+
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=3, max_size=4).filter(
+           lambda c: c[-1] != 0),
+       sizes=st.sets(st.integers(1, 20), min_size=1, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_mcleish_audit_matches_brute_force_on_random_polynomials(coeffs, sizes):
+    # degree 2 and 3 with small coefficients: zeros, negative values and
+    # repeated |P(n)| inside and across largest-prime groups
+    poly = IntPolynomial(tuple(coeffs))
+    grid = sorted(sizes)
+    table = factor_values(poly, grid[-1])
+    for sc in mcleish_audit(poly, table, grid).scales:
+        assert (sc.variance_sum, sc.lindeberg_sum, sc.cross_term) == (
+            mcleish_brute(table, sc.N))
 
 
 def test_mcleish_audit_pinned_fractions():

@@ -29,6 +29,7 @@ from polyrmf.energy import (
     energy_constrained_lpf,
     error_exponent,
     exponent_fit,
+    lpf_groups,
     pair_histogram,
 )
 from polyrmf.errors import BudgetError
@@ -314,6 +315,19 @@ def test_same_prime_mode_beyond_2_64():
     table = factor_values(IntPolynomial((10**20, 0, 1)), 14)
     assert (energy_constrained_lpf(table, "same-prime-all-four")
             == same_prime_quadruples_loop(table.rows))
+
+
+@pytest.mark.parametrize("text,n_max", [
+    ("x^2+x", 2000), ("0,-6,1", 200), ("100000000000000000000,0,1", 14),
+    ("x^3+2x+1", 500),
+])
+def test_same_prime_modes_agree_beyond_brute_force(text, n_max):
+    # v1 v2 = v3 v4 iff v1/v3 = v4/v2: the sorting pair counter per group
+    # and the same-prime part of the ratio histograms count the same set
+    table = factor_values(parse_polynomial(text), n_max)
+    same = energy_constrained_lpf(table, "same-prime-all-four")
+    assert same == energy_constrained_lpf(table, "paired-primes").same_prime
+    assert same == sum(_pair_total(g) for g in lpf_groups(table).values())
 
 
 def test_budget_error_suggests_chunked(x2p1):
