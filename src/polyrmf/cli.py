@@ -39,8 +39,8 @@ from .errors import BudgetError, ConfigError
 from .fluctuations import build_grid, run_fluct
 from .polynomial import classify, parse_polynomial
 from .rmf import check_replicates
-from .sieve import (DEFAULT_FACTOR_BUDGET, check_factor_budget, check_grid,
-                    factor_values, lpf_density)
+from .sieve import (DEFAULT_FACTOR_BUDGET, FactorTable, check_factor_budget,
+                    check_grid, dump_json, factor_values, lpf_density)
 
 
 def to_jsonable(obj):
@@ -48,9 +48,11 @@ def to_jsonable(obj):
 
     Exact rationals become "num/den" strings; complex numbers become
     [re, im] pairs; numpy scalars and arrays unwrap to Python values;
-    non-finite floats become None, so documents stay strict JSON.
+    non-finite floats become None, so documents stay strict JSON.  A
+    FactorTable stays as it is: ``dump_json`` writes its rows.
     """
-    if obj is None or type(obj) in (int, str, bool):
+    if (obj is None or type(obj) in (int, str, bool)
+            or isinstance(obj, FactorTable)):
         return obj
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
@@ -135,7 +137,7 @@ def _resolve_out(path: str | None) -> Path | None:
 
 def _emit(doc: dict, out: Path | None, as_csv_rows=None) -> None:
     if out is None:
-        json.dump(doc, sys.stdout, indent=2, allow_nan=False)
+        dump_json(doc, sys.stdout)
         sys.stdout.write("\n")
         return
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -145,7 +147,7 @@ def _emit(doc: dict, out: Path | None, as_csv_rows=None) -> None:
             csv.writer(fh).writerows([header, *rows])
     else:
         with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
+            dump_json(doc, fh)
             fh.write("\n")
 
 
@@ -268,13 +270,17 @@ def _cmd_sieve(args):
                 table.write_csv(fh)
         return config, None
     count, fraction = lpf_density(table, scale)
-    result = table.json_doc()
-    result["lpf_density"] = {
-        "threshold_scale": str(scale) if scale is not None else "1/(2d^2)",
-        "count": count,
-        "fraction": to_jsonable(fraction),
+    # dump_json writes the table's rows where it stands
+    return config, {
+        "polynomial": poly.to_coeff_text(),
+        "N": table.N,
+        "rows": table,
+        "lpf_density": {
+            "threshold_scale": str(scale) if scale is not None else "1/(2d^2)",
+            "count": count,
+            "fraction": to_jsonable(fraction),
+        },
     }
-    return config, result
 
 
 def _cmd_energy(args):

@@ -1,21 +1,29 @@
 """Factorization tables for polynomial values P(1..N).
 
 Rather than factoring each |P(n)| independently, small primes are removed
-with a root sieve: for each prime p up to a trial bound B, the roots of
-P mod p are found once and p is divided out of every P(n) with
-n = root (mod p).  Only the residues 0..min(p, N+1)-1 are evaluated,
-since no n <= N reaches the others, so the root search costs
-O(min(p, N)) per prime rather than O(p).  A cofactor m left after
-trial division has no prime factor <= B, so 1 < m < B^2 is prime and
-is taken as it is; only cofactors >= B^2 go to ``_factor_rough``, which
-tests each once with deterministic Miller-Rabin and splits the composite
-ones with Brent rho.
+with a root sieve: for each prime p up to B = min(trial bound,
+isqrt(max|P(n)|)), the roots of P mod p are found once and p is divided
+out of every P(n) with n = root (mod p).  Only the residues
+0..min(p, N+1)-1 are evaluated, since no n <= N reaches the others, so
+the root search costs O(min(p, N)) per prime rather than O(p).
+
+The division runs in numpy over the hits alone: the root classes expand
+into the indices n = r (mod p), p is peeled off each hit's value while it
+divides (``//`` and ``%`` over the hits still live), and each residual is
+divided once by its p^e (``np.floor_divide.at``).  The residuals are
+int64 when max|P(n)| < 2^63 and Python ints (dtype ``object``) otherwise;
+the same expressions serve both.  A cofactor m left after the division
+has no prime factor <= B, so 1 < m < (B+1)^2 is prime and is taken as it
+is; this covers every cofactor once B = isqrt(max|P(n)|).  Only
+cofactors >= (B+1)^2 go to ``_factor_rough``, which tests each once with
+deterministic Miller-Rabin and splits the composite ones with Brent rho.
 
 The table is the signed ``values`` P(n) and one integer CSR matrix of
 the exponents of |P(n)| over the ascending ``primes``; the per-prime
-columns, largest primes and ``FactoredValue`` rows are views of it.
-Rows with |P(n)| <= 1 are empty, with largest prime 0; they belong to
-no per-prime group downstream.
+columns, largest primes and ``FactoredValue`` rows are views of it, and
+``dump_json`` writes the rows straight from it.  Rows with |P(n)| <= 1
+are empty, with largest prime 0; they belong to no per-prime group
+downstream.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import log
+from math import isqrt, log
 from typing import IO
 
 import numpy as np
@@ -127,24 +135,58 @@ class FactorTable:
                                        ptr[1:], self.largest_primes()):
             w.writerow([n, value, "*".join(terms[a:b]) or "1", lpf])
 
-    def json_doc(self) -> dict:
-        """The table as JSON-ready plain values (values as decimal strings)."""
-        return {
-            "polynomial": self.polynomial.to_coeff_text(),
-            "N": self.N,
-            "rows": [
-                {
-                    "n": n,
-                    "value": str(value),
-                    "factors": [[p, e] for p, e in factors],
-                    "largest_prime": lpf,
-                }
-                for n, value, factors, lpf in self._rows()
-            ],
-        }
-
     def write_json(self, fh: IO[str]) -> None:
-        json.dump(self.json_doc(), fh)
+        """The table as indent-2 JSON: polynomial, N and one object per row
+        (n, value as a decimal string, [prime, exponent] factors,
+        largest_prime)."""
+        dump_json({"polynomial": self.polynomial.to_coeff_text(), "N": self.N,
+                   "rows": self}, fh)
+
+    def _write_rows(self, fh: IO[str], pad: int) -> None:
+        """The rows array as json.dump(indent=2) writes it under a key
+        ``pad`` spaces in, from the CSR a block of rows at a time."""
+        row_in, key_in = "\n" + " " * (pad + 2), "\n" + " " * (pad + 4)
+        pair_in, num_in = key_in + "  ", key_in + "    "
+        row = (f'{row_in}{{{{{key_in}"n": {{}},{key_in}"value": "{{}}",'
+               f'{key_in}"factors": {{}},{key_in}"largest_prime": {{}}{row_in}}}}}')
+        pair = f"{pair_in}[{num_in}{{}},{num_in}{{}}{pair_in}]"
+        m = self.exponents
+        fh.write("[")
+        for lo in range(0, self.N, 4096):  # bounds the strings held at once
+            hi = min(lo + 4096, self.N)
+            a, b = m.indptr[lo], m.indptr[hi]
+            ptr = (m.indptr[lo:hi + 1] - a).tolist()
+            ps = [self.primes[c] for c in m.indices[a:b].tolist()]
+            terms = [pair.format(p, e) for p, e in zip(ps, m.data[a:b].tolist())]
+            fh.write("," * (lo > 0) + ",".join(
+                row.format(n, v, f"[{','.join(terms[x:y])}{key_in}]", ps[y - 1])
+                if y > x else row.format(n, v, "[]", 0)
+                for n, v, x, y in zip(range(lo + 1, hi + 1), self.values[lo:hi],
+                                      ptr, ptr[1:])))
+        fh.write(f"\n{' ' * pad}]")
+
+
+def dump_json(doc: dict, fh: IO[str]) -> None:
+    """``json.dump(doc, fh, indent=2, allow_nan=False)``, where a
+    FactorTable value stands for its rows array: ``json.dumps`` writes the
+    rest and each table writes its rows from the CSR, the same bytes
+    without a dict per row."""
+    tables = []
+
+    def defer(obj):
+        if not isinstance(obj, FactorTable):
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            "is not JSON serializable")
+        tables.append(obj)
+        return "\0rows"  # dumped as "\u0000rows", which no other text is
+
+    text = json.dumps(doc, indent=2, allow_nan=False, default=defer)
+    *heads, tail = text.split('"\\u0000rows"')
+    for head, table in zip(heads, tables, strict=True):
+        fh.write(head)
+        line = head[head.rfind("\n") + 1:]
+        table._write_rows(fh, len(line) - len(line.lstrip(" ")))
+    fh.write(tail)
 
 
 def _roots_mod_p(coeffs: tuple[int, ...], p: int, n_max: int) -> np.ndarray:
@@ -170,51 +212,65 @@ def factor_values(
 ) -> FactorTable:
     """Factor |P(n)| completely for every n = 1..n_max <= budget."""
     check_factor_budget(n_max, budget)
-    # every prime <= trial_bound is divided out, so a composite cofactor
-    # is at least (the next prime)^2 > trial_bound^2
-    prime_below = max(trial_bound, 0) ** 2
     values = [poly(n) for n in range(1, n_max + 1)]
-    residual = [abs(v) for v in values]
-    fac_lists: list[list[tuple[int, int]]] = [[] for _ in range(n_max)]
+    v_max = max(map(abs, values))
+    # sieve only up to isqrt(max|P(n)|): a larger prime leaves a cofactor
+    # below (bound + 1)^2, which the prime test below takes as it is
+    bound = max(0, min(trial_bound, isqrt(v_max)))
+    residual = np.array([abs(v) for v in values],
+                        dtype=np.int64 if v_max < 2**63 else object)
 
-    for p in sieve_primes(trial_bound):
-        for r in _roots_mod_p(poly.coeffs, p, n_max):
-            start = int(r) if r >= 1 else p
-            for n in range(start, n_max + 1, p):
-                m = residual[n - 1]
-                if m == 0:
-                    continue
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if e:
-                    residual[n - 1] = m
-                    fac_lists[n - 1].append((p, e))
+    # the root classes n = r (mod p), expanded into their hits n <= n_max
+    sieve = sieve_primes(bound)
+    roots = [_roots_mod_p(poly.coeffs, p, n_max) for p in sieve]
+    cls_p = np.repeat(np.array(sieve, dtype=np.int64), [len(r) for r in roots])
+    cls_n = np.concatenate([np.zeros(0, np.int64), *roots])
+    cls_n = np.where(cls_n == 0, cls_p, cls_n)
+    count = (n_max - cls_n) // cls_p + 1
+    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    hit_p = np.repeat(cls_p, count)
+    hit_row = np.repeat(cls_n - 1, count) + step * hit_p
+    nonzero = residual[hit_row] != 0  # every p divides P(n) = 0
+    hit_p, hit_row = hit_p[nonzero], hit_row[nonzero]
 
-    for i in range(n_max):
-        m = residual[i]
-        if m > 1:
-            if m < prime_below:
-                fac_lists[i].append((m, 1))
-            else:
-                rough: dict[int, int] = {}
-                _factor_rough(m, rough)
-                fac_lists[i].extend(sorted(rough.items()))
+    # p divides every hit; peel p off the hits it still divides
+    hit_e = np.zeros(len(hit_p), dtype=np.int64)
+    m = residual[hit_row]
+    live = np.arange(len(hit_p))
+    while live.size:
+        p, v = hit_p[live], m[live]
+        divides = v % p == 0
+        live = live[divides]
+        m[live] = v[divides] // p[divides]
+        hit_e[live] += 1
+    np.floor_divide.at(residual, hit_row, hit_p.astype(residual.dtype) ** hit_e)
 
-    # sieve primes come in ascending order and every rough factor exceeds
-    # them, so each row already lists its primes in ascending order
-    flat = [pe for fac in fac_lists for pe in fac]
-    primes = sorted({p for p, _ in flat})
-    column = {p: j for j, p in enumerate(primes)}
-    indptr = np.cumsum([0] + [len(fac) for fac in fac_lists])
-    exponents = sparse.csr_matrix(
-        (np.array([e for _, e in flat], dtype=np.int64),
-         np.array([column[p] for p, _ in flat], dtype=np.int64), indptr),
-        shape=(n_max, len(primes)),
-    )
-    return FactorTable(polynomial=poly, N=n_max, values=values, primes=primes,
-                       exponents=exponents)
+    # every prime <= bound is divided out, so a composite cofactor is at
+    # least (bound + 1)^2
+    rest = np.flatnonzero(residual > 1)
+    prime = residual[rest] < (bound + 1) ** 2
+    rough_row, rough_p, rough_e = [], [], []
+    for i in rest[~prime].tolist():
+        rough: dict[int, int] = {}
+        _factor_rough(int(residual[i]), rough)
+        rough_row += [i] * len(rough)
+        rough_p += rough
+        rough_e += rough.values()
+
+    # ascending primes put each row's rough factors after its sieve primes
+    rows = np.concatenate([hit_row, rest[prime], np.array(rough_row, np.int64)])
+    primes, cols = np.unique(
+        np.concatenate([hit_p.astype(residual.dtype), residual[rest[prime]],
+                        np.array(rough_p, residual.dtype)]),
+        return_inverse=True)
+    exps = np.concatenate([hit_e, np.ones(prime.sum(), np.int64),
+                           np.array(rough_e, np.int64)])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_max))])
+    exponents = sparse.csr_matrix((exps[order], cols[order], indptr),
+                                  shape=(n_max, len(primes)))
+    return FactorTable(polynomial=poly, N=n_max, values=values,
+                       primes=primes.tolist(), exponents=exponents)
 
 
 def lpf_density(

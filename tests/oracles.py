@@ -10,8 +10,9 @@ complex exponential of whole phase arrays that the engine's cos/sin
 kernel must match bit for bit), and the prime -> n incidence rebuilt
 from each row's factor list (``prime_to_indices``).  The energy
 counter is also checked against the Counter of ``pair_histogram``, a
-separate exact path in the package.  The ``sieve`` document oracle is
-the two-pass serializer the CLI used before it dumped the table once.
+separate exact path in the package.  The ``sieve`` document oracle
+builds one dict per row and dumps the whole document with ``json.dump``,
+as the CLI did before it wrote the rows from the CSR.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
 are kept here beside their tests.
 """
@@ -348,13 +349,29 @@ def split_sums(sampler, table, family, i):
     return SplitSums(scale_index=i, s1=s1, s2=s2, s3=s3)
 
 
+def table_json_doc(table):
+    """The table as plain JSON values, one dict per row (values as decimal
+    strings), as the CLI built it before it wrote rows from the CSR."""
+    return {
+        "polynomial": table.polynomial.to_coeff_text(),
+        "N": table.N,
+        "rows": [
+            {
+                "n": row.n,
+                "value": str(row.value),
+                "factors": [[p, e] for p, e in row.factors],
+                "largest_prime": row.largest_prime,
+            }
+            for row in table.rows
+        ],
+    }
+
+
 def sieve_json_text(table, scale=None):
-    """The ``sieve`` JSON document by the old two-pass route: the table is
-    dumped compactly by ``write_json``, parsed back, wrapped by
-    ``cli._document`` and dumped again with indent 2."""
-    buf = io.StringIO()
-    table.write_json(buf)
-    result = json.loads(buf.getvalue())
+    """The ``sieve`` JSON document built as a whole and dumped in one pass:
+    ``table_json_doc`` wrapped by ``cli._document``, then ``json.dump``
+    with indent 2."""
+    result = table_json_doc(table)
     count, fraction = lpf_density(table, scale)
     result["lpf_density"] = {
         "threshold_scale": str(scale) if scale is not None else "1/(2d^2)",

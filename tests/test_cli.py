@@ -146,6 +146,10 @@ def test_sieve_json_density():
     ("x^2+1", 400, None),
     ("x^3+2x+1", 300, "1/8"),
     ("100000000000000000000,0,1", 200, None),
+    ("0,-6,1", 6, None),  # P(6) = 0: a zero row
+    ("0,0,1", 3, None),   # P(1) = 1: a unit row with empty factors
+    ("x^2+1", 1, None),
+    ("x^2+1", 5000, None),  # more rows than the writer formats at once
 ])
 def test_sieve_bytes_match_the_two_pass_serializer(tmp_path, text, n, scale):
     poly = parse_polynomial(text)
@@ -160,6 +164,11 @@ def test_sieve_bytes_match_the_two_pass_serializer(tmp_path, text, n, scale):
     expected = sieve_json_text(table, Fraction(scale) if scale else None)
     assert wall.sub("", out_json.read_text()) == wall.sub("", expected)
     assert out_csv.read_bytes() == sieve_csv_text(table).encode()
+    # without --out the same document goes to stdout
+    rc, stdout, err = call_cli("sieve", f"--poly={text}", "--n", str(n),
+                               *scale_opt)
+    assert (rc, err) == (0, "")
+    assert wall.sub("", stdout) == wall.sub("", out_json.read_bytes().decode())
 
 
 def test_clt_runs_and_writes(tmp_path):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 import sympy
 from oracles import prime_to_indices
@@ -276,3 +277,51 @@ def test_brent_rho_splits_exactly_the_composite_cofactors(monkeypatch):
     # each cofactor >= B^2 is tested once (672 primes, 161 composites) and
     # so is each of the 322 factors rho splits off: 833 + 322 tests
     assert len(prime_tests) == 1_155
+
+
+@pytest.mark.parametrize("top", [2**63 - 1, 2**63])  # int64 and object residuals
+def test_values_at_the_int64_residual_switch(top):
+    # x^2 + c at N = 3 peaks at P(3) = top
+    poly = IntPolynomial((top - 9, 0, 1))
+    table = factor_values(poly, 3)
+    assert max(map(abs, table.values)) == top
+    for row in table.rows:
+        assert dict(row.factors) == sympy.factorint(abs(row.value))
+        assert [p for p, _ in row.factors] == sorted(p for p, _ in row.factors)
+    small = factor_values(parse_polynomial("x^2+1"), 3).exponents
+    m = table.exponents
+    assert m.shape == (3, len(table.primes)) and m.has_sorted_indices
+    assert m.indptr.tolist() == np.cumsum(
+        [0] + [len(r.factors) for r in table.rows]).tolist()
+    assert [a.dtype for a in (m.indptr, m.indices, m.data)] == [
+        a.dtype for a in (small.indptr, small.indices, small.data)]
+    assert all(type(p) is int for p in table.primes)
+
+
+def test_root_search_stops_at_the_square_root_of_the_values(monkeypatch):
+    searched = []
+    roots_mod_p = sieve._roots_mod_p
+
+    def counting(coeffs, p, n_max):
+        searched.append(p)
+        return roots_mod_p(coeffs, p, n_max)
+
+    rough = []
+    factor_rough = primes._factor_rough
+
+    def recording(m, out):
+        rough.append(m)
+        factor_rough(m, out)
+
+    monkeypatch.setattr(sieve, "_roots_mod_p", counting)
+    monkeypatch.setattr(sieve, "_factor_rough", recording)
+    # max P(n) = 250^2 + 1 < 251^2: the primes up to 250 suffice
+    _assert_factored(factor_values(parse_polynomial("x^2+1"), 250))
+    assert searched == primes.sieve_primes(250) and len(searched) == 53
+    assert rough == []
+    # max P(n) = 600^3 + 1201 > 10^8: every prime up to B is searched
+    searched.clear()
+    _assert_factored(factor_values(parse_polynomial("x^3+2x+1"), 600))
+    assert searched == primes.sieve_primes(DEFAULT_TRIAL_BOUND)
+    assert len(searched) == 1229
+    assert rough and min(rough) >= DEFAULT_TRIAL_BOUND**2
