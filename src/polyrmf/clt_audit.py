@@ -27,14 +27,14 @@ classes are enumerated, so the rational outputs are exact:
   p != q, and A counts the rarer class v1 v2 w1 = w2 across distinct
   groups (its mirror contributes the factor 2).
 
-Every count is read off two exact histograms of each group g of |P(n)|
-(``energy.pair_histogram``): R_g counts the ordered pairs of g^2 by their
-ratio v/w and Pi_g by their product v*w; R and Pi are their sums over g.
-The equal pairs of g are R_g(1).  C22 = sum_r R_g(r)^2, as v1 v2 = v3 v4
-iff v1/v3 = v4/v2, so sum_g C22 and D are the same- and distinct-prime
-parts of ``energy.paired_prime_count``.  C31 = sum_m Pi_g(m) R_g(m), as
-v1 v2 v3 = v4 iff v4/v3 = v1 v2, and A = sum_m Pi(m) R(m) - sum_g C31,
-with Pi(m) R(m) summed group by group so that Pi is never built.
+Every count is a square sum S(X) = sum_k x_k^2 over the keys k of the
+ordered pairs inside the groups g of |P(n)| (``energy.group_pair_counts``),
+R_g and Pi_g counting the pairs of g^2 by ratio and by product, R and Pi
+their sums over g.  The equal pairs of g are R_g(1), C22 = sum_m Pi_g(m)^2
+and sum_g C22 + D = sum_r R(r)^2, as v1 v2 = v3 v4 iff v1/v3 = v4/v2.
+C31 = sum_m Pi_g(m) R_g(m), as v1 v2 v3 = v4 iff v4/v3 = v1 v2, and
+sum_g C31 + A = sum_m Pi(m) R(m), inner products by polarization,
+sum_k x_k y_k = (S(X+Y) - S(X) - S(Y))/2, of products and ratios m/1.
 
 Normalization convention: the summation pieces themselves are raw
 complex sums; every 1/sqrt(N) or 1/sqrt(N/2) factor is applied here at
@@ -52,7 +52,7 @@ import numpy as np
 from scipy import sparse
 
 from .polynomial import IntPolynomial, require_not_pure_power
-from .energy import lpf_groups, pair_histogram, paired_prime_count
+from .energy import group_pair_counts, lpf_groups
 from .rmf import PhaseTable, check_replicates, replicate_sums
 from .sieve import FactorTable, check_factor_budget, check_grid, factor_values
 
@@ -87,7 +87,7 @@ class CltStats:
     ks_re: float
     ks_im: float
     exact_second_moment: Fraction  # #{(n1,n2): |P(n1)|=|P(n2)|, nonzero} / N
-    small_value_count: int  # n <= N with |P(n)| <= 1 (contribute constant 1)
+    small_value_count: int  # n <= N with |P(n)| = 1 (f = 1 there); zeros excluded
     zero_value_count: int
 
 
@@ -172,7 +172,7 @@ class McLeishScale:
     variance_sum: Fraction
     lindeberg_sum: Fraction
     cross_term: Fraction
-    small_value_count: int
+    small_value_count: int  # n <= N with |P(n)| <= 1, zeros included: no group
 
 
 @dataclass(frozen=True)
@@ -188,27 +188,11 @@ def mcleish_audit(
     check_grid(grid)  # lpf_groups refuses an N beyond the table
     scales = []
     for n_max in grid:
-        groups = [[abs(v) for v in values]
-                  for values in lpf_groups(table, n_max).values()]
-        ratios = [pair_histogram(vs, ratio=True) for vs in groups]
-        paired = paired_prime_count(ratios)
-        c31 = triples = 0  # v1 v2 v3 = v4 with v1 v2 = v4/v3 = m
-        for vs, own in zip(groups, ratios):
-            for m, c in pair_histogram(vs).items():
-                hits = paired.ratios.get((m, 1))
-                if hits:
-                    triples += c * hits
-                    c31 += c * own.get((m, 1), 0)
-        lindeberg = Fraction(6 * paired.same_prime + 8 * c31, 4 * n_max * n_max)
-        cross = Fraction(paired.distinct_prime + 2 * (triples - c31), n_max**2)
-        small = sum(1 for v in table.values[:n_max] if abs(v) <= 1)
-        scales.append(
-            McLeishScale(
-                N=n_max,
-                variance_sum=Fraction(sum(r[1, 1] for r in ratios), n_max),
-                lindeberg_sum=lindeberg,
-                cross_term=cross,
-                small_value_count=small,
-            )
-        )
+        equal, same, total, c31, triples = group_pair_counts(
+            [[abs(v) for v in vs] for vs in lpf_groups(table, n_max).values()])
+        scales.append(McLeishScale(
+            N=n_max, variance_sum=Fraction(equal, n_max),
+            lindeberg_sum=Fraction(6 * same + 8 * c31, 4 * n_max * n_max),
+            cross_term=Fraction(total - same + 2 * (triples - c31), n_max**2),
+            small_value_count=sum(1 for v in table.values[:n_max] if abs(v) <= 1)))
     return McLeishAudit(polynomial=poly, scales=tuple(scales))

@@ -12,26 +12,26 @@ signed big integers, and the count is split into
   polynomials via P(x) = P(beta - x)),
 * the genuinely nontrivial remainder.
 
-Counting groups the M*(M+1)/2 canonical pair products by exact value
-(ordered totals are reconstructed from weights 1 on the diagonal and 2
-off it).  Products never pass through floats or Python ints: each is
-keyed by its residue mod 2^64 and mod k primes q_i < 2^31, all in
-machine words.  With V the largest |value|, two products that agree in
-every residue differ by a multiple of 2^64 * prod(q_i), so they are
-equal as long as V^2 < 2^63 * prod(q_i) (the CRT); k is the least count
-that makes this hold, 0 when V^2 < 2^63, so the keys are exact for
-every value size.  One counter sorts them in passes of bounded size,
-each pass taking the products of one hash class, so memory stays
-bounded for any M; chunked mode only lifts the pair budget, which caps
-the time.
+Every count is a square sum S(X) = sum_k x_k^2, x_k the weight of key k
+(``_square_sum``; an inner product is (S(X+Y) - S(X) - S(Y))/2): the
+energy is S of the M*(M+1)/2 canonical pair products, weight 1 on the
+diagonal and 2 off it.  Each product is keyed by its residue mod 2^64
+and mod k primes q_i < 2^31, in machine words.  With V the largest
+|value|, two products that agree in every residue differ by a multiple
+of 2^64 * prod(q_i), so they are equal once V^2 < 2^63 * prod(q_i) (the
+CRT); k is the least count that makes this hold, 0 when V^2 < 2^63, so
+the keys are exact for every value size, as are those of a reduced
+ratio's parts, at most V.  One counter sorts products in passes of
+bounded size, each pass taking one hash class, so memory stays bounded
+for any M; chunked mode only lifts the pair budget, which caps the time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
+from math import log
 
 import numpy as np
 
@@ -117,29 +117,37 @@ def _crt_primes(v_max: int) -> list[int]:
     return qs
 
 
-def _run_starts(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Sort order of the items and the first position of each run of
-    equal keys; keys[0] is the uint64 low word, the rest residues.
+def _exact_array(values: list[int]) -> tuple[np.ndarray, list[int]]:
+    """``values`` as int64 (``object`` from 2^63 on) and their ``_crt_primes``."""
+    v_max = max(map(abs, values), default=0)
+    return np.array(values, np.int64 if v_max < 2**63 else object), _crt_primes(v_max)
 
-    The order is an argsort of the low word alone unless some run of
-    equal low words carries more than one residue (products that agree
-    mod 2^64 but differ), in which case all keys are lexsorted.
-    """
 
-    def changes(order):
-        sk = [k[order] for k in keys]
-        low = sk[0][1:] != sk[0][:-1]
-        any_key = low.copy()
-        for s in sk[1:]:
-            any_key |= s[1:] != s[:-1]
-        return low, any_key
+def _residue_keys(values: np.ndarray, qs: list[int]) -> list[np.ndarray]:
+    """Residues of int64 or ``object`` values mod 2^64 (uint64) and mod qs."""
+    low = (values & (2**64 - 1) if values.dtype == object else values).astype(np.uint64)
+    return [low] + [(values % q).astype(np.int64) for q in qs]
+
+
+def _square_sum(keys: list[np.ndarray], weights: np.ndarray) -> int:
+    """Sum over the distinct key rows of the squared total weight of their
+    items, 0 for none.  keys[0] is the uint64 low word: the items are
+    argsorted by it alone unless some run of equal low words carries more
+    than one key row, in which case all keys are lexsorted."""
+    if weights.size == 0:
+        return 0
+
+    def runs(order):  # where each key changes between neighbours in order
+        return [(s := k[order])[1:] != s[:-1] for k in keys]
 
     order = np.argsort(keys[0])
-    low, any_key = changes(order)
-    if not np.array_equal(low, any_key):
+    new = runs(order)
+    if any((n & ~new[0]).any() for n in new[1:]):
         order = np.lexsort(keys[::-1])
-        _, any_key = changes(order)
-    return order, np.r_[0, np.flatnonzero(any_key) + 1]
+        new = runs(order)
+    starts = np.r_[0, np.flatnonzero(np.logical_or.reduce(new)) + 1]
+    sums = np.add.reduceat(weights[order], starts, dtype=np.int64)
+    return int(np.dot(sums, sums))
 
 
 def _pair_total(values: list[int]) -> int:
@@ -149,14 +157,10 @@ def _pair_total(values: list[int]) -> int:
     weight 1 on the diagonal and 2 off it.  At most about ``_RUN_ITEMS``
     of them are sorted at once: pass k keeps the products whose mixed key
     mod ``passes`` is k, so equal products always meet in the same pass.
-    A product is keyed by its residue mod 2^64 (wrapping uint64) and mod
-    each prime of ``_crt_primes`` (int64, below 2^62 before reduction),
-    which fix it exactly by the CRT bound of the module docstring.
     """
     m = len(values)
-    low = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
-    qs = _crt_primes(max(map(abs, values), default=0))
-    crt = [(np.array([v % q for v in values], dtype=np.int64), q) for q in qs]
+    arr, qs = _exact_array(values)
+    low, *crt = _residue_keys(arr, qs)  # crt products stay below 2^62
     passes = -(-(m * (m + 1) // 2) // _RUN_ITEMS)
     # the pass of v*w is (v*w mod p) * 48271 mod p mod passes, p = 2^31 - 1
     # (a MINSTD step: plain residues of polynomial values crowd into a few
@@ -167,43 +171,18 @@ def _pair_total(values: list[int]) -> int:
     for k in range(passes):
         rows, weights = [], []
         for i in range(m):
-            row = [low[i] * low[i:]] + [r[i] * r[i:] % q for r, q in crt]
-            weight = np.full(m - i, 2, dtype=np.int64)
+            row = [low[i] * low[i:]] + [r[i] * r[i:] % q for r, q in zip(crt, qs)]
+            weight = np.full(m - i, 2, dtype=np.int8)
             weight[0] = 1
             if passes > 1:
                 keep = lead[i] * res[i:] % 2147483647 % passes == k
                 row, weight = [key[keep] for key in row], weight[keep]
             rows.append(row)
             weights.append(weight)
-        keys = [np.concatenate(column) for column in zip(*rows)]
-        if keys[0].size == 0:
-            continue
-        order, starts = _run_starts(keys)
-        sums = np.add.reduceat(np.concatenate(weights)[order], starts)
-        total += int(np.dot(sums, sums))
+        keys, weight = [np.concatenate(c) for c in zip(*rows)], np.concatenate(weights)
+        del rows, weights  # free the row pieces before the sort
+        total += _square_sum(keys, weight)
     return total
-
-
-def pair_histogram(values: list[int], *, ratio: bool = False) -> Counter:
-    """Exact ordered-pair multiplicities of v*w over (v, w) in values^2.
-
-    With ``ratio=True`` the keys are the ratios v/w instead, as reduced
-    integer pairs (v//g, w//g), g = gcd(v, w), signed so that the
-    denominator is positive; every w must then be nonzero.  Products are
-    accumulated over the canonical pairs i <= j.
-    """
-    acc: Counter = Counter()
-    if ratio:
-        for v in values:
-            for w in values:
-                g = gcd(v, w) if w > 0 else -gcd(v, w)
-                acc[v // g, w // g] += 1
-        return acc
-    for i, v in enumerate(values):
-        acc[v * v] += 1
-        for w in values[i + 1:]:
-            acc[v * w] += 2
-    return acc
 
 
 def check_pair_budget(m: int, budget: int, chunked: bool = False) -> None:
@@ -298,13 +277,11 @@ class PairedPrimeCount:
     Counts (n1, n2, n3, n4) with P+(P(n1)) = P+(P(n2)), P+(P(n3)) =
     P+(P(n4)) and P(n1)P(n3) = P(n2)P(n4), split by whether the two
     largest primes coincide.  Rows with |P(n)| <= 1 belong to no group.
-    ``ratios`` is R, the sum of the groups' ratio histograms (not compared).
     """
 
     total: int
     same_prime: int
     distinct_prime: int
-    ratios: Counter = field(compare=False, repr=False)
 
 
 def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[int]]:
@@ -319,20 +296,40 @@ def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[i
     return groups
 
 
-def paired_prime_count(ratios: list[Counter]) -> PairedPrimeCount:
-    """:class:`PairedPrimeCount` from the ratio histogram R_g of each group.
+def group_pair_counts(groups: list[list[int]]) -> tuple[int, int, int, int, int]:
+    """(equal, same, total, c31, triples) of groups of nonzero values: the
+    pairs with |v| = |w|, then sum_g C22, sum_g C22 + D, sum_g C31 and
+    sum_g C31 + A of ``clt_audit``, from all canonical pairs i <= j at once."""
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    values, qs = _exact_array([v for g in groups for v in g])
+    # each value pairs with itself and the values after it in its group
+    count = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(values))
+    i = np.repeat(np.arange(len(values)), count)
+    j = i + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    tag = np.repeat(np.repeat(np.arange(len(sizes)), sizes), count)
+    off = i != j
+    weight = np.where(off, 2, 1)
+    low, *crt = _residue_keys(values, qs)
+    prods = [low[i] * low[j]] + [r[i] * r[j] % q for r, q in zip(crt, qs)]
+    # the reduced ratios of (v_i, v_j) and, off the diagonal, of (v_j, v_i)
+    av, aw = np.abs(values[i]), np.abs(values[j])
+    a, b = av // (d := np.gcd(av, aw)), aw // d
+    sign = np.where((values[i] < 0) != (values[j] < 0), -1, 1)
+    num = _residue_keys(np.r_[sign * a, (sign * b)[off]], qs)
+    den = np.r_[b, a[off]]
+    # the integer ratios m/1 with their group tags, keyed like the products m
+    ints = [k[den == 1] for k in num + [np.r_[tag, tag[off]]]]
 
-    (n1, n2) from group p and (n3, n4) from group q solve P(n1)P(n3) =
-    P(n2)P(n4) iff ratio(n1, n2) = ratio(n4, n3), so with R = sum_g R_g
-    the total is sum_r R(r)^2 and the same-prime part sum_g sum_r R_g(r)^2.
-    """
-    combined: Counter = Counter()
-    same = 0
-    for ctr in ratios:
-        combined.update(ctr)
-        same += sum(c * c for c in ctr.values())
-    total = sum(c * c for c in combined.values())
-    return PairedPrimeCount(total, same, total - same, combined)
+    def inner(x, y, sx):  # sum_k x_k y_k, x weighted, y of weight 1
+        ones = np.ones(len(y[0]), dtype=np.int64)
+        both = _square_sum([np.r_[u, v] for u, v in zip(x, y)], np.r_[weight, ones])
+        return (both - sx - _square_sum(y, ones)) // 2
+
+    same = _square_sum(prods + [tag], weight)
+    return (int(weight[av == aw].sum()), same,
+            _square_sum(num + _residue_keys(den, qs), np.ones(len(den), np.int64)),
+            inner(prods + [tag], ints, same),
+            inner(prods, ints[:-1], _square_sum(prods, weight)))
 
 
 def energy_constrained_lpf(
@@ -342,19 +339,17 @@ def energy_constrained_lpf(
 ) -> int | PairedPrimeCount:
     """Energy counts restricted by largest-prime-factor constraints.
 
-    mode "same-prime-all-four": quadruples with product equality whose four
-    largest primes all agree, summed over the shared prime; it equals the
-    ``same_prime`` of "paired-primes", by the faster sorting pair counter.
+    mode "same-prime-all-four": the ``same_prime`` of "paired-primes",
+    quadruples with product equality whose four largest primes all agree.
 
-    mode "paired-primes": :class:`PairedPrimeCount` of the ratio histograms.
+    mode "paired-primes": :class:`PairedPrimeCount` (C22 + D, C22, D).
     """
-    groups = lpf_groups(table, n_max).values()
+    if mode not in ("same-prime-all-four", "paired-primes"):
+        raise ValueError(f"unknown mode {mode!r}")
+    _, same, total, _, _ = group_pair_counts(list(lpf_groups(table, n_max).values()))
     if mode == "same-prime-all-four":
-        return sum(_pair_total(values) for values in groups)
-    if mode == "paired-primes":
-        return paired_prime_count(
-            [pair_histogram(values, ratio=True) for values in groups])
-    raise ValueError(f"unknown mode {mode!r}")
+        return same
+    return PairedPrimeCount(total, same, total - same)
 
 
 @dataclass(frozen=True)

@@ -249,12 +249,7 @@ def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
     if zero_mult:
         roots[Fraction(0)] = zero_mult
     if len(work) > 1:
-        # clear denominators (all integer here, but stay general)
-        den_lcm = 1
-        for c in work:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in work]
-        trailing, leading = ints[0], ints[-1]
+        trailing, leading = int(work[0]), int(work[-1])
         candidates = []
         for num in _divisors(trailing):
             for den in _divisors(leading):

@@ -8,9 +8,13 @@ and split sums that the batched replicate engine computes (``f_of``
 adds one factor's phase at a time; ``unit_values_reference`` is the
 complex exponential of whole phase arrays that the engine's cos/sin
 kernel must match bit for bit), and the prime -> n incidence rebuilt
-from each row's factor list (``prime_to_indices``).  The energy
-counter is also checked against the Counter of ``pair_histogram``, a
-separate exact path in the package.  The ``sieve`` document oracle
+from each row's factor list (``prime_to_indices``).  The sorting pair
+counters are also checked against Python ``Counter`` histograms of pair
+products and reduced ratios (``pair_histogram``, ``ratio_histogram``),
+and the martingale audit and paired-prime counts against the Counter
+engine they ran on before they sorted machine-word keys
+(``mcleish_counter``, ``paired_prime_counter``), which reaches sizes
+beyond the brute force.  The ``sieve`` document oracle
 builds one dict per row and dumps the whole document with ``json.dump``,
 as the CLI did before it wrote the rows from the CSR.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
@@ -21,20 +25,16 @@ import cmath
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import exp, log, sqrt
+from math import exp, gcd, log, sqrt
 
 import numpy as np
 
 from polyrmf.cli import _document, to_jsonable
-from polyrmf.energy import (
-    DEFAULT_PAIR_BUDGET,
-    ProgressionRange,
-    check_pair_budget,
-    pair_histogram,
-)
+from polyrmf.energy import DEFAULT_PAIR_BUDGET, ProgressionRange, check_pair_budget
 from polyrmf.polynomial import IntPolynomial
 from polyrmf.primes import sieve_primes
 from polyrmf.rmf import SteinhausSampler
@@ -52,6 +52,29 @@ def energy_quadruple_loop(values):
                     if ab == c * d:
                         count += 1
     return count
+
+
+def pair_histogram(values):
+    """Exact ordered-pair multiplicities of v*w over (v, w) in values^2,
+    accumulated over the canonical pairs i <= j."""
+    acc = Counter()
+    for i, v in enumerate(values):
+        acc[v * v] += 1
+        for w in values[i + 1:]:
+            acc[v * w] += 2
+    return acc
+
+
+def ratio_histogram(values):
+    """Ordered-pair multiplicities of v/w over (v, w) in values^2, keyed by
+    the reduced integer pair (v//g, w//g), g = gcd(v, w), signed so that
+    the denominator is positive; every w must be nonzero."""
+    acc = Counter()
+    for v in values:
+        for w in values:
+            g = gcd(v, w) if w > 0 else -gcd(v, w)
+            acc[v // g, w // g] += 1
+    return acc
 
 
 def pair_histogram_total(values):
@@ -194,6 +217,49 @@ def _abs_groups(table, n_max):
         if row.largest_prime > 0:
             groups.setdefault(row.largest_prime, []).append(abs(row.value))
     return groups
+
+
+def _merged_ratios(ratios):
+    """R = sum_g R_g of the groups' ratio histograms R_g, and the
+    same-prime count sum_g sum_r R_g(r)^2, with ``Counter.update``."""
+    combined = Counter()
+    same = 0
+    for ctr in ratios:
+        combined.update(ctr)
+        same += sum(c * c for c in ctr.values())
+    return combined, same
+
+
+def paired_prime_counter(table):
+    """(total, same, distinct) of ``energy_constrained_lpf``'s
+    "paired-primes" from the signed values of each largest-prime group:
+    the total is sum_r R(r)^2."""
+    groups = {}
+    for row in table.rows:
+        if row.largest_prime > 0:
+            groups.setdefault(row.largest_prime, []).append(row.value)
+    combined, same = _merged_ratios(map(ratio_histogram, groups.values()))
+    total = sum(c * c for c in combined.values())
+    return total, same, total - same
+
+
+def mcleish_counter(table, n_max):
+    """(variance_sum, lindeberg_sum, cross_term) from per-group Counter
+    histograms of ratios R_g and products Pi_g, as the audit counted before
+    it sorted machine-word keys: C22 and D from the ratio histograms,
+    C31 = sum_m Pi_g(m) R_g(m) and A = sum_m Pi(m) R(m) - sum_g C31."""
+    groups = list(_abs_groups(table, n_max).values())
+    ratios = [ratio_histogram(vs) for vs in groups]
+    combined, same = _merged_ratios(ratios)
+    distinct = sum(c * c for c in combined.values()) - same
+    c31 = triples = 0  # v1 v2 v3 = v4 with v1 v2 = v4/v3 = m
+    for vs, own in zip(groups, ratios):
+        for m, c in pair_histogram(vs).items():
+            triples += c * combined.get((m, 1), 0)
+            c31 += c * own.get((m, 1), 0)
+    return (Fraction(sum(r[1, 1] for r in ratios), n_max),
+            Fraction(6 * same + 8 * c31, 4 * n_max * n_max),
+            Fraction(distinct + 2 * (triples - c31), n_max**2))
 
 
 def mcleish_brute(table, n_max):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import mcleish_brute, partial_sum
+from oracles import mcleish_brute, mcleish_counter, partial_sum
 from polyrmf.clt_audit import (
     ks_statistic,
     mcleish_audit,
@@ -108,6 +108,9 @@ def test_thread_counts_bit_identical(x2p1):
     ("0,-6,1", 60),   # zeros, repeats, negative values
     ("x^2+x", 40),
     ("2,-6,1", 30),   # repeated values inside C31 divisor pairs
+    # values above 2^64: object-dtype gcds and residue ratio keys
+    ("0,100000000000000000000,100000000000000000000", 16),
+    ("0,-6000000000000000000000,1000000000000000000000", 16),
 ])
 def test_mcleish_audit_matches_brute_force(text, n_max):
     poly = parse_polynomial(text)
@@ -145,6 +148,30 @@ def test_mcleish_audit_pinned_fractions():
         1, Fraction(8637, 250000), Fraction(247513, 250000))
     assert (sc2000.variance_sum, sc2000.lindeberg_sum, sc2000.cross_term) == (
         1, Fraction(22401, 1000000), Fraction(198691, 200000))
+
+
+@pytest.mark.parametrize("text,grid", [
+    ("x^2+x", [5000, 10000]),
+    ("x^2+7x+12", [1250, 2500]),
+    ("x^3+2x+1", [3000]),
+    ("100000000000000000000,0,1", [200]),
+])
+def test_mcleish_audit_matches_the_counter_engine(text, grid):
+    # groups far beyond the reach of the brute-force oracle
+    poly = parse_polynomial(text)
+    table = factor_values(poly, grid[-1])
+    for sc in mcleish_audit(poly, table, grid).scales:
+        assert (sc.variance_sum, sc.lindeberg_sum, sc.cross_term) == (
+            mcleish_counter(table, sc.N))
+
+
+@pytest.mark.parametrize("text", ["0,-1,1", "x^2+x-1"])
+def test_mcleish_audit_without_groups(text):
+    # P(1) is 0 or 1: no largest-prime group and no pair at all
+    poly = parse_polynomial(text)
+    sc, = mcleish_audit(poly, factor_values(poly, 1), [1]).scales
+    assert (sc.variance_sum, sc.lindeberg_sum, sc.cross_term) == (0, 0, 0)
+    assert sc.small_value_count == 1
 
 
 def test_variance_sum_exactly_one_for_injective():

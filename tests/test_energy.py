@@ -17,8 +17,11 @@ from oracles import (
     energy_cross,
     energy_cross_loop,
     energy_quadruple_loop,
+    pair_histogram,
     pair_histogram_total,
+    paired_prime_counter,
     paired_prime_quadruples_loop,
+    ratio_histogram,
     same_prime_quadruples_loop,
 )
 from polyrmf.energy import (
@@ -30,7 +33,6 @@ from polyrmf.energy import (
     error_exponent,
     exponent_fit,
     lpf_groups,
-    pair_histogram,
 )
 from polyrmf.errors import BudgetError
 from polyrmf.polynomial import IntPolynomial, parse_polynomial
@@ -367,6 +369,18 @@ def test_paired_primes_matches_brute_force(x2p1, x2m6x):
             total, same, distinct)
 
 
+@pytest.mark.parametrize("text,n_max", [
+    ("x^2+x", 10000), ("x^2+7x+12", 2500), ("x^3+2x+1", 3000),
+    ("100000000000000000000,0,1", 200),
+])
+def test_paired_primes_match_the_counter_engine(text, n_max):
+    # signed values, beyond the reach of the quadruple loop
+    table = factor_values(parse_polynomial(text), n_max)
+    got = energy_constrained_lpf(table, "paired-primes")
+    assert (got.total, got.same_prime, got.distinct_prime) == (
+        paired_prime_counter(table))
+
+
 def test_error_exponents():
     assert error_exponent(2) == Fraction(5, 3)
     assert error_exponent(3) == Fraction(19, 10)
@@ -439,6 +453,6 @@ def test_pair_counting_matches_quadruple_loop(values):
 def test_pair_histogram_matches_ordered_pairs(values):
     assert pair_histogram(values) == Counter(v * w for v, w in product(values, repeat=2))
     ratios = Counter(Fraction(v, w) for v, w in product(values, repeat=2))
-    got = pair_histogram(values, ratio=True)
+    got = ratio_histogram(values)
     assert all(den > 0 for _, den in got)
     assert {Fraction(num, den): c for (num, den), c in got.items()} == ratios
