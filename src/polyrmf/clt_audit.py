@@ -43,7 +43,6 @@ the audit layer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import erf, sqrt
@@ -52,7 +51,7 @@ import numpy as np
 from scipy import sparse
 
 from .polynomial import IntPolynomial, require_not_pure_power
-from .energy import group_pair_counts, lpf_groups
+from .energy import group_pair_counts, lpf_groups, value_pair_count
 from .rmf import PhaseTable, check_replicates, replicate_sums
 from .sieve import FactorTable, check_factor_budget, check_grid, factor_values
 
@@ -137,11 +136,11 @@ def run_clt(
     re, im = samples.real, samples.imag
     abs2 = re * re + im * im
     abs4 = abs2 * abs2
-    values = table.values[:n_max]
-    counts = Counter(abs(v) for v in values if v != 0)
-    exact_second = Fraction(sum(c * c for c in counts.values()), n_max)
-    small = counts[1]
-    zeros = values.count(0)
+    values = [abs(v) for v in table.values[:n_max]]
+    nonzero = [v for v in values if v]
+    exact_second = Fraction(value_pair_count(nonzero), n_max)
+    small = values.count(1)
+    zeros = len(values) - len(nonzero)
     stats = CltStats(
         n_samples=reps,
         mean_re=float(np.mean(re)),

@@ -21,9 +21,13 @@ and mod k primes q_i < 2^31, in machine words.  With V the largest
 of 2^64 * prod(q_i), so they are equal once V^2 < 2^63 * prod(q_i) (the
 CRT); k is the least count that makes this hold, 0 when V^2 < 2^63, so
 the keys are exact for every value size, as are those of a reduced
-ratio's parts, at most V.  One counter sorts products in passes of
-bounded size, each pass taking one hash class, so memory stays bounded
-for any M; chunked mode only lifts the pair budget, which caps the time.
+ratio's parts, at most V.  A square sum sorts the low words by value to
+find those that repeat; only the items that carry one are sorted by
+index, and every other item adds its weight squared.  ``_pair_total``
+builds each canonical product once, in passes of about 4e6 classed by
+the discrete logarithm mod 65537 (at most 2^16 passes), so memory stays
+bounded up to about 7e5 values and time grows with the pair count;
+chunked mode only lifts the pair budget, which caps the time.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import gcd, log
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .sieve import FactorTable, check_factor_budget, check_grid
 
 DEFAULT_PAIR_BUDGET = 80_000_000
 _RUN_ITEMS = 4_000_000
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
 @dataclass(frozen=True)
@@ -131,11 +136,28 @@ def _residue_keys(values: np.ndarray, qs: list[int]) -> list[np.ndarray]:
 
 def _square_sum(keys: list[np.ndarray], weights: np.ndarray) -> int:
     """Sum over the distinct key rows of the squared total weight of their
-    items, 0 for none.  keys[0] is the uint64 low word: the items are
-    argsorted by it alone unless some run of equal low words carries more
-    than one key row, in which case all keys are lexsorted."""
-    if weights.size == 0:
-        return 0
+    items, 0 for none.  keys[0] is the uint64 low word.  Sorting its values
+    finds the low words that repeat, and a multiplicative hash of them
+    marks every item that may carry one; an unmarked item's key row is its
+    own, and adds its weight squared.  Only the marked items are argsorted
+    by their low word, or lexsorted by all keys when some run of equal low
+    words carries more than one key row."""
+    s = np.sort(keys[0])
+    twice = s[1:][s[1:] == s[:-1]]  # every low word that repeats, and more
+    if not twice.size:
+        weights = weights.astype(np.int64)
+        return int(np.dot(weights, weights))
+    # more than min(64 t, n) flags for the t repeating words, so that few
+    # other items share a flag with one of them
+    bits = min(64 * twice.size, weights.size).bit_length()
+    shift = np.uint64(64 - bits)
+    table = np.zeros(1 << bits, dtype=bool)
+    table[(twice * _MIX) >> shift] = True
+    at = keys[0] * _MIX
+    at >>= shift
+    marked = table[at]
+    once = weights[~marked].astype(np.int64)
+    keys, weights = [k[marked] for k in keys], weights[marked]
 
     def runs(order):  # where each key changes between neighbours in order
         return [(s := k[order])[1:] != s[:-1] for k in keys]
@@ -147,41 +169,92 @@ def _square_sum(keys: list[np.ndarray], weights: np.ndarray) -> int:
         new = runs(order)
     starts = np.r_[0, np.flatnonzero(np.logical_or.reduce(new)) + 1]
     sums = np.add.reduceat(weights[order], starts, dtype=np.int64)
-    return int(np.dot(sums, sums))
+    return int(np.dot(once, once)) + int(np.dot(sums, sums))
+
+
+def value_pair_count(values: list[int], tags: np.ndarray | None = None) -> int:
+    """#{(i, j) : values[i] = values[j]}, and tags[i] = tags[j] when tags
+    are given: the square sum of the multiplicities of the (tag, value)."""
+    arr, qs = _exact_array(values)
+    keys = _residue_keys(arr, qs) + ([] if tags is None else [tags])
+    return _square_sum(keys, np.ones(len(values), dtype=np.int64))
+
+
+_LOG_PRIME = 65537  # 2^16 + 1, with primitive root 3
+
+
+def _log3_table() -> np.ndarray:
+    """L with L[3^e mod 65537] = e for 0 <= e < 2^16 (L[0] is unused)."""
+    p = _LOG_PRIME
+    small = np.array([pow(3, e, p) for e in range(256)], dtype=np.int64)
+    large = np.array([pow(3, 256 * e, p) for e in range(256)], dtype=np.int64)
+    table = np.zeros(p, dtype=np.int64)
+    table[np.multiply.outer(large, small).ravel() % p] = np.arange(p - 1)
+    return table
+
+
+def _pairs(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the pairs (r, j), lo <= j < hi, of each r in ``rows``."""
+    count = hi - lo
+    j = np.arange(int(count.sum()), dtype=np.int64)
+    j += np.repeat(lo - (np.cumsum(count) - count), count)
+    return np.repeat(rows, count), j
+
+
+def _pair_keys(keys, qs, i, j):
+    """Residue keys of the products of pairs (i, j) of the values keyed by
+    ``keys``, and their int8 weights: 1 where i = j, else 2."""
+    prods = []
+    for key, q in zip(keys, [None] + qs):
+        prod = key[i]
+        prod *= key[j]
+        if q is not None:
+            prod %= q
+        prods.append(prod)
+    return prods, np.where(i == j, np.int8(1), np.int8(2))
 
 
 def _pair_total(values: list[int]) -> int:
     """Sum over distinct products v*w of the squared ordered-pair count.
 
-    The canonical pairs (i <= j) are built row by row as numpy arrays,
-    weight 1 on the diagonal and 2 off it.  At most about ``_RUN_ITEMS``
-    of them are sorted at once: pass k keeps the products whose mixed key
-    mod ``passes`` is k, so equal products always meet in the same pass.
+    The canonical pairs (i <= j) carry weight 1 on the diagonal and 2 off
+    it.  The values are first divided by their gcd, which scales every
+    product alike.  Each pair is built once, in passes of about
+    ``_RUN_ITEMS`` pairs up to a cap of 2^16 passes: with p = 65537,
+    L(v) = log_3(v mod p) and ``passes`` a power of two dividing p - 1,
+    the class L(v) mod passes of a product is the sum of its factors'
+    classes, so pass k builds the pairs of classes a and k - a,
+    a <= k - a (mod passes), and equal products meet in one pass.  With
+    more than one pass, one more takes every pair with a row 0 mod p,
+    whose products are the only ones 0 mod p.
     """
     m = len(values)
+    g = gcd(*values)
+    if g > 1:
+        values = [v // g for v in values]
     arr, qs = _exact_array(values)
-    low, *crt = _residue_keys(arr, qs)  # crt products stay below 2^62
-    passes = -(-(m * (m + 1) // 2) // _RUN_ITEMS)
-    # the pass of v*w is (v*w mod p) * 48271 mod p mod passes, p = 2^31 - 1
-    # (a MINSTD step: plain residues of polynomial values crowd into a few
-    # classes), computed in int64 from the residues of v and w
-    res = np.array([v % 2147483647 for v in values], dtype=np.int64)
-    lead = res * 48271 % 2147483647
-    total = 0
+    keys = _residue_keys(arr, qs)  # crt products stay below 2^62
+    need = -(-(m * (m + 1) // 2) // _RUN_ITEMS)
+    passes = min(1 << max(need - 1, 0).bit_length(), _LOG_PRIME - 1)
+    cls = np.zeros(m, dtype=np.int64)
+    if passes > 1:
+        res = (arr % _LOG_PRIME).astype(np.int64)
+        cls = np.where(res == 0, -1, _log3_table()[res] % passes)
+    # rows 0 mod p first, then the rows of each class in turn
+    order = np.argsort(cls)
+    cls, keys = cls[order], [k[order] for k in keys]
+    pos = np.arange(m)
+    z = int(np.count_nonzero(cls < 0))
+    bounds = np.searchsorted(cls, np.arange(passes + 1))  # where each class starts
+    # nested calls, so that each pass frees its pair indices before the sort
+    total = _square_sum(*_pair_keys(keys, qs, *_pairs(pos[:z], pos[:z], m)))
+    cls, pos = cls[z:], pos[z:]
     for k in range(passes):
-        rows, weights = [], []
-        for i in range(m):
-            row = [low[i] * low[i:]] + [r[i] * r[i:] % q for r, q in zip(crt, qs)]
-            weight = np.full(m - i, 2, dtype=np.int8)
-            weight[0] = 1
-            if passes > 1:
-                keep = lead[i] * res[i:] % 2147483647 % passes == k
-                row, weight = [key[keep] for key in row], weight[keep]
-            rows.append(row)
-            weights.append(weight)
-        keys, weight = [np.concatenate(c) for c in zip(*rows)], np.concatenate(weights)
-        del rows, weights  # free the row pieces before the sort
-        total += _square_sum(keys, weight)
+        part = (k - cls) % passes  # the class each row pairs with in pass k
+        mine = cls <= part
+        rows, part = pos[mine], part[mine]
+        lo, hi = np.where(cls[mine] == part, rows, bounds[part]), bounds[part + 1]
+        total += _square_sum(*_pair_keys(keys, qs, *_pairs(rows, lo, hi)))
     return total
 
 
@@ -296,21 +369,25 @@ def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[i
     return groups
 
 
+def _group_products(groups: list[list[int]]):
+    """All canonical pairs i <= j inside each group, at once: the values
+    and their CRT primes, i, j, the group tag of each pair, and the
+    residue keys and weights of ``_pair_keys``."""
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    values, qs = _exact_array([v for g in groups for v in g])
+    # each value pairs with itself and the values after it in its group
+    rows = np.arange(len(values))
+    i, j = _pairs(rows, rows, np.repeat(np.cumsum(sizes), sizes))
+    tag = np.repeat(np.arange(len(sizes)), sizes)[i]
+    return values, qs, i, j, tag, *_pair_keys(_residue_keys(values, qs), qs, i, j)
+
+
 def group_pair_counts(groups: list[list[int]]) -> tuple[int, int, int, int, int]:
     """(equal, same, total, c31, triples) of groups of nonzero values: the
     pairs with |v| = |w|, then sum_g C22, sum_g C22 + D, sum_g C31 and
     sum_g C31 + A of ``clt_audit``, from all canonical pairs i <= j at once."""
-    sizes = np.array([len(g) for g in groups], dtype=np.int64)
-    values, qs = _exact_array([v for g in groups for v in g])
-    # each value pairs with itself and the values after it in its group
-    count = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(values))
-    i = np.repeat(np.arange(len(values)), count)
-    j = i + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    tag = np.repeat(np.repeat(np.arange(len(sizes)), sizes), count)
-    off = i != j
-    weight = np.where(off, 2, 1)
-    low, *crt = _residue_keys(values, qs)
-    prods = [low[i] * low[j]] + [r[i] * r[j] % q for r, q in zip(crt, qs)]
+    values, qs, i, j, tag, prods, weight = _group_products(groups)
+    off = weight == 2
     # the reduced ratios of (v_i, v_j) and, off the diagonal, of (v_j, v_i)
     av, aw = np.abs(values[i]), np.abs(values[j])
     a, b = av // (d := np.gcd(av, aw)), aw // d
@@ -346,9 +423,11 @@ def energy_constrained_lpf(
     """
     if mode not in ("same-prime-all-four", "paired-primes"):
         raise ValueError(f"unknown mode {mode!r}")
-    _, same, total, _, _ = group_pair_counts(list(lpf_groups(table, n_max).values()))
+    groups = list(lpf_groups(table, n_max).values())
     if mode == "same-prime-all-four":
-        return same
+        *_, tag, prods, weight = _group_products(groups)
+        return _square_sum(prods + [tag], weight)
+    _, same, total, _, _ = group_pair_counts(groups)
     return PairedPrimeCount(total, same, total - same)
 
 

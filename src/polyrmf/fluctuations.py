@@ -24,7 +24,6 @@ below quantify the conditional-variance picture.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log, nan, sqrt
@@ -32,6 +31,7 @@ from math import log, nan, sqrt
 import numpy as np
 from scipy import sparse
 
+from .energy import value_pair_count
 from .errors import ConfigError
 from .polynomial import IntPolynomial, classify
 from .rmf import PhaseTable, check_replicates, replicate_sums
@@ -196,9 +196,7 @@ def variance_floor(
     keep = (cols.indices < x) & (a_count[cols.indices] == 1)
     col, rows = col[keep], cols.indices[keep]
     sizes = dict(zip(primes, np.bincount(col, minlength=len(primes)).tolist()))
-    by_value = Counter(zip(col.tolist(),
-                           (abs(table.values[r]) for r in rows.tolist())))
-    pair_count = sum(c * c for c in by_value.values())
+    pair_count = value_pair_count([abs(table.values[r]) for r in rows.tolist()], col)
     total_t = sum(sizes.values())
     return VarianceFloor(
         mu=Fraction(pair_count, 2 * x),

@@ -14,7 +14,9 @@ products and reduced ratios (``pair_histogram``, ``ratio_histogram``),
 and the martingale audit and paired-prime counts against the Counter
 engine they ran on before they sorted machine-word keys
 (``mcleish_counter``, ``paired_prime_counter``), which reaches sizes
-beyond the brute force.  The ``sieve`` document oracle
+beyond the brute force; so are the square sums themselves
+(``square_sum_counter``) and the equal-value pair counts of ``run_clt``
+and ``variance_floor`` (``clt_value_counter``, ``variance_floor_counter``).  The ``sieve`` document oracle
 builds one dict per row and dumps the whole document with ``json.dump``,
 as the CLI did before it wrote the rows from the CSR.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
@@ -80,6 +82,15 @@ def ratio_histogram(values):
 def pair_histogram_total(values):
     """Sum of squared multiplicities of the ``pair_histogram`` Counter."""
     return sum(c * c for c in pair_histogram(values).values())
+
+
+def square_sum_counter(keys, weights):
+    """Sum over the distinct keys of the squared total weight of their
+    items, with a Counter."""
+    acc = Counter()
+    for key, w in zip(keys, weights):
+        acc[key] += w
+    return sum(c * c for c in acc.values())
 
 
 def energy_allpairs(values):
@@ -260,6 +271,28 @@ def mcleish_counter(table, n_max):
     return (Fraction(sum(r[1, 1] for r in ratios), n_max),
             Fraction(6 * same + 8 * c31, 4 * n_max * n_max),
             Fraction(distinct + 2 * (triples - c31), n_max**2))
+
+
+def clt_value_counter(table, n_max):
+    """(pairs, small, zeros) of ``run_clt`` for n <= n_max: #{(n1, n2) :
+    |P(n1)| = |P(n2)| != 0}, #{n : |P(n)| = 1} and #{n : P(n) = 0}, from a
+    Counter of the nonzero |P(n)|, as it counted them before it sorted
+    machine-word keys."""
+    values = table.values[:n_max]
+    counts = Counter(abs(v) for v in values if v != 0)
+    return sum(c * c for c in counts.values()), counts[1], values.count(0)
+
+
+def variance_floor_counter(table, family, i):
+    """sum_p #{(n, n') in T_{i,p}^2 : |P(n)| = |P(n')|} of ``variance_floor``
+    from a Counter of (p, |P(n)|), with T_{i,p} rebuilt from the rows:
+    n <= x_i whose only prime of A = A_1 u ... u A_k is p, in A_i."""
+    by_value = Counter()
+    for row in table.rows[:family.grid.points[i]]:
+        hits = [p for p, _ in row.factors if p in family.a_union]
+        if len(hits) == 1 and hits[0] in family.a_sets[i]:
+            by_value[hits[0], abs(row.value)] += 1
+    return sum(c * c for c in by_value.values())
 
 
 def mcleish_brute(table, n_max):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import mcleish_brute, mcleish_counter, partial_sum
+from oracles import clt_value_counter, mcleish_brute, mcleish_counter, partial_sum
 from polyrmf.clt_audit import (
     ks_statistic,
     mcleish_audit,
@@ -73,6 +73,19 @@ def test_exact_second_moment_counts_value_collisions(x2m6x):
     run = run_clt(x2m6x, 6, 150, 5)
     assert run.stats.exact_second_moment == Fraction(9, 6)
     assert run.stats.zero_value_count == 1
+
+
+@pytest.mark.parametrize("text,n_max", [
+    ("x^2+1", 120), ("0,-6,1", 6), ("x^2-2", 300), ("x^2+x", 400),
+    ("100000000000000000000,0,1", 60),
+])
+def test_clt_value_counts_match_the_counter_oracle(text, n_max):
+    poly = parse_polynomial(text)
+    table = factor_values(poly, n_max)
+    st = run_clt(poly, n_max, 100, 1, table=table).stats
+    pairs, small, zeros = clt_value_counter(table, n_max)
+    assert st.exact_second_moment == Fraction(pairs, n_max)
+    assert (st.small_value_count, st.zero_value_count) == (small, zeros)
 
 
 def test_samples_use_documented_replicate_seeds(x2p1):

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -23,11 +24,15 @@ from oracles import (
     paired_prime_quadruples_loop,
     ratio_histogram,
     same_prime_quadruples_loop,
+    square_sum_counter,
 )
 from polyrmf.energy import (
     ProgressionRange,
     _crt_primes,
+    _exact_array,
     _pair_total,
+    _residue_keys,
+    _square_sum,
     energy,
     energy_constrained_lpf,
     error_exponent,
@@ -273,21 +278,33 @@ def test_low_word_collisions_are_lexsorted():
 
 
 def _sorted_dtypes(values):
-    """dtypes of every array np.argsort and np.lexsort see in _pair_total."""
+    """dtypes of every array that _pair_total sorts or searches: the arguments
+    of np.argsort, np.lexsort, np.sort and np.searchsorted, and each array
+    whose own sort or argsort method runs.  numpy's types refuse patched
+    methods, so a profile hook sees those calls."""
     seen = []
-    argsort, lexsort = np.argsort, np.lexsort
 
-    def record_argsort(a, *args, **kwargs):
-        seen.append(np.asarray(a).dtype)
-        return argsort(a, *args, **kwargs)
+    def record(name):
+        func = getattr(np, name)
 
-    def record_lexsort(keys, *args, **kwargs):
-        seen.extend(np.asarray(k).dtype for k in keys)
-        return lexsort(keys, *args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            arrays = list(a) if name == "lexsort" else [a, *args[:1]]
+            seen.extend(np.asarray(x).dtype for x in arrays)
+            return func(a, *args, **kwargs)
 
-    with mock.patch.object(np, "argsort", record_argsort), \
-            mock.patch.object(np, "lexsort", record_lexsort):
-        _pair_total(values)
+        return mock.patch.object(np, name, wrapper)
+
+    def hook(frame, event, arg):
+        if (event == "c_call" and getattr(arg, "__name__", "") in ("sort", "argsort")
+                and isinstance(getattr(arg, "__self__", None), np.ndarray)):
+            seen.append(arg.__self__.dtype)
+
+    with record("argsort"), record("lexsort"), record("sort"), record("searchsorted"):
+        sys.setprofile(hook)
+        try:
+            _pair_total(values)
+        finally:
+            sys.setprofile(None)
     return seen
 
 
@@ -302,6 +319,43 @@ def test_no_object_dtype_is_sorted(poly, xs):
     for values in ([poly(x) for x in xs], CRT_EDGE_INPUTS["mod 2^64"]):
         seen = _sorted_dtypes(values)
         assert seen and all(dt != np.dtype(object) for dt in seen), seen
+
+
+# values with equal low words but different CRT words: the pairwise
+# products of the mod 2^64 edge list (2^70, 2^64 and 0 among them)
+_COLLIDING = sorted({v * w for v in CRT_EDGE_INPUTS["mod 2^64"]
+                     for w in CRT_EDGE_INPUTS["mod 2^64"]})
+
+
+@given(st.lists(st.tuples(st.sampled_from(_COLLIDING + list(range(-3, 4))),
+                          st.integers(0, 2), st.integers(1, 9)), max_size=60))
+@example([])
+@example([(2**70, 1, 3)] * 7)  # all keys equal
+@example([(v, 0, 2) for v in range(-20, 20)])  # no repeats
+@example([(2**70, 0, 1), (2**64, 0, 2), (0, 0, 3), (2**70, 0, 4), (0, 1, 5)])
+@settings(max_examples=150, deadline=None)
+def test_square_sum_matches_counter(items):
+    # keyed by (value, tag) with mixed weights, against a Counter
+    values = [v for v, _, _ in items]
+    tags = np.array([t for _, t, _ in items], dtype=np.int64)
+    weights = np.array([w for _, _, w in items], dtype=np.int64)
+    arr, qs = _exact_array(values)
+    got = _square_sum(_residue_keys(arr, qs) + [tags], weights)
+    assert got == square_sum_counter(zip(values, tags.tolist()), weights.tolist())
+
+
+def test_many_passes_equal_one_pass():
+    # content 65537, and x = 256 gives a row 0 mod 65537 after dividing it
+    # out (256^2 + 1 = 65537); one item per pass needs the cap of 2^16
+    poly = IntPolynomial((65537, 0, 65537))
+    values = [poly(x) for x in range(-3, 400)] + [0]
+    want = pair_histogram_total(values)
+    assert _pair_total(values) == want
+    assert pair_total_in_passes(values, 5000) == want
+    with mock.patch.object(energy_module, "_square_sum",
+                           wraps=energy_module._square_sum) as square_sum:
+        assert pair_total_in_passes(values, 1) == want
+    assert square_sum.call_count == 2**16 + 1  # the classes and the zero pass
 
 
 @given(values=st.lists(st.integers(-2**100, 2**100), min_size=1, max_size=30))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (ConditionalSampler, partial_sum, prime_to_indices,
-                     s2_membership_scan, split_sums)
+                     s2_membership_scan, split_sums, variance_floor_counter)
 from polyrmf import rmf
 from polyrmf.clt_audit import run_clt
 from polyrmf.errors import BudgetError
@@ -162,6 +162,20 @@ def test_variance_floor(family_200):
         assert fl.mu >= fl.lower_bound >= 0
         if fam.a_sets[i]:
             assert fl.mu > 0
+
+
+@pytest.mark.parametrize("text,x_base,k", [
+    ("x^2+1", 200, 2), ("x^2+1", 100, 3), ("x^2+x", 100, 2),
+    ("1,-101,1", 100, 2),  # P(n) = P(101 - n): pairs of equal values
+])
+def test_variance_floor_matches_the_counter_oracle(text, x_base, k):
+    poly = parse_polynomial(text)
+    grid = build_grid(x_base, k, 4)
+    table = factor_values(poly, grid.points[-1])
+    fam = build_prime_sets(poly, table, grid)
+    for i, x in enumerate(grid.points):
+        want = variance_floor_counter(table, fam, i)
+        assert variance_floor(table, fam, i).mu == Fraction(want, 2 * x)
 
 
 def test_variance_floor_empty_family():
