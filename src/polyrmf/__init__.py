@@ -4,12 +4,11 @@ function experiments over polynomial values."""
 __version__ = "0.1.0"
 
 from .polynomial import IntPolynomial, PolynomialClass, classify, parse_polynomial
-from .sieve import FactorTable, FactoredValue, factor_values, lpf_density
+from .sieve import FactorTable, factor_values, lpf_density
 from .energy import (
     EnergyReport,
     ProgressionRange,
     energy,
-    energy_constrained_lpf,
     exponent_fit,
 )
 from .rmf import PhaseTable, SteinhausSampler, derive_seed
@@ -30,13 +29,11 @@ __all__ = [
     "classify",
     "parse_polynomial",
     "FactorTable",
-    "FactoredValue",
     "factor_values",
     "lpf_density",
     "EnergyReport",
     "ProgressionRange",
     "energy",
-    "energy_constrained_lpf",
     "exponent_fit",
     "PhaseTable",
     "SteinhausSampler",

@@ -36,9 +36,8 @@ from . import __version__
 from .clt_audit import check_clt_config, mcleish_audit, run_clt
 from .energy import DEFAULT_PAIR_BUDGET, check_energy_config, energy, exponent_fit
 from .errors import BudgetError, ConfigError
-from .fluctuations import build_grid, run_fluct
+from .fluctuations import check_fluct_config, run_fluct
 from .polynomial import classify, parse_polynomial
-from .rmf import check_replicates
 from .sieve import (DEFAULT_FACTOR_BUDGET, FactorTable, check_factor_budget,
                     check_grid, dump_json, factor_values, lpf_density)
 
@@ -286,9 +285,9 @@ def _cmd_sieve(args):
 def _cmd_energy(args):
     poly = _parse_poly(args.poly)
     sizes = _parse_sizes(args.n, args.grid)
+    budget = None if args.chunked else args.budget
     # energy() counts pure powers too; the CLI refuses them for --n as well
-    ranges = check_energy_config(poly, sizes, q=args.q, a=args.a,
-                                 budget=args.budget, chunked=args.chunked)
+    ranges = check_energy_config(poly, sizes, q=args.q, a=args.a, budget=budget)
     config = {
         "poly": str(poly), "n": args.n, "q": args.q, "a": args.a,
         "grid": args.grid, "chunked": args.chunked, "budget": args.budget,
@@ -296,9 +295,8 @@ def _cmd_energy(args):
     if args.dry_run:
         return config, None
     if args.grid is None:
-        return config, energy(poly, ranges[0], budget=args.budget, chunked=args.chunked)
-    fit = exponent_fit(poly, sizes, q=args.q, a=args.a,
-                       budget=args.budget, chunked=args.chunked)
+        return config, energy(poly, ranges[0], budget=budget)
+    fit = exponent_fit(poly, sizes, q=args.q, a=args.a, budget=budget)
     rows = [(pt.N, pt.offdiag, pt.ratio) for pt in fit.points]
     return config, fit, (("N", "offdiag", "ratio"), rows)
 
@@ -327,8 +325,8 @@ def _cmd_fluct(args):
               "conditional": args.conditional, "threads": args.threads,
               "factor_budget": args.factor_budget}
     if args.dry_run:
-        check_replicates(args.reps, args.threads)
-        build_grid(args.x, args.k, ratio, factor_budget=args.factor_budget)
+        check_fluct_config(args.x, args.k, ratio, args.reps, args.threads,
+                           factor_budget=args.factor_budget)
         return config, None
     report = run_fluct(poly, args.x, args.k, ratio, args.reps, seed,
                        conditional=args.conditional, threads=args.threads,

@@ -27,7 +27,8 @@ index, and every other item adds its weight squared.  ``_pair_total``
 builds each canonical product once, in passes of about 4e6 classed by
 the discrete logarithm mod 65537 (at most 2^16 passes), so memory stays
 bounded up to about 7e5 values and time grows with the pair count;
-chunked mode only lifts the pair budget, which caps the time.
+the pair budget caps that time, and a budget of None (chunked mode)
+lifts it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from math import gcd, log
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .polynomial import IntPolynomial, classify, require_not_pure_power
+from .polynomial import (IntPolynomial, generalized_even_center,
+                         require_not_pure_power)
 from .primes import is_prime
 from .sieve import FactorTable, check_factor_budget, check_grid
 
@@ -62,10 +64,6 @@ class ProgressionRange:
             raise ConfigError("progression needs N >= 1", field="n")
         if self.q < 1 or not 0 <= self.a < self.q:
             raise ConfigError("need q >= 1 and 0 <= a < q", field="q/a")
-
-    @property
-    def indicator_a(self) -> int:
-        return 1 if self.a == 0 else 0
 
     @property
     def size(self) -> int:
@@ -258,11 +256,11 @@ def _pair_total(values: list[int]) -> int:
     return total
 
 
-def check_pair_budget(m: int, budget: int, chunked: bool = False) -> None:
+def check_pair_budget(m: int, budget: int | None) -> None:
     """BudgetError when m values have more than ``budget`` canonical pair
-    products and chunked counting, which lifts this budget, is off."""
+    products; a budget of None (chunked counting) lifts it."""
     est = m * (m + 1) // 2
-    if est > budget and not chunked:
+    if budget is not None and est > budget:
         raise BudgetError(
             f"{est} canonical pair products exceed the budget of {budget}; "
             "enable chunked counting (no pair budget, more passes) or raise "
@@ -272,7 +270,7 @@ def check_pair_budget(m: int, budget: int, chunked: bool = False) -> None:
 
 def check_energy_config(
     poly: IntPolynomial, grid: list[int], *, q: int = 1, a: int = 0,
-    budget: int = DEFAULT_PAIR_BUDGET, chunked: bool = False,
+    budget: int | None = DEFAULT_PAIR_BUDGET,
 ) -> list[ProgressionRange]:
     """The checks ``exponent_fit`` runs first (the CLI also runs them for
     one ``--n``); returns the progression of each N of the grid.  Every
@@ -284,22 +282,18 @@ def check_energy_config(
     for rng in ranges:
         rng.require_members()
         check_factor_budget(rng.size)
-        check_pair_budget(rng.size, budget, chunked)
+        check_pair_budget(rng.size, budget)
     return ranges
 
 
 def count_pair_products(
-    values: list[int],
-    *,
-    budget: int = DEFAULT_PAIR_BUDGET,
-    chunked: bool = False,
+    values: list[int], *, budget: int | None = DEFAULT_PAIR_BUDGET
 ) -> int:
     """Sum of squared ordered-pair-product multiplicities, i.e. the energy.
 
-    Raises BudgetError when the canonical pair count exceeds ``budget``
-    and chunked mode was not requested.
+    Raises BudgetError when the canonical pair count exceeds ``budget``.
     """
-    check_pair_budget(len(values), budget, chunked)
+    check_pair_budget(len(values), budget)
     return _pair_total(values)
 
 
@@ -307,14 +301,13 @@ def energy(
     poly: IntPolynomial,
     rng: ProgressionRange,
     *,
-    budget: int = DEFAULT_PAIR_BUDGET,
-    chunked: bool = False,
+    budget: int | None = DEFAULT_PAIR_BUDGET,
 ) -> EnergyReport:
     """Exact multiplicative energy of P([N]_{a,q}) with diagonal splits."""
     rng.require_members()
     members = list(rng.members())
     values = [poly(x) for x in members]
-    total = count_pair_products(values, budget=budget, chunked=chunked)
+    total = count_pair_products(values, budget=budget)
 
     m = len(members)
     diag = 2 * m * m - m
@@ -325,7 +318,6 @@ def energy(
     expo = error_exponent(poly.degree)
     offdiag = total - diag
     ratio = None if expo is None else offdiag / float(rng.N) ** float(expo)
-    cls = classify(poly)
     return EnergyReport(
         range=rng,
         polynomial=poly,
@@ -336,25 +328,11 @@ def energy(
         main_term=diag,
         offdiag_exponent=expo,
         offdiag_over_bound=ratio,
-        generalized_even_center=cls.generalized_even_center,
+        generalized_even_center=generalized_even_center(poly),
         has_negative_values=any(v < 0 for v in values),
         zero_value_count=sum(1 for v in values if v == 0),
-        mode="chunked" if chunked else "direct",
+        mode="chunked" if budget is None else "direct",
     )
-
-
-@dataclass(frozen=True)
-class PairedPrimeCount:
-    """Quadruple counts with pairwise-matching largest prime factors.
-
-    Counts (n1, n2, n3, n4) with P+(P(n1)) = P+(P(n2)), P+(P(n3)) =
-    P+(P(n4)) and P(n1)P(n3) = P(n2)P(n4), split by whether the two
-    largest primes coincide.  Rows with |P(n)| <= 1 belong to no group.
-    """
-
-    total: int
-    same_prime: int
-    distinct_prime: int
 
 
 def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[int]]:
@@ -369,24 +347,17 @@ def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[i
     return groups
 
 
-def _group_products(groups: list[list[int]]):
-    """All canonical pairs i <= j inside each group, at once: the values
-    and their CRT primes, i, j, the group tag of each pair, and the
-    residue keys and weights of ``_pair_keys``."""
+def group_pair_counts(groups: list[list[int]]) -> tuple[int, int, int, int, int]:
+    """(equal, same, total, c31, triples) of groups of nonzero values: the
+    pairs with |v| = |w|, then sum_g C22, sum_g C22 + D, sum_g C31 and
+    sum_g C31 + A of ``clt_audit``, from all canonical pairs i <= j at once."""
     sizes = np.array([len(g) for g in groups], dtype=np.int64)
     values, qs = _exact_array([v for g in groups for v in g])
     # each value pairs with itself and the values after it in its group
     rows = np.arange(len(values))
     i, j = _pairs(rows, rows, np.repeat(np.cumsum(sizes), sizes))
     tag = np.repeat(np.arange(len(sizes)), sizes)[i]
-    return values, qs, i, j, tag, *_pair_keys(_residue_keys(values, qs), qs, i, j)
-
-
-def group_pair_counts(groups: list[list[int]]) -> tuple[int, int, int, int, int]:
-    """(equal, same, total, c31, triples) of groups of nonzero values: the
-    pairs with |v| = |w|, then sum_g C22, sum_g C22 + D, sum_g C31 and
-    sum_g C31 + A of ``clt_audit``, from all canonical pairs i <= j at once."""
-    values, qs, i, j, tag, prods, weight = _group_products(groups)
+    prods, weight = _pair_keys(_residue_keys(values, qs), qs, i, j)
     off = weight == 2
     # the reduced ratios of (v_i, v_j) and, off the diagonal, of (v_j, v_i)
     av, aw = np.abs(values[i]), np.abs(values[j])
@@ -409,28 +380,6 @@ def group_pair_counts(groups: list[list[int]]) -> tuple[int, int, int, int, int]
             inner(prods, ints[:-1], _square_sum(prods, weight)))
 
 
-def energy_constrained_lpf(
-    table: FactorTable,
-    mode: str,
-    n_max: int | None = None,
-) -> int | PairedPrimeCount:
-    """Energy counts restricted by largest-prime-factor constraints.
-
-    mode "same-prime-all-four": the ``same_prime`` of "paired-primes",
-    quadruples with product equality whose four largest primes all agree.
-
-    mode "paired-primes": :class:`PairedPrimeCount` (C22 + D, C22, D).
-    """
-    if mode not in ("same-prime-all-four", "paired-primes"):
-        raise ValueError(f"unknown mode {mode!r}")
-    groups = list(lpf_groups(table, n_max).values())
-    if mode == "same-prime-all-four":
-        *_, tag, prods, weight = _group_products(groups)
-        return _square_sum(prods + [tag], weight)
-    _, same, total, _, _ = group_pair_counts(groups)
-    return PairedPrimeCount(total, same, total - same)
-
-
 @dataclass(frozen=True)
 class ExponentFitPoint:
     N: int
@@ -451,16 +400,14 @@ def exponent_fit(
     *,
     q: int = 1,
     a: int = 0,
-    budget: int = DEFAULT_PAIR_BUDGET,
-    chunked: bool = False,
+    budget: int | None = DEFAULT_PAIR_BUDGET,
 ) -> ExponentFit:
     """Off-diagonal counts across a grid of N, normalized by N^exponent."""
-    ranges = check_energy_config(poly, grid, q=q, a=a, budget=budget,
-                                 chunked=chunked)
+    ranges = check_energy_config(poly, grid, q=q, a=a, budget=budget)
     expo = error_exponent(poly.degree)
     points = []
     for n, rng in zip(grid, ranges):
-        rep = energy(poly, rng, budget=budget, chunked=chunked)
+        rep = energy(poly, rng, budget=budget)
         offdiag = rep.total - rep.diagonal_arg
         points.append(
             ExponentFitPoint(N=n, offdiag=offdiag, ratio=offdiag / n ** float(expo))

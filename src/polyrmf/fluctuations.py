@@ -69,6 +69,13 @@ def build_grid(
     return ScaleGrid(X=x_base, points=tuple(points))
 
 
+def check_fluct_config(x_base: int, k: int, ratio, reps: int, threads: int = 1,
+                       *, factor_budget: int = DEFAULT_FACTOR_BUDGET) -> ScaleGrid:
+    """The checks ``run_fluct`` runs first; returns the scale grid."""
+    check_replicates(reps, threads)
+    return build_grid(x_base, k, ratio, factor_budget=factor_budget)
+
+
 @dataclass(frozen=True)
 class PrimeSetFamily:
     grid: ScaleGrid
@@ -162,14 +169,11 @@ def classification_labels(
     return labels
 
 
-def s2_second_moment(
-    table: FactorTable, family: PrimeSetFamily, i: int, *, normalized: bool = False
-):
-    """#{n <= x_i : some prime of A_1..A_{i-1} divides P(n)} (or /x_i)."""
+def s2_second_moment(table: FactorTable, family: PrimeSetFamily, i: int) -> int:
+    """#{n <= x_i : some prime of A_1..A_{i-1} divides P(n)}."""
     x = family.grid.points[i]
     earlier = frozenset().union(*family.a_sets[:i])
-    count = int(np.count_nonzero(_divisor_counts(table, earlier)[:x]))
-    return Fraction(count, x) if normalized else count
+    return int(np.count_nonzero(_divisor_counts(table, earlier)[:x]))
 
 
 @dataclass(frozen=True)
@@ -249,9 +253,6 @@ class FluctReport:
     s2_matrix: np.ndarray  # complex, shape (k, reps)
     partial_matrix: np.ndarray  # complex, shape (k, reps)
 
-    def s3_matrix(self) -> np.ndarray:
-        return self.partial_matrix - self.s1_matrix - self.s2_matrix
-
 
 def _sample_var(x: np.ndarray) -> float:
     """Unbiased sample variance; NaN (JSON null) for one replicate."""
@@ -286,8 +287,8 @@ def run_fluct(
     the base seed and only A-primes are resampled per replicate, so S3
     is constant across replicates while S1 fluctuates.
     """
-    check_replicates(reps, threads)
-    grid = build_grid(x_base, k, ratio, factor_budget=factor_budget)
+    grid = check_fluct_config(x_base, k, ratio, reps, threads,
+                              factor_budget=factor_budget)
     top = grid.points[-1]
     if table is None:
         table = factor_values(poly, top, budget=factor_budget)

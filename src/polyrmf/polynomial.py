@@ -55,12 +55,6 @@ class IntPolynomial:
             acc = acc * n + c
         return acc
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_coeff_text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 

@@ -16,9 +16,7 @@ this mapping is part of the output contract and will not change.
 ``PhaseTable`` evaluates f on a factor table: it reads the table's
 exponent matrix as float64 over the table's primes, so that a batch of
 replicates costs one broadcast hash (``angles_for_key`` with an array of
-keys), one sparse matmul for the phases and one cos/sin pass.  The
-scalar ``SteinhausSampler.angle`` and ``angles_for_key`` give
-bit-identical angles.
+keys), one sparse matmul for the phases and one cos/sin pass.
 
 ``replicate_sums`` is the one replicate engine behind both ``clt`` and
 ``fluct``: it sums f(P(n)) over the index sets of a 0/1 selector matrix
@@ -78,7 +76,7 @@ def _mix64_np(z: np.ndarray) -> None:
 
 
 def angles_for_key(key: int | np.ndarray, primes_u64: np.ndarray) -> np.ndarray:
-    """Angles of every prime, bit-identical to SteinhausSampler.angle.
+    """theta_p = (mix64(key + p * GOLDEN) >> 11) * 2^-53 of every prime.
 
     A scalar key gives one angle per prime; a 1-D array of keys gives a
     primes x keys matrix with one column per key.
@@ -103,10 +101,6 @@ class SteinhausSampler:
 
     def __post_init__(self):
         object.__setattr__(self, "key", mix64(self.seed & M64))
-
-    def angle(self, p: int) -> float:
-        z = mix64((self.key + p * GOLDEN) & M64)
-        return (z >> 11) * 2.0 ** -53
 
     def replicate(self, r: int) -> "SteinhausSampler":
         return SteinhausSampler(derive_seed(self.seed, r))

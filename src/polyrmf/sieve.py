@@ -20,10 +20,9 @@ deterministic Miller-Rabin and splits the composite ones with Brent rho.
 
 The table is the signed ``values`` P(n) and one integer CSR matrix of
 the exponents of |P(n)| over the ascending ``primes``; the per-prime
-columns, largest primes and ``FactoredValue`` rows are views of it, and
-``dump_json`` writes the rows straight from it.  Rows with |P(n)| <= 1
-are empty, with largest prime 0; they belong to no per-prime group
-downstream.
+columns and largest primes are views of it, and ``dump_json`` writes
+the rows straight from it.  Rows with |P(n)| <= 1 are empty, with
+largest prime 0; they belong to no per-prime group downstream.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ def check_grid(grid: list[int]) -> None:
                           field="grid")
 
 
-@dataclass(frozen=True)
-class FactoredValue:
-    n: int
-    value: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-    largest_prime: int  # 0 when |value| <= 1
-
-
 @dataclass(eq=False)
 class FactorTable:
     """Complete factorizations of P(n) for n = 1..N.
@@ -87,25 +78,6 @@ class FactorTable:
     values: list[int]
     primes: list[int]
     exponents: sparse.csr_matrix
-
-    def _rows(self, lo: int = 0, hi: int | None = None):
-        """(n, value, factors, largest prime) of n = lo+1..hi, from the CSR."""
-        m = self.exponents[lo:hi]
-        ptr = m.indptr.tolist()
-        pairs = list(zip([self.primes[c] for c in m.indices.tolist()],
-                         m.data.tolist()))
-        for n, a, b in zip(range(lo + 1, self.N + 1), ptr, ptr[1:]):
-            f = tuple(pairs[a:b])
-            yield n, self.values[n - 1], f, f[-1][0] if f else 0
-
-    def row(self, n: int) -> FactoredValue:
-        if not 1 <= n <= self.N:
-            raise IndexError(f"n={n} outside table range 1..{self.N}")
-        return FactoredValue(*next(self._rows(n - 1, n)))
-
-    @cached_property
-    def rows(self) -> list[FactoredValue]:
-        return [FactoredValue(*r) for r in self._rows()]
 
     @cached_property
     def by_prime(self) -> sparse.csc_matrix:

@@ -8,17 +8,22 @@ and split sums that the batched replicate engine computes (``f_of``
 adds one factor's phase at a time; ``unit_values_reference`` is the
 complex exponential of whole phase arrays that the engine's cos/sin
 kernel must match bit for bit), and the prime -> n incidence rebuilt
-from each row's factor list (``prime_to_indices``).  The sorting pair
-counters are also checked against Python ``Counter`` histograms of pair
-products and reduced ratios (``pair_histogram``, ``ratio_histogram``),
-and the martingale audit and paired-prime counts against the Counter
-engine they ran on before they sorted machine-word keys
-(``mcleish_counter``, ``paired_prime_counter``), which reaches sizes
-beyond the brute force; so are the square sums themselves
-(``square_sum_counter``) and the equal-value pair counts of ``run_clt``
-and ``variance_floor`` (``clt_value_counter``, ``variance_floor_counter``).  The ``sieve`` document oracle
-builds one dict per row and dumps the whole document with ``json.dump``,
-as the CLI did before it wrote the rows from the CSR.
+from each row's factor list (``prime_to_indices``).  Those rows are
+``FactoredValue`` records read off a table's CSR (``table_rows``,
+``table_row``), and ``angle`` hashes one prime at a time, the scalar
+reference for ``rmf.angles_for_key``.  The sorting pair counters are
+also checked against Python ``Counter`` histograms of pair products and
+reduced ratios (``pair_histogram``, ``ratio_histogram``), and the
+martingale audit and the paired-prime counts of
+``energy.group_pair_counts`` against the Counter engine they ran on
+before they sorted machine-word keys (``mcleish_counter``,
+``paired_prime_counter``), which reaches sizes beyond the brute force;
+so are the square sums themselves (``square_sum_counter``) and the
+equal-value pair counts of ``run_clt`` and ``variance_floor``
+(``clt_value_counter``, ``variance_floor_counter``).  The ``sieve``
+document oracle builds one dict per row and dumps the whole document
+with ``json.dump``, as the CLI did before it wrote the rows from the
+CSR.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
 are kept here beside their tests.
 """
@@ -39,7 +44,7 @@ from polyrmf.cli import _document, to_jsonable
 from polyrmf.energy import DEFAULT_PAIR_BUDGET, ProgressionRange, check_pair_budget
 from polyrmf.polynomial import IntPolynomial
 from polyrmf.primes import sieve_primes
-from polyrmf.rmf import SteinhausSampler
+from polyrmf.rmf import GOLDEN, M64, SteinhausSampler, mix64
 from polyrmf.sieve import lpf_density
 
 
@@ -137,6 +142,43 @@ def energy_cross(
     return sum(mult * c2[v] for v, mult in c1.items())
 
 
+@dataclass(frozen=True)
+class FactoredValue:
+    n: int
+    value: int
+    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
+    largest_prime: int  # 0 when |value| <= 1
+
+
+def table_rows(table, lo=0, hi=None):
+    """The FactoredValue rows n = lo+1..hi of a FactorTable, from its CSR."""
+    m = table.exponents[lo:hi]
+    ptr = m.indptr.tolist()
+    pairs = list(zip([table.primes[c] for c in m.indices.tolist()],
+                     m.data.tolist()))
+    out = []
+    for n, a, b in zip(range(lo + 1, table.N + 1), ptr, ptr[1:]):
+        f = tuple(pairs[a:b])
+        out.append(FactoredValue(n, table.values[n - 1], f, f[-1][0] if f else 0))
+    return out
+
+
+def table_row(table, n):
+    """Row n of a FactorTable as a FactoredValue."""
+    if not 1 <= n <= table.N:
+        raise IndexError(f"n={n} outside table range 1..{table.N}")
+    return table_rows(table, n - 1, n)[0]
+
+
+def angle(sampler, p):
+    """theta_p of a SteinhausSampler, or of the stream a ConditionalSampler
+    picks for p, hashed one prime at a time."""
+    if isinstance(sampler, ConditionalSampler):
+        sampler = sampler.inner if p in sampler.resample else sampler.base
+    z = mix64((sampler.key + p * GOLDEN) & M64)
+    return (z >> 11) * 2.0 ** -53
+
+
 def same_prime_quadruples_loop(rows):
     """Quadruples with product equality and all four largest primes equal,
     over FactoredValue rows; rows with largest_prime 0 never qualify."""
@@ -224,7 +266,7 @@ def _sign_pattern_count(values):
 
 def _abs_groups(table, n_max):
     groups = {}
-    for row in table.rows[:n_max]:
+    for row in table_rows(table, 0, n_max):
         if row.largest_prime > 0:
             groups.setdefault(row.largest_prime, []).append(abs(row.value))
     return groups
@@ -242,11 +284,12 @@ def _merged_ratios(ratios):
 
 
 def paired_prime_counter(table):
-    """(total, same, distinct) of ``energy_constrained_lpf``'s
-    "paired-primes" from the signed values of each largest-prime group:
-    the total is sum_r R(r)^2."""
+    """(total, same, distinct) of the quadruples with P(n1)P(n3) =
+    P(n2)P(n4) and pairwise equal largest primes, from the signed values
+    of each largest-prime group: the total is sum_r R(r)^2, same the part
+    where all four largest primes agree."""
     groups = {}
-    for row in table.rows:
+    for row in table_rows(table):
         if row.largest_prime > 0:
             groups.setdefault(row.largest_prime, []).append(row.value)
     combined, same = _merged_ratios(map(ratio_histogram, groups.values()))
@@ -288,7 +331,7 @@ def variance_floor_counter(table, family, i):
     from a Counter of (p, |P(n)|), with T_{i,p} rebuilt from the rows:
     n <= x_i whose only prime of A = A_1 u ... u A_k is p, in A_i."""
     by_value = Counter()
-    for row in table.rows[:family.grid.points[i]]:
+    for row in table_rows(table, 0, family.grid.points[i]):
         hits = [p for p, _ in row.factors if p in family.a_union]
         if len(hits) == 1 and hits[0] in family.a_sets[i]:
             by_value[hits[0], abs(row.value)] += 1
@@ -336,20 +379,20 @@ def s2_membership_scan(table, a_sets, i, x):
     for a in a_sets[:i]:
         earlier |= a
     count = 0
-    for row in table.rows[:x]:
+    for row in table_rows(table, 0, x):
         if any(p in earlier for p, _ in row.factors):
             count += 1
     return count
 
 
 def f_of(sampler, fv):
-    """f at |fv.value| for anything with .angle(p), one factor at a time;
-    rejects value 0."""
+    """f at |fv.value| under ``angle``, one factor at a time; rejects
+    value 0."""
     if fv.value == 0:
         raise ValueError(f"f is undefined at 0 (n={fv.n} is a root)")
     phase = 0.0
     for p, e in fv.factors:
-        phase = (phase + e * sampler.angle(p)) % 1.0
+        phase = (phase + e * angle(sampler, p)) % 1.0
     if phase == 0.0:
         return complex(1.0, 0.0)
     return cmath.exp(2j * cmath.pi * phase)
@@ -364,7 +407,7 @@ def unit_values_reference(phases):
 def prime_to_indices(table):
     """prime -> ascending n with p | P(n), from each row's factor list."""
     incidence = {}
-    for row in table.rows:
+    for row in table_rows(table):
         for p, _ in row.factors:
             incidence.setdefault(p, []).append(row.n)
     return incidence
@@ -375,7 +418,7 @@ def partial_sum(sampler, table, x):
     if x > table.N:
         raise ValueError(f"x={x} exceeds table range {table.N}")
     acc = 0j
-    for row in table.rows[:max(0, x)]:
+    for row in table_rows(table, 0, max(0, x)):
         if row.value != 0:
             acc += f_of(sampler, row)
     return acc
@@ -386,7 +429,7 @@ def martingale_piece(sampler, table, p, x):
     if x > table.N:
         raise ValueError(f"x={x} exceeds table range {table.N}")
     acc = 0j
-    for row in table.rows[:max(0, x)]:
+    for row in table_rows(table, 0, max(0, x)):
         if row.largest_prime == p:
             acc += f_of(sampler, row)
     return acc
@@ -397,8 +440,9 @@ def prime_subsum(sampler, table, n_max):
     if n_max > table.N:
         raise ValueError(f"N={n_max} exceeds table range {table.N}")
     acc = 0j
+    rows = table_rows(table)
     for p in sieve_primes(n_max):
-        row = table.rows[p - 1]
+        row = rows[p - 1]
         if row.value != 0:
             acc += f_of(sampler, row)
     return acc
@@ -413,10 +457,6 @@ class ConditionalSampler:
     base: SteinhausSampler
     inner: SteinhausSampler
     resample: frozenset
-
-    def angle(self, p: int) -> float:
-        src = self.inner if p in self.resample else self.base
-        return src.angle(p)
 
 
 @dataclass(frozen=True)
@@ -434,7 +474,7 @@ def split_sums(sampler, table, family, i):
     lies elsewhere, S3 when there is none."""
     scale_of = {p: j for j, a in enumerate(family.a_sets) for p in a}
     s1 = s2 = s3 = 0j
-    for row in table.rows[:family.grid.points[i]]:
+    for row in table_rows(table, 0, family.grid.points[i]):
         if row.value == 0:
             continue
         value = f_of(sampler, row)
@@ -461,7 +501,7 @@ def table_json_doc(table):
                 "factors": [[p, e] for p, e in row.factors],
                 "largest_prime": row.largest_prime,
             }
-            for row in table.rows
+            for row in table_rows(table)
         ],
     }
 
@@ -489,7 +529,7 @@ def sieve_csv_text(table):
     """The ``sieve`` CSV rows written out by hand, CRLF-terminated as the
     csv module writes them."""
     lines = ["n,value,factorization,largest_prime"]
-    for row in table.rows:
+    for row in table_rows(table):
         fac = "*".join(f"{p}^{e}" for p, e in row.factors) or "1"
         lines.append(f"{row.n},{row.value},{fac},{row.largest_prime}")
     return "".join(line + "\r\n" for line in lines)

@@ -79,7 +79,7 @@ def test_criterion_2_concrete_counts(poly):
 
 
 def test_criterion_3_paucity_trend(poly):
-    fit = exponent_fit(poly, [500, 1000, 2000, 4000], chunked=True)
+    fit = exponent_fit(poly, [500, 1000, 2000, 4000], budget=None)
     offdiags = [pt.offdiag for pt in fit.points]
     # exact deterministic counts, pinned at the first verified run
     assert offdiags == [1788, 3364, 6288, 11968]

@@ -25,7 +25,9 @@ from oracles import (
     ratio_histogram,
     same_prime_quadruples_loop,
     square_sum_counter,
+    table_rows,
 )
+from polyrmf import polynomial
 from polyrmf.energy import (
     ProgressionRange,
     _crt_primes,
@@ -34,13 +36,13 @@ from polyrmf.energy import (
     _residue_keys,
     _square_sum,
     energy,
-    energy_constrained_lpf,
     error_exponent,
     exponent_fit,
+    group_pair_counts,
     lpf_groups,
 )
 from polyrmf.errors import BudgetError
-from polyrmf.polynomial import IntPolynomial, parse_polynomial
+from polyrmf.polynomial import IntPolynomial, classify, parse_polynomial
 from polyrmf.sieve import factor_values
 
 # polyrmf re-exports a function named energy, so fetch the module itself
@@ -52,10 +54,10 @@ POLY_MATRIX = ["x^2+1", "x^2+x", "0,-6,1", "x^3+x", "x^3+2x+1", "2x^3+3x^2+x"]
 def test_progression_members_and_size():
     r = ProgressionRange(10, 3, 1)
     assert list(r.members()) == [1, 4, 7, 10]
-    assert r.size == 4 and r.indicator_a == 0
+    assert r.size == 4
     r = ProgressionRange(10, 3, 0)
     assert list(r.members()) == [3, 6, 9]
-    assert r.size == 3 and r.indicator_a == 1
+    assert r.size == 3
     r = ProgressionRange(10, 1, 0)
     assert list(r.members()) == list(range(1, 11))
 
@@ -367,10 +369,17 @@ def test_counting_agrees_on_values_of_any_size(values):
     assert pair_total_in_passes(values, 37) == want
 
 
+def _paired_primes(table):
+    """(same, total) of ``group_pair_counts`` over the signed values of the
+    largest-prime groups: sum_g C22 and sum_g C22 + D."""
+    _, same, total, _, _ = group_pair_counts(list(lpf_groups(table).values()))
+    return same, total
+
+
 def test_same_prime_mode_beyond_2_64():
     table = factor_values(IntPolynomial((10**20, 0, 1)), 14)
-    assert (energy_constrained_lpf(table, "same-prime-all-four")
-            == same_prime_quadruples_loop(table.rows))
+    assert (_paired_primes(table)[0]
+            == same_prime_quadruples_loop(table_rows(table)))
 
 
 @pytest.mark.parametrize("text,n_max", [
@@ -378,49 +387,46 @@ def test_same_prime_mode_beyond_2_64():
     ("x^3+2x+1", 500),
 ])
 def test_same_prime_modes_agree_beyond_brute_force(text, n_max):
-    # v1 v2 = v3 v4 iff v1/v3 = v4/v2: the sorting pair counter per group
-    # and the same-prime part of the ratio histograms count the same set
+    # sum_g C22 from the group-tagged product keys of all groups at once is
+    # the sum of the energies of the groups counted one at a time
     table = factor_values(parse_polynomial(text), n_max)
-    same = energy_constrained_lpf(table, "same-prime-all-four")
-    assert same == energy_constrained_lpf(table, "paired-primes").same_prime
+    same, _ = _paired_primes(table)
     assert same == sum(_pair_total(g) for g in lpf_groups(table).values())
 
 
 def test_budget_error_suggests_chunked(x2p1):
     with pytest.raises(BudgetError, match="chunked"):
         energy(x2p1, ProgressionRange(100), budget=1000)
-    # chunked mode works under the same budget
-    rep = energy(x2p1, ProgressionRange(100), budget=1000, chunked=True)
+    # chunked mode, no budget, works where the budget refused
+    rep = energy(x2p1, ProgressionRange(100), budget=None)
     assert rep.mode == "chunked"
     assert rep.total == energy(x2p1, ProgressionRange(100)).total
 
 
 def test_same_prime_mode_matches_brute_force(x2p1, x2m6x):
     t = factor_values(x2p1, 3)
-    assert energy_constrained_lpf(t, "same-prime-all-four") == 7
-    assert same_prime_quadruples_loop(t.rows) == 7
+    assert _paired_primes(t)[0] == 7
+    assert same_prime_quadruples_loop(table_rows(t)) == 7
 
     t = factor_values(x2m6x, 5)
-    got = energy_constrained_lpf(t, "same-prime-all-four")
-    assert got == same_prime_quadruples_loop(t.rows)
+    got, _ = _paired_primes(t)
+    assert got == same_prime_quadruples_loop(table_rows(t))
     assert got >= 5  # includes cross terms from P(1) = P(5)
 
     t = factor_values(x2p1, 12)
-    assert (energy_constrained_lpf(t, "same-prime-all-four")
-            == same_prime_quadruples_loop(t.rows))
+    assert _paired_primes(t)[0] == same_prime_quadruples_loop(table_rows(t))
 
 
 def test_same_prime_single_point(x2p1):
     t = factor_values(x2p1, 1)  # P(1) = 2, a single quadruple
-    assert energy_constrained_lpf(t, "same-prime-all-four") == 1
+    assert _paired_primes(t)[0] == 1
 
 
 def test_paired_primes_matches_brute_force(x2p1, x2m6x):
     for table in (factor_values(x2p1, 10), factor_values(x2m6x, 8)):
-        got = energy_constrained_lpf(table, "paired-primes")
-        total, same, distinct = paired_prime_quadruples_loop(table.rows)
-        assert (got.total, got.same_prime, got.distinct_prime) == (
-            total, same, distinct)
+        same, total = _paired_primes(table)
+        assert (total, same, total - same) == (
+            paired_prime_quadruples_loop(table_rows(table)))
 
 
 @pytest.mark.parametrize("text,n_max", [
@@ -430,9 +436,8 @@ def test_paired_primes_matches_brute_force(x2p1, x2m6x):
 def test_paired_primes_match_the_counter_engine(text, n_max):
     # signed values, beyond the reach of the quadruple loop
     table = factor_values(parse_polynomial(text), n_max)
-    got = energy_constrained_lpf(table, "paired-primes")
-    assert (got.total, got.same_prime, got.distinct_prime) == (
-        paired_prime_counter(table))
+    same, total = _paired_primes(table)
+    assert (total, same, total - same) == paired_prime_counter(table)
 
 
 def test_error_exponents():
@@ -451,6 +456,23 @@ def test_exponent_fit_uses_degree_exponent():
     fit = exponent_fit(parse_polynomial("x^3+x"), [30, 60])
     assert fit.exponent == Fraction(19, 10)
     assert all(pt.ratio == pt.offdiag / pt.N ** (19 / 10) for pt in fit.points)
+
+
+def test_energy_factors_no_coefficient(monkeypatch):
+    # x^2 + c with c a 29-digit semiprime: classify splits c by rho, which
+    # took seconds; energy reads only the symmetry center
+    def refuse(n, _out=None):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(polynomial, "factorize", refuse)
+    poly = IntPolynomial((100000000000031 * 100000001000027, 0, 1))
+    with pytest.raises(AssertionError, match="factorize"):
+        classify(poly)
+    rep = energy(poly, ProgressionRange(40))
+    assert rep.generalized_even_center == 0
+    assert rep.total == pair_histogram_total([poly(x) for x in range(1, 41)])
+    fit = exponent_fit(poly, [20, 40])
+    assert fit.points[-1].offdiag == rep.total - rep.diagonal_arg
 
 
 def test_exponent_fit_grid_validation(x2p1):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import sparse, stats
 
-from oracles import (ConditionalSampler, f_of, martingale_piece, partial_sum,
-                     prime_subsum, prime_to_indices, unit_values_reference)
+from oracles import (ConditionalSampler, FactoredValue, angle, f_of,
+                     martingale_piece, partial_sum, prime_subsum,
+                     prime_to_indices, table_row, table_rows,
+                     unit_values_reference)
 from polyrmf import rmf
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
@@ -20,7 +22,7 @@ from polyrmf.rmf import (
     mix64,
     replicate_sums,
 )
-from polyrmf.sieve import FactoredValue, factor_values
+from polyrmf.sieve import factor_values
 
 
 def _fv(m: int) -> FactoredValue:
@@ -33,17 +35,17 @@ def test_angle_deterministic_and_in_range():
     s1 = SteinhausSampler(123)
     s2 = SteinhausSampler(123)
     for p in (2, 3, 5, 999999937, 10**15 + 37):
-        a = s1.angle(p)
-        assert a == s2.angle(p)
+        a = angle(s1, p)
+        assert a == angle(s2, p)
         assert 0.0 <= a < 1.0
 
 
 def test_angle_golden_values():
     # frozen stream contract: changing the generator is a breaking change
     s = SteinhausSampler(1)
-    assert s.angle(2) == 0.37239342287916577
-    assert s.angle(3) == 0.4382839062845528
-    assert s.angle(1299709) == 0.6855914743491333
+    assert angle(s, 2) == 0.37239342287916577
+    assert angle(s, 3) == 0.4382839062845528
+    assert angle(s, 1299709) == 0.6855914743491333
     assert derive_seed(7, 0) == 7191089600892374487
     assert derive_seed(7, 1) == 309689372594955804
 
@@ -52,7 +54,7 @@ def test_scalar_vector_angles_identical():
     s = SteinhausSampler(987654321)
     primes = np.array(sieve_primes(20_000), dtype=np.uint64)
     vec = angles_for_key(s.key, primes)
-    scalar = np.array([s.angle(int(p)) for p in primes])
+    scalar = np.array([angle(s, int(p)) for p in primes])
     assert np.array_equal(vec, scalar)
 
 
@@ -72,8 +74,8 @@ def test_cross_prime_correlation_small():
     rng = random.Random(5)
     pairs = [tuple(rng.sample(primes, 2)) for _ in range(10_000)]
     s = SteinhausSampler(77)
-    u = np.array([s.angle(p) for p, _ in pairs])
-    v = np.array([s.angle(q) for _, q in pairs])
+    u = np.array([angle(s, p) for p, _ in pairs])
+    v = np.array([angle(s, q) for _, q in pairs])
     corr = np.corrcoef(u, v)[0, 1]
     assert abs(corr) < 0.05
 
@@ -83,7 +85,7 @@ def test_f_of_basics():
     assert f_of(s, _fv(1)) == 1 + 0j
     z = f_of(s, _fv(17))
     assert abs(abs(z) - 1.0) <= 1e-9
-    assert abs(z - cmath.exp(2j * cmath.pi * s.angle(17))) <= 1e-12
+    assert abs(z - cmath.exp(2j * cmath.pi * angle(s, 17))) <= 1e-12
     # p^2 -> square of f(p)
     assert abs(f_of(s, _fv(289)) - f_of(s, _fv(17)) ** 2) <= 1e-9
     # sign ignored
@@ -108,7 +110,8 @@ def test_partial_sum_edges(x2p1):
     assert partial_sum(s, table, 0) == 0j
     assert partial_sum(s, table, 1) == 1 + 0j  # f(1) = 1
     t = factor_values(x2p1, 3)
-    expected = f_of(s, t.row(1)) + f_of(s, t.row(2)) + f_of(s, t.row(3))
+    expected = (f_of(s, table_row(t, 1)) + f_of(s, table_row(t, 2))
+                + f_of(s, table_row(t, 3)))
     got = partial_sum(s, t, 3)
     assert abs(got - expected) <= 1e-12
     assert abs(got) <= 3
@@ -120,7 +123,8 @@ def test_martingale_piece_examples(x2p1):
     t = factor_values(x2p1, 3)
     s = SteinhausSampler(5)
     assert martingale_piece(s, t, 97, 3) == 0j  # 97 divides no P(n)
-    expected = f_of(s, t.row(2)) + f_of(s, t.row(3))  # largest primes 2,5,5
+    # largest primes 2, 5, 5
+    expected = f_of(s, table_row(t, 2)) + f_of(s, table_row(t, 3))
     assert abs(martingale_piece(s, t, 5, 3) - expected) <= 1e-12
 
 
@@ -132,7 +136,7 @@ def test_partition_identity_with_unit_values():
     s = SteinhausSampler(31)
     pieces = sum(martingale_piece(s, table, p, 50)
                  for p in sorted(prime_to_indices(table)))
-    unit_count = sum(1 for r in table.rows if abs(r.value) == 1)
+    unit_count = sum(1 for r in table_rows(table) if abs(r.value) == 1)
     assert unit_count == 1
     assert abs(pieces + unit_count - partial_sum(s, table, 50)) <= 1e-9
 
@@ -142,7 +146,7 @@ def test_partition_identity_with_zeros(x2m6x):
     s = SteinhausSampler(8)
     pieces = sum(martingale_piece(s, table, p, 40)
                  for p in sorted(prime_to_indices(table)))
-    units = sum(1 for r in table.rows if abs(r.value) == 1)
+    units = sum(1 for r in table_rows(table) if abs(r.value) == 1)
     assert abs(pieces + units - partial_sum(s, table, 40)) <= 1e-9
 
 
@@ -150,17 +154,17 @@ def test_prime_subsum(x2p1):
     t = factor_values(x2p1, 3)
     s = SteinhausSampler(2)
     assert prime_subsum(s, factor_values(x2p1, 1), 1) == 0j  # no primes
-    expected = f_of(s, t.row(2)) + f_of(s, t.row(3))  # primes 2, 3
+    expected = f_of(s, table_row(t, 2)) + f_of(s, table_row(t, 3))  # primes 2, 3
     assert abs(prime_subsum(s, t, 3) - expected) <= 1e-12
     x = parse_polynomial("0,1")
     t2 = factor_values(x, 2)
-    assert abs(prime_subsum(s, t2, 2) - f_of(s, t2.row(2))) <= 1e-12
+    assert abs(prime_subsum(s, t2, 2) - f_of(s, table_row(t2, 2))) <= 1e-12
 
 
 def test_replicate_seed_derivation():
     s = SteinhausSampler(99)
     assert s.replicate(3).seed == derive_seed(99, 3)
-    assert s.replicate(0).angle(7) != s.replicate(1).angle(7)
+    assert angle(s.replicate(0), 7) != angle(s.replicate(1), 7)
 
 
 def test_phase_table_matches_scalar(x2p1):
@@ -169,7 +173,7 @@ def test_phase_table_matches_scalar(x2p1):
     pt = PhaseTable(table, 200)
     z = pt.unit_values_batch(pt.angles(s))
     for n in (1, 2, 50, 200):
-        assert abs(z[n - 1] - f_of(s, table.row(n))) <= 1e-9
+        assert abs(z[n - 1] - f_of(s, table_row(table, n))) <= 1e-9
     assert abs(z[:137].sum() - partial_sum(s, table, 137)) <= 1e-9
 
 
@@ -185,7 +189,8 @@ def test_prime_subsum_skips_roots_at_prime_arguments():
     poly = parse_polynomial("-4,0,1")
     table = factor_values(poly, 5)
     s = SteinhausSampler(6)
-    expected = f_of(s, table.row(3)) + f_of(s, table.row(5))  # primes 3, 5
+    # primes 3, 5
+    expected = f_of(s, table_row(table, 3)) + f_of(s, table_row(table, 5))
     assert abs(prime_subsum(s, table, 5) - expected) <= 1e-12
 
 
@@ -220,11 +225,11 @@ def test_conditional_sampler_dispatch(x2p1):
     base = SteinhausSampler(1)
     inner = SteinhausSampler(2)
     cs = ConditionalSampler(base=base, inner=inner, resample=frozenset({5}))
-    assert cs.angle(5) == inner.angle(5)
-    assert cs.angle(13) == base.angle(13)
-    row = table.row(3)  # 10 = 2 * 5
+    assert angle(cs, 5) == angle(inner, 5)
+    assert angle(cs, 13) == angle(base, 13)
+    row = table_row(table, 3)  # 10 = 2 * 5
     expect = cmath.exp(2j * cmath.pi *
-                       ((base.angle(2) + inner.angle(5)) % 1.0))
+                       ((angle(base, 2) + angle(inner, 5)) % 1.0))
     assert abs(f_of(cs, row) - expect) <= 1e-12
 
 
@@ -237,12 +242,12 @@ def test_mix64_is_64_bit():
 def test_phase_table_primes_above_2_64():
     # P(19) = 19^2 + 10^20 is itself a prime above 2^64
     table = factor_values(parse_polynomial("100000000000000000000,0,1"), 20)
-    big = table.row(19).largest_prime
+    big = table_row(table, 19).largest_prime
     assert big > M64
     pt = PhaseTable(table, 20)
     s = SteinhausSampler(2718)
     i = pt.primes.index(big)
-    assert pt.angles(s)[i] == s.angle(big)
+    assert pt.angles(s)[i] == angle(s, big)
     assert pt.membership_mask([big]).tolist() == [p == big for p in pt.primes]
     z = pt.unit_values_batch(pt.angles(s))
     assert abs(z.sum() - partial_sum(s, table, 20)) <= 1e-9
@@ -294,7 +299,7 @@ def test_broadcast_hash_matches_scalar_at_the_edges():
     theta = angles_for_key(keys, primes_u64)
     assert theta.shape == (len(primes), 3)
     for b, s in enumerate(samplers):
-        scalar = np.array([s.angle(p) for p in primes])
+        scalar = np.array([angle(s, p) for p in primes])
         assert np.array_equal(theta[:, b], scalar)
         assert np.array_equal(angles_for_key(s.key, primes_u64), scalar)
 
