@@ -13,7 +13,7 @@ Polynomials are accepted in both supported text forms everywhere
 Relative --out paths resolve under $POLYRMF_OUT_DIR when it is set.
 Thread counts affect wall time only: integer outputs are identical and
 float aggregates agree to 1e-9 (in practice bit-identical) for any
---threads value.
+--threads value from 1 to rmf.MAX_THREADS.
 """
 
 from __future__ import annotations
@@ -331,12 +331,11 @@ def _cmd_fluct(args):
     report = run_fluct(poly, args.x, args.k, ratio, args.reps, seed,
                        conditional=args.conditional, threads=args.threads,
                        factor_budget=args.factor_budget)
-    result = to_jsonable(report)
     # replicate-level matrices stay out of the document; quantiles and
     # per-scale summaries carry the reportable content
-    for key in ("s1_matrix", "s2_matrix", "partial_matrix", "max_stats"):
-        result.pop(key)
-    return config, result
+    skip = {"s1_matrix", "s2_matrix", "partial_matrix", "max_stats"}
+    return config, {f.name: to_jsonable(getattr(report, f.name))
+                    for f in dataclasses.fields(report) if f.name not in skip}
 
 
 def _cmd_audit(args):

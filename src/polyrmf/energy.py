@@ -67,9 +67,9 @@ class ProgressionRange:
 
     @property
     def size(self) -> int:
-        if self.a == 0:
-            return self.N // self.q
-        return max(0, (self.N - self.a) // self.q + 1)
+        # len(range) overflows beyond 2^63 - 1 members, and budgets see any N
+        r = self.members()
+        return -((r.start - r.stop) // r.step)
 
     def members(self) -> range:
         start = self.a if self.a >= 1 else self.q

@@ -19,12 +19,19 @@ P(n): exactly one, in A_i (S1); at least one outside A_i (S2); none
 (S3).  Disjointness makes Re S1 across distinct scales exactly
 uncorrelated, and the exact second-moment and variance-floor counts
 below quantify the conditional-variance picture.
+
+The sets are built in the factor table's columns: ``build_prime_sets``
+reads each prime's CSC column and records ``a_scale``, the scale of
+every column's A_i (-1 outside A).  The labels, the S2 moment counts,
+the variance floors and the conditional freeze all read ``a_scale``
+against the table's CSR rows.  The S1 rows of scale i are the union of
+the variance-floor sets T_{i,p}, p in A_i: the n whose only A-prime is p.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log, nan, sqrt
 
@@ -83,10 +90,8 @@ class PrimeSetFamily:
     e_sets: tuple[frozenset[int], ...]
     f_sets: tuple[frozenset[int], ...]
     a_sets: tuple[frozenset[int], ...]
-
-    @property
-    def a_union(self) -> frozenset[int]:
-        return frozenset().union(*self.a_sets)
+    # a_scale[j] = i when the table's primes[j] is in A_{i+1}, else -1
+    a_scale: np.ndarray = field(repr=False, compare=False)
 
 
 def build_prime_sets(
@@ -105,75 +110,74 @@ def build_prime_sets(
     csc = table.by_prime
     first = csc.indices[csc.indptr[:-1]]  # smallest n - 1 with p | P(n)
 
-    e_sets: list[frozenset[int]] = []
+    e_cols = []
     prev_x = 0
     for x, thr in zip(grid.points, thresholds):
         lo = bisect_left(table.primes, thr)
-        new = np.flatnonzero((first[lo:] >= prev_x) & (first[lo:] < x)) + lo
-        e_sets.append(frozenset(table.primes[j] for j in new.tolist()))
+        e_cols.append(np.flatnonzero((first[lo:] >= prev_x) & (first[lo:] < x)) + lo)
         prev_x = x
+    f_cols = e_cols[:1] + [np.setdiff1d(e, e_prev)
+                           for e_prev, e in zip(e_cols, e_cols[1:])]
 
-    f_sets = [e_sets[0]] + [e - e_prev for e_prev, e in zip(e_sets, e_sets[1:])]
-
-    a_sets: list[frozenset[int]] = []
-    for x, f in zip(grid.points, f_sets):
-        primes = sorted(f)
-        cols = _columns(table, primes)
-        rows, ptr = cols.indices.tolist(), cols.indptr.tolist()
+    a_scale = np.full(len(table.primes), -1)
+    for i, (x, cols) in enumerate(zip(grid.points, f_cols)):
+        sub = csc[:, cols]
+        rows, ptr = sub.indices.tolist(), sub.indptr.tolist()
         claimed: set[int] = set()
-        accepted: set[int] = set()
-        for k, p in enumerate(primes):
+        for k, col in enumerate(cols.tolist()):
             hits = [r for r in rows[ptr[k]:ptr[k + 1]] if r < x]
             if claimed.isdisjoint(hits):
-                accepted.add(p)
+                a_scale[col] = i
                 claimed.update(hits)
-        a_sets.append(frozenset(accepted))
+
+    def primes(cols) -> frozenset[int]:
+        return frozenset(table.primes[j] for j in cols.tolist())
 
     return PrimeSetFamily(
         grid=grid,
         thresholds=thresholds,
-        e_sets=tuple(e_sets),
-        f_sets=tuple(f_sets),
-        a_sets=tuple(a_sets),
+        e_sets=tuple(map(primes, e_cols)),
+        f_sets=tuple(map(primes, f_cols)),
+        a_sets=tuple(primes(np.flatnonzero(a_scale == i))
+                     for i in range(len(grid.points))),
+        a_scale=a_scale,
     )
 
 
-def _columns(table: FactorTable, primes) -> sparse.csc_matrix:
-    """The table's CSC columns of ``primes``, in the order given."""
-    cols = [bisect_left(table.primes, p) for p in primes]
-    return table.by_prime[:, np.array(cols, dtype=np.int64)]
-
-
-def _divisor_counts(table: FactorTable, primes) -> np.ndarray:
-    """How many of ``primes`` divide P(n), for n = 1..N."""
-    return np.bincount(_columns(table, primes).indices, minlength=table.N)
+def _a_entries(table: FactorTable, family: PrimeSetFamily,
+               x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n - 1, table column) of every A-prime dividing P(n), n <= x, in
+    ascending n."""
+    m = table.exponents
+    cols = m.indices[:m.indptr[x]]
+    rows = np.repeat(np.arange(x), np.diff(m.indptr[:x + 1]))
+    hit = family.a_scale[cols] >= 0
+    return rows[hit], cols[hit]
 
 
 def classification_labels(
     table: FactorTable, family: PrimeSetFamily
 ) -> list[np.ndarray]:
     """Per scale i: int8 labels over n = 1..x_i (1 = S1, 2 = S2, 0 = S3)."""
-    total = _divisor_counts(table, family.a_union)
-    labels = []
-    for i, x in enumerate(family.grid.points):
-        own = _divisor_counts(table, family.a_sets[i])[:x]
-        elsewhere = total[:x] - own
-        # two distinct A_i primes sharing an n <= x_i would violate the
-        # greedy guarantee
-        shared = np.flatnonzero((elsewhere == 0) & (own > 1))
-        if shared.size:
-            n = int(shared[0]) + 1
-            raise AssertionError(
-                f"n={n} divisible by {own[n - 1]} primes of A_{i + 1}")
-        labels.append(np.where(elsewhere > 0, 2, own).astype(np.int8))
-    return labels
+    points = family.grid.points
+    rows, cols = _a_entries(table, family, points[-1])
+    scale = family.a_scale[cols]
+    # the greedy pass lets no two primes of A_i divide one P(n), n <= x_i
+    own = (rows * len(points) + scale)[rows < np.take(points, scale)]
+    if np.unique(own).size < own.size:
+        raise AssertionError("two primes of one A_i divide one P(n), n <= x_i")
+    count = np.bincount(rows, minlength=points[-1])
+    only = np.full(points[-1], -1)  # the scale of P(n)'s only A-prime
+    one = count[rows] == 1
+    only[rows[one]] = scale[one]
+    return [np.where(count[:x] == 0, 0, np.where(only[:x] == i, 1, 2)).astype(np.int8)
+            for i, x in enumerate(points)]
 
 
 def s2_second_moment(table: FactorTable, family: PrimeSetFamily, i: int) -> int:
     """#{n <= x_i : some prime of A_1..A_{i-1} divides P(n)}."""
-    x = family.grid.points[i]
-    earlier = frozenset().union(*family.a_sets[:i])
-    return int(np.count_nonzero(_divisor_counts(table, earlier)[:x]))
+    rows, cols = _a_entries(table, family, family.grid.points[i])
+    return len(np.unique(rows[family.a_scale[cols] < i]))
 
 
 @dataclass(frozen=True)
@@ -192,19 +196,17 @@ def variance_floor(
     P(n); value equality is taken on |P(n)| (where f lives).
     """
     x = family.grid.points[i]
-    a_count = _divisor_counts(table, family.a_union)
-    primes = list(family.a_sets[i])
-    cols = _columns(table, primes)
-    # one entry per (p, n) with p | P(n); keep those with n in T_{i,p}
-    col = np.repeat(np.arange(len(primes)), np.diff(cols.indptr))
-    keep = (cols.indices < x) & (a_count[cols.indices] == 1)
-    col, rows = col[keep], cols.indices[keep]
-    sizes = dict(zip(primes, np.bincount(col, minlength=len(primes)).tolist()))
-    pair_count = value_pair_count([abs(table.values[r]) for r in rows.tolist()], col)
-    total_t = sum(sizes.values())
+    rows, cols = _a_entries(table, family, x)
+    # the T_{i,p} are the label-1 rows of scale i, split by their A-prime
+    keep = (np.bincount(rows, minlength=x)[rows] == 1) & (family.a_scale[cols] == i)
+    rows, cols = rows[keep], cols[keep]
+    a_cols = np.flatnonzero(family.a_scale == i)
+    sizes = dict(zip([table.primes[j] for j in a_cols.tolist()],
+                     np.bincount(cols, minlength=len(family.a_scale))[a_cols].tolist()))
+    pair_count = value_pair_count([abs(table.values[r]) for r in rows.tolist()], cols)
     return VarianceFloor(
         mu=Fraction(pair_count, 2 * x),
-        lower_bound=Fraction(total_t, 2 * x),
+        lower_bound=Fraction(len(rows), 2 * x),
         t_sizes=sizes,
     )
 
@@ -305,7 +307,7 @@ def run_fluct(
         (np.ones(indptr[-1]), np.concatenate(index_sets), indptr),
         shape=(len(index_sets), top),
     )
-    frozen = ~pt.membership_mask(family.a_union) if conditional else None
+    frozen = family.a_scale < 0 if conditional else None
     out = replicate_sums(pt, seed, reps, selector, frozen=frozen, threads=threads)
     s1_matrix, s2_matrix, partial_matrix = out[0::3], out[1::3], out[2::3]
 

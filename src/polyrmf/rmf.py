@@ -30,7 +30,6 @@ from __future__ import annotations
 import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -51,6 +50,8 @@ _NP_C2 = np.uint64(0x94D049BB133111EB)
 _CHUNK = 256
 _TILE = 128
 BLOCK_BYTES = 128 << 20
+# each worker holds its own angle block, so threads bound the memory too
+MAX_THREADS = 32
 
 
 def mix64(z: int) -> int:
@@ -132,11 +133,6 @@ class PhaseTable:
     def angles(self, sampler: SteinhausSampler) -> np.ndarray:
         return angles_for_key(sampler.key, self.primes_u64)
 
-    def membership_mask(self, primes: Iterable[int]) -> np.ndarray:
-        """Boolean mask over this table's primes for a given prime set."""
-        wanted = set(primes)
-        return np.array([p in wanted for p in self.primes], dtype=bool)
-
     def unit_values_batch(self, angle_matrix: np.ndarray) -> np.ndarray:
         """Column b holds f(P(n)) under the b-th angle vector; a 1-D angle
         vector gives the n-vector of f(P(n))."""
@@ -161,11 +157,11 @@ class PhaseTable:
 
 
 def check_replicates(reps: int, threads: int, minimum: int = 1) -> None:
-    """ConfigError unless reps >= minimum and threads >= 1."""
+    """ConfigError unless reps >= minimum and 1 <= threads <= MAX_THREADS."""
     if reps < minimum:
         raise ConfigError(f"too few replicates: {reps} < {minimum}", field="reps")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1", field="threads")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"threads must be in 1..{MAX_THREADS}", field="threads")
 
 
 def replicate_sums(

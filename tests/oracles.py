@@ -4,7 +4,8 @@ Everything here recounts from first principles, sharing no code path with
 the implementations under test: quadruple loops and all-pairs comparison
 matrices for energy counts, literal sign-pattern enumeration for the
 exact moment sums, and scalar per-row evaluation of the partial, per-prime
-and split sums that the batched replicate engine computes (``f_of``
+and split sums that the batched replicate engine computes (the split
+labels come from each row's factor list, ``split_labels``; ``f_of``
 adds one factor's phase at a time; ``unit_values_reference`` is the
 complex exponential of whole phase arrays that the engine's cos/sin
 kernel must match bit for bit), and the prime -> n incidence rebuilt
@@ -326,13 +327,18 @@ def clt_value_counter(table, n_max):
     return sum(c * c for c in counts.values()), counts[1], values.count(0)
 
 
+def a_union(family):
+    """A = A_1 u ... u A_k as one frozenset."""
+    return frozenset().union(*family.a_sets)
+
+
 def variance_floor_counter(table, family, i):
     """sum_p #{(n, n') in T_{i,p}^2 : |P(n)| = |P(n')|} of ``variance_floor``
     from a Counter of (p, |P(n)|), with T_{i,p} rebuilt from the rows:
     n <= x_i whose only prime of A = A_1 u ... u A_k is p, in A_i."""
-    by_value = Counter()
+    union, by_value = a_union(family), Counter()
     for row in table_rows(table, 0, family.grid.points[i]):
-        hits = [p for p, _ in row.factors if p in family.a_union]
+        hits = [p for p, _ in row.factors if p in union]
         if len(hits) == 1 and hits[0] in family.a_sets[i]:
             by_value[hits[0], abs(row.value)] += 1
     return sum(c * c for c in by_value.values())
@@ -467,25 +473,27 @@ class SplitSums:
     s3: complex
 
 
+def split_labels(table, family, i):
+    """Labels over n <= x_i from each row's factor list: 1 (S1) when every
+    A-prime dividing P(n) lies in A_i, 2 (S2) when one lies elsewhere, 0
+    (S3) when there is none."""
+    scale_of = {p: j for j, a in enumerate(family.a_sets) for p in a}
+    labels = []
+    for row in table_rows(table, 0, family.grid.points[i]):
+        hits = [scale_of[p] for p, _ in row.factors if p in scale_of]
+        labels.append(0 if not hits else 2 if any(j != i for j in hits) else 1)
+    return labels
+
+
 def split_sums(sampler, table, family, i):
     """Three-way split of sum_{n <= x_i} f(P(n)) at scale i, one row at a
-    time in ascending n, reading A-prime membership off each row's factor
-    list: S1 when every A-prime dividing P(n) lies in A_i, S2 when one
-    lies elsewhere, S3 when there is none."""
-    scale_of = {p: j for j, a in enumerate(family.a_sets) for p in a}
-    s1 = s2 = s3 = 0j
-    for row in table_rows(table, 0, family.grid.points[i]):
-        if row.value == 0:
-            continue
-        value = f_of(sampler, row)
-        hits = [scale_of[p] for p, _ in row.factors if p in scale_of]
-        if not hits:
-            s3 += value
-        elif any(j != i for j in hits):
-            s2 += value
-        else:
-            s1 += value
-    return SplitSums(scale_index=i, s1=s1, s2=s2, s3=s3)
+    time in ascending n, by the labels of ``split_labels``."""
+    sums = [0j, 0j, 0j]  # S3, S1, S2
+    rows = table_rows(table, 0, family.grid.points[i])
+    for row, label in zip(rows, split_labels(table, family, i)):
+        if row.value != 0:
+            sums[label] += f_of(sampler, row)
+    return SplitSums(scale_index=i, s1=sums[1], s2=sums[2], s3=sums[0])
 
 
 def table_json_doc(table):

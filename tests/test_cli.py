@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import sieve_csv_text, sieve_json_text
 from polyrmf import cli
 from polyrmf.polynomial import parse_polynomial
+from polyrmf.rmf import MAX_THREADS
 from polyrmf.sieve import factor_values
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -252,6 +253,20 @@ def test_threads_below_one_exit_2():
         proc = run_cli(sub, "--poly", "x^2+1", *opts, "--threads", "0")
         assert proc.returncode == 2
         err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == "config" and err["field"] == "threads"
+
+
+def test_threads_above_the_cap_exit_2(capsys):
+    # under --dry-run only, so that no call starts a thread
+    for sub, opts in (
+        ("clt", ["--n", "50", "--reps", "100", "--seed", "1"]),
+        ("fluct", ["--x", "100", "--k", "2", "--ratio", "4", "--reps", "8",
+                   "--seed", "1"]),
+    ):
+        argv = [sub, "--poly", "x^2+1", *opts, "--dry-run", "--threads"]
+        assert cli.main(argv + [str(MAX_THREADS)]) == 0
+        assert cli.main(argv + [str(MAX_THREADS + 1)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config" and err["field"] == "threads"
 
 

@@ -35,6 +35,7 @@ from polyrmf.energy import (
     _pair_total,
     _residue_keys,
     _square_sum,
+    check_energy_config,
     energy,
     error_exponent,
     exponent_fit,
@@ -60,6 +61,11 @@ def test_progression_members_and_size():
     assert r.size == 3
     r = ProgressionRange(10, 1, 0)
     assert list(r.members()) == list(range(1, 11))
+    # beyond 2^63 members, where len() of the range overflows
+    assert ProgressionRange(10**20, 3, 1).size == (10**20 - 1) // 3 + 1
+    assert ProgressionRange(10**20).size == 10**20
+    with pytest.raises(BudgetError):
+        check_energy_config(parse_polynomial("x^2+1"), [10**20])
 
 
 @given(n=st.integers(1, 200), q=st.integers(1, 9), a=st.integers(0, 8))

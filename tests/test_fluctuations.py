@@ -4,9 +4,9 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from oracles import (ConditionalSampler, partial_sum, prime_to_indices,
-                     s2_membership_scan, split_sums, table_rows,
-                     variance_floor_counter)
+from oracles import (ConditionalSampler, a_union, partial_sum,
+                     prime_to_indices, s2_membership_scan, split_labels,
+                     split_sums, table_rows, variance_floor_counter)
 from polyrmf import rmf
 from polyrmf.clt_audit import run_clt
 from polyrmf.errors import BudgetError
@@ -19,7 +19,7 @@ from polyrmf.fluctuations import (
     variance_floor,
 )
 from polyrmf.polynomial import parse_polynomial
-from polyrmf.rmf import SteinhausSampler, derive_seed
+from polyrmf.rmf import M64, SteinhausSampler, derive_seed
 from polyrmf.sieve import factor_values
 
 
@@ -170,13 +170,21 @@ def test_variance_floor(family_200):
     ("1,-101,1", 100, 2),  # P(n) = P(101 - n): pairs of equal values
 ])
 def test_variance_floor_matches_the_counter_oracle(text, x_base, k):
+    # and the labels and S2 counts against the row scans
     poly = parse_polynomial(text)
     grid = build_grid(x_base, k, 4)
     table = factor_values(poly, grid.points[-1])
     fam = build_prime_sets(poly, table, grid)
+    labels = classification_labels(table, fam)
     for i, x in enumerate(grid.points):
         want = variance_floor_counter(table, fam, i)
-        assert variance_floor(table, fam, i).mu == Fraction(want, 2 * x)
+        floor = variance_floor(table, fam, i)
+        assert floor.mu == Fraction(want, 2 * x)
+        assert labels[i].tolist() == split_labels(table, fam, i)
+        assert s2_second_moment(table, fam, i) == s2_membership_scan(
+            table, fam.a_sets, i, x)
+        # the label-1 rows of scale i are the union of the T_{i,p}
+        assert floor.lower_bound == Fraction(int(np.sum(labels[i] == 1)), 2 * x)
 
 
 def test_variance_floor_empty_family():
@@ -301,21 +309,34 @@ def test_report_carries_admissibility_flag(x2p1):
     assert "surrogate" in rep.grid_model
 
 
-def test_run_fluct_conditional_matches_scalar_oracle(x2p1):
-    reps, seed = 9, 23
-    rep = run_fluct(x2p1, 100, 2, 4, reps, seed, conditional=True)
-    table = factor_values(x2p1, 400)
-    fam = build_prime_sets(x2p1, table, rep.grid)
+def _conditional_matches_scalar_oracle(poly, ratio, reps, seed):
+    """run_fluct(conditional=True) at X = 100, k = 2 against the
+    ConditionalSampler split sums; returns the prime-set family."""
+    rep = run_fluct(poly, 100, 2, ratio, reps, seed, conditional=True)
+    table = factor_values(poly, rep.grid.points[-1])
+    fam = build_prime_sets(poly, table, rep.grid)
     for r in (0, reps - 1):
         sampler = ConditionalSampler(
             base=SteinhausSampler(seed),
             inner=SteinhausSampler(derive_seed(seed, r)),
-            resample=fam.a_union)
+            resample=a_union(fam))
         for i in range(2):
             parts = split_sums(sampler, table, fam, i)
             assert abs(rep.s1_matrix[i, r] - parts.s1) <= 1e-9
             assert abs(rep.s2_matrix[i, r] - parts.s2) <= 1e-9
             assert abs(_s3(rep)[i, r] - parts.s3) <= 1e-9
+    return fam
+
+
+def test_run_fluct_conditional_matches_scalar_oracle(x2p1):
+    _conditional_matches_scalar_oracle(x2p1, 4, 9, 23)
+
+
+def test_run_fluct_conditional_with_a_primes_above_2_64():
+    # values near 1e20 leave A-primes beyond 2^64, whose angles hash p mod 2^64
+    poly = parse_polynomial("100000000000000000000,0,1")
+    fam = _conditional_matches_scalar_oracle(poly, 2, 5, 31)
+    assert max(a_union(fam)) > M64
 
 
 def test_clt_and_fluct_share_one_engine(x2p1):

@@ -13,11 +13,14 @@ from oracles import (ConditionalSampler, FactoredValue, angle, f_of,
 from polyrmf import rmf
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
+from polyrmf.errors import ConfigError
 from polyrmf.rmf import (
     M64,
+    MAX_THREADS,
     PhaseTable,
     SteinhausSampler,
     angles_for_key,
+    check_replicates,
     derive_seed,
     mix64,
     replicate_sums,
@@ -248,7 +251,6 @@ def test_phase_table_primes_above_2_64():
     s = SteinhausSampler(2718)
     i = pt.primes.index(big)
     assert pt.angles(s)[i] == angle(s, big)
-    assert pt.membership_mask([big]).tolist() == [p == big for p in pt.primes]
     z = pt.unit_values_batch(pt.angles(s))
     assert abs(z.sum() - partial_sum(s, table, 20)) <= 1e-9
 
@@ -327,3 +329,12 @@ def test_selector_must_match_the_table_rows(x2p1, monkeypatch):
     for cols in (49, 51, 60):
         with pytest.raises(ValueError):
             replicate_sums(pt, 1, 3, sparse.csr_matrix(np.ones((1, cols))))
+
+
+def test_check_replicates_caps_the_thread_count():
+    # checked only: every worker would hold its own angle block
+    check_replicates(1, MAX_THREADS)
+    for threads in (0, MAX_THREADS + 1, 10**12):
+        with pytest.raises(ConfigError) as info:
+            check_replicates(1, threads)
+        assert info.value.field == "threads"
