@@ -23,12 +23,12 @@ CRT); k is the least count that makes this hold, 0 when V^2 < 2^63, so
 the keys are exact for every value size, as are those of a reduced
 ratio's parts, at most V.  A square sum sorts the low words by value to
 find those that repeat; only the items that carry one are sorted by
-index, and every other item adds its weight squared.  ``_pair_total``
-builds each canonical product once, in passes of about 4e6 classed by
-the discrete logarithm mod 65537 (at most 2^16 passes), so memory stays
-bounded up to about 7e5 values and time grows with the pair count;
-the pair budget caps that time, and a budget of None (chunked mode)
-lifts it.
+index, and every other item adds its weight squared.  The energy and
+the audit's grouped counts build each pair once, in passes of about 4e6
+pairs (at most 2^16) classed by the discrete logarithm mod 65537, so
+memory stays bounded up to about 7e5 values and time grows with the
+pair count; the pair budget caps that time, and a budget of None
+(chunked mode) lifts it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
+from math import log
 
 import numpy as np
 
@@ -181,18 +181,37 @@ def value_pair_count(values: list[int], tags: np.ndarray | None = None) -> int:
 _LOG_PRIME = 65537  # 2^16 + 1, with primitive root 3
 
 
-def _log3_table() -> np.ndarray:
-    """L with L[3^e mod 65537] = e for 0 <= e < 2^16 (L[0] is unused)."""
+def _classes(values: np.ndarray, items: int) -> tuple[int, np.ndarray]:
+    """``passes``, the least power of two up to 2^16 that splits ``items``
+    pairs into passes of about ``_RUN_ITEMS``, and the class L(v) mod
+    ``passes`` of each nonzero value v = 65537^e u (65537 not dividing u):
+    L(v) = log_3(u mod 65537) is completely additive, so a product v w
+    has class L(v) + L(w), and a ratio v/w, reduced or not, L(v) - L(w)."""
+    need = -(-items // _RUN_ITEMS)
+    passes = min(1 << max(need - 1, 0).bit_length(), _LOG_PRIME - 1)
+    if passes == 1:
+        return 1, np.zeros(len(values), dtype=np.int64)
     p = _LOG_PRIME
+    while (hit := values % p == 0).any():  # a zero never leaves
+        values = np.where(hit, values // p, values)
+    # log3[3^(256 a + b) mod p] = 256 a + b for 0 <= a, b < 256
     small = np.array([pow(3, e, p) for e in range(256)], dtype=np.int64)
     large = np.array([pow(3, 256 * e, p) for e in range(256)], dtype=np.int64)
-    table = np.zeros(p, dtype=np.int64)
-    table[np.multiply.outer(large, small).ravel() % p] = np.arange(p - 1)
-    return table
+    log3 = np.zeros(p, dtype=np.int64)
+    log3[np.multiply.outer(large, small).ravel() % p] = np.arange(p - 1)
+    return passes, log3[(values % p).astype(np.int64)] % passes
 
 
-def _pairs(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of the pairs (r, j), lo <= j < hi, of each r in ``rows``."""
+def _class_pairs(key, cls, passes, k, sign) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the pairs of pass k inside one group tag, the rows sorted by
+    ``key`` = tag * passes + class: for sign 1 the canonical products of
+    class k (j >= i where the classes tie), for -1 the ordered ratios."""
+    part = sign * (k - cls) % passes  # the class each row pairs with
+    rows = np.flatnonzero((cls <= part) | (sign < 0))
+    part = part[rows]
+    at = key[rows] - cls[rows] + part  # same tag, class part
+    lo, hi = np.searchsorted(key, at), np.searchsorted(key, at, side="right")
+    lo = np.where((cls[rows] == part) & (sign > 0), rows, lo)
     count = hi - lo
     j = np.arange(int(count.sum()), dtype=np.int64)
     j += np.repeat(lo - (np.cumsum(count) - count), count)
@@ -213,46 +232,21 @@ def _pair_keys(keys, qs, i, j):
 
 
 def _pair_total(values: list[int]) -> int:
-    """Sum over distinct products v*w of the squared ordered-pair count.
-
-    The canonical pairs (i <= j) carry weight 1 on the diagonal and 2 off
-    it.  The values are first divided by their gcd, which scales every
-    product alike.  Each pair is built once, in passes of about
-    ``_RUN_ITEMS`` pairs up to a cap of 2^16 passes: with p = 65537,
-    L(v) = log_3(v mod p) and ``passes`` a power of two dividing p - 1,
-    the class L(v) mod passes of a product is the sum of its factors'
-    classes, so pass k builds the pairs of classes a and k - a,
-    a <= k - a (mod passes), and equal products meet in one pass.  With
-    more than one pass, one more takes every pair with a row 0 mod p,
-    whose products are the only ones 0 mod p.
-    """
-    m = len(values)
-    g = gcd(*values)
-    if g > 1:
-        values = [v // g for v in values]
+    """Sum over distinct products v*w of the squared ordered-pair count:
+    (M^2 - M'^2)^2 for the product 0, M' of the M values nonzero, plus
+    the square sums of the canonical products (i <= j; weight 1 on the
+    diagonal, 2 off it) of the nonzero values, one per class pass."""
     arr, qs = _exact_array(values)
-    keys = _residue_keys(arr, qs)  # crt products stay below 2^62
-    need = -(-(m * (m + 1) // 2) // _RUN_ITEMS)
-    passes = min(1 << max(need - 1, 0).bit_length(), _LOG_PRIME - 1)
-    cls = np.zeros(m, dtype=np.int64)
-    if passes > 1:
-        res = (arr % _LOG_PRIME).astype(np.int64)
-        cls = np.where(res == 0, -1, _log3_table()[res] % passes)
-    # rows 0 mod p first, then the rows of each class in turn
+    arr = arr[arr != 0]
+    m = len(arr)
+    passes, cls = _classes(arr, m * (m + 1) // 2)
     order = np.argsort(cls)
-    cls, keys = cls[order], [k[order] for k in keys]
-    pos = np.arange(m)
-    z = int(np.count_nonzero(cls < 0))
-    bounds = np.searchsorted(cls, np.arange(passes + 1))  # where each class starts
-    # nested calls, so that each pass frees its pair indices before the sort
-    total = _square_sum(*_pair_keys(keys, qs, *_pairs(pos[:z], pos[:z], m)))
-    cls, pos = cls[z:], pos[z:]
-    for k in range(passes):
-        part = (k - cls) % passes  # the class each row pairs with in pass k
-        mine = cls <= part
-        rows, part = pos[mine], part[mine]
-        lo, hi = np.where(cls[mine] == part, rows, bounds[part]), bounds[part + 1]
-        total += _square_sum(*_pair_keys(keys, qs, *_pairs(rows, lo, hi)))
+    keys = [k[order] for k in _residue_keys(arr, qs)]  # crt products stay below 2^62
+    cls = cls[order]
+    total = (len(values) ** 2 - m * m) ** 2
+    for k in range(passes):  # nested: each pass frees its pair indices before the sort
+        total += _square_sum(*_pair_keys(
+            keys, qs, *_class_pairs(cls, cls, passes, k, 1)))
     return total
 
 
@@ -350,34 +344,40 @@ def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[i
 def group_pair_counts(groups: list[list[int]]) -> tuple[int, int, int, int, int]:
     """(equal, same, total, c31, triples) of groups of nonzero values: the
     pairs with |v| = |w|, then sum_g C22, sum_g C22 + D, sum_g C31 and
-    sum_g C31 + A of ``clt_audit``, from all canonical pairs i <= j at once."""
+    sum_g C31 + A of ``clt_audit``.  Pass k takes the canonical products
+    and the ordered ratios of class k, so equal keys, and each product m
+    with its ratio m/1, meet in one pass."""
     sizes = np.array([len(g) for g in groups], dtype=np.int64)
     values, qs = _exact_array([v for g in groups for v in g])
-    # each value pairs with itself and the values after it in its group
-    rows = np.arange(len(values))
-    i, j = _pairs(rows, rows, np.repeat(np.cumsum(sizes), sizes))
-    tag = np.repeat(np.arange(len(sizes)), sizes)[i]
-    prods, weight = _pair_keys(_residue_keys(values, qs), qs, i, j)
-    off = weight == 2
-    # the reduced ratios of (v_i, v_j) and, off the diagonal, of (v_j, v_i)
-    av, aw = np.abs(values[i]), np.abs(values[j])
-    a, b = av // (d := np.gcd(av, aw)), aw // d
-    sign = np.where((values[i] < 0) != (values[j] < 0), -1, 1)
-    num = _residue_keys(np.r_[sign * a, (sign * b)[off]], qs)
-    den = np.r_[b, a[off]]
-    # the integer ratios m/1 with their group tags, keyed like the products m
-    ints = [k[den == 1] for k in num + [np.r_[tag, tag[off]]]]
+    passes, cls = _classes(values, int(np.dot(sizes, 3 * sizes + 1)) // 2)
+    key = np.repeat(np.arange(len(sizes)), sizes) * passes + cls
+    order = np.argsort(key)
+    key, cls, values = key[order], cls[order], values[order]
+    keys, mag, neg = _residue_keys(values, qs), np.abs(values), values < 0
 
     def inner(x, y, sx):  # sum_k x_k y_k, x weighted, y of weight 1
         ones = np.ones(len(y[0]), dtype=np.int64)
         both = _square_sum([np.r_[u, v] for u, v in zip(x, y)], np.r_[weight, ones])
         return (both - sx - _square_sum(y, ones)) // 2
 
-    same = _square_sum(prods + [tag], weight)
-    return (int(weight[av == aw].sum()), same,
-            _square_sum(num + _residue_keys(den, qs), np.ones(len(den), np.int64)),
-            inner(prods + [tag], ints, same),
-            inner(prods, ints[:-1], _square_sum(prods, weight)))
+    counts = np.zeros(5, dtype=object)
+    for k in range(passes):
+        i, j = _class_pairs(key, cls, passes, k, 1)
+        prods, weight = _pair_keys(keys, qs, i, j)
+        prods_tag = prods + [key[i] // passes]
+        # the reduced ratios v_i/v_j, and the integer ones m/1 with their tags
+        i, j = _class_pairs(key, cls, passes, k, -1)
+        av, aw = mag[i], mag[j]
+        a, b = av // (d := np.gcd(av, aw)), aw // d
+        a[neg[i] != neg[j]] *= -1
+        num = _residue_keys(a, qs)
+        ints = [u[b == 1] for u in num + [key[i] // passes]]
+        same = _square_sum(prods_tag, weight)
+        counts += [np.count_nonzero(av == aw), same,
+                   _square_sum(num + _residue_keys(b, qs), np.ones(len(b), np.int64)),
+                   inner(prods_tag, ints, same),
+                   inner(prods, ints[:-1], _square_sum(prods, weight))]
+    return tuple(map(int, counts))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Per scale i, with threshold t_i = x_i ln(x_i) / (2 d^2):
 
   E_i = {p >= t_i : p | P(n) for some n <= x_i}
           minus {p >= t_i : p | P(n) for some n <= x_{i-1}}     (x_0 = 0)
-  F_1 = E_1,  F_{i+1} = E_{i+1} minus E_i
+  F_1 = E_1,  F_{i+1} = E_{i+1} minus E_i,  so F_i = E_i: each prime's
+        first n with p | P(n) lies in one window (x_{i-1}, x_i]
   A_i = greedy subset of F_i (ascending primes) such that no two chosen
         primes divide a common P(n) with n <= x_i.
 
@@ -116,11 +117,9 @@ def build_prime_sets(
         lo = bisect_left(table.primes, thr)
         e_cols.append(np.flatnonzero((first[lo:] >= prev_x) & (first[lo:] < x)) + lo)
         prev_x = x
-    f_cols = e_cols[:1] + [np.setdiff1d(e, e_prev)
-                           for e_prev, e in zip(e_cols, e_cols[1:])]
 
     a_scale = np.full(len(table.primes), -1)
-    for i, (x, cols) in enumerate(zip(grid.points, f_cols)):
+    for i, (x, cols) in enumerate(zip(grid.points, e_cols)):
         sub = csc[:, cols]
         rows, ptr = sub.indices.tolist(), sub.indptr.tolist()
         claimed: set[int] = set()
@@ -137,7 +136,7 @@ def build_prime_sets(
         grid=grid,
         thresholds=thresholds,
         e_sets=tuple(map(primes, e_cols)),
-        f_sets=tuple(map(primes, f_cols)),
+        f_sets=tuple(map(primes, e_cols)),
         a_sets=tuple(primes(np.flatnonzero(a_scale == i))
                      for i in range(len(grid.points))),
         a_scale=a_scale,

@@ -17,8 +17,9 @@ also checked against Python ``Counter`` histograms of pair products and
 reduced ratios (``pair_histogram``, ``ratio_histogram``), and the
 martingale audit and the paired-prime counts of
 ``energy.group_pair_counts`` against the Counter engine they ran on
-before they sorted machine-word keys (``mcleish_counter``,
-``paired_prime_counter``), which reaches sizes beyond the brute force;
+before they sorted machine-word keys (``group_pair_counter``, which
+takes any groups, ``mcleish_counter``, ``paired_prime_counter``), which
+reaches sizes beyond the brute force;
 so are the square sums themselves (``square_sum_counter``) and the
 equal-value pair counts of ``run_clt`` and ``variance_floor``
 (``clt_value_counter``, ``variance_floor_counter``).  The ``sieve``
@@ -298,23 +299,32 @@ def paired_prime_counter(table):
     return total, same, total - same
 
 
-def mcleish_counter(table, n_max):
-    """(variance_sum, lindeberg_sum, cross_term) from per-group Counter
-    histograms of ratios R_g and products Pi_g, as the audit counted before
-    it sorted machine-word keys: C22 and D from the ratio histograms,
-    C31 = sum_m Pi_g(m) R_g(m) and A = sum_m Pi(m) R(m) - sum_g C31."""
-    groups = list(_abs_groups(table, n_max).values())
+def group_pair_counter(groups):
+    """(equal, same, total, c31, triples) of ``energy.group_pair_counts``
+    from per-group Counter histograms of ratios R_g and products Pi_g, as
+    the audit counted before it sorted machine-word keys: the pairs with
+    |v| = |w| from R_g(1) and R_g(-1), C22 and D from the ratio
+    histograms, C31 = sum_m Pi_g(m) R_g(m) and A = sum_m Pi(m) R(m) -
+    sum_g C31.  Any nonzero signed values, in any number of groups."""
     ratios = [ratio_histogram(vs) for vs in groups]
     combined, same = _merged_ratios(ratios)
-    distinct = sum(c * c for c in combined.values()) - same
     c31 = triples = 0  # v1 v2 v3 = v4 with v1 v2 = v4/v3 = m
     for vs, own in zip(groups, ratios):
         for m, c in pair_histogram(vs).items():
             triples += c * combined.get((m, 1), 0)
             c31 += c * own.get((m, 1), 0)
-    return (Fraction(sum(r[1, 1] for r in ratios), n_max),
+    equal = sum(r[1, 1] + r[-1, 1] for r in ratios)
+    return equal, same, sum(c * c for c in combined.values()), c31, triples
+
+
+def mcleish_counter(table, n_max):
+    """(variance_sum, lindeberg_sum, cross_term) from ``group_pair_counter``
+    over the groups of |P(n)| by largest prime."""
+    equal, same, total, c31, triples = group_pair_counter(
+        list(_abs_groups(table, n_max).values()))
+    return (Fraction(equal, n_max),
             Fraction(6 * same + 8 * c31, 4 * n_max * n_max),
-            Fraction(distinct + 2 * (triples - c31), n_max**2))
+            Fraction(total - same + 2 * (triples - c31), n_max**2))
 
 
 def clt_value_counter(table, n_max):

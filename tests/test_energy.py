@@ -18,6 +18,7 @@ from oracles import (
     energy_cross,
     energy_cross_loop,
     energy_quadruple_loop,
+    group_pair_counter,
     pair_histogram,
     pair_histogram_total,
     paired_prime_counter,
@@ -353,8 +354,8 @@ def test_square_sum_matches_counter(items):
 
 
 def test_many_passes_equal_one_pass():
-    # content 65537, and x = 256 gives a row 0 mod 65537 after dividing it
-    # out (256^2 + 1 = 65537); one item per pass needs the cap of 2^16
+    # every value is a multiple of 65537, and x = 256 gives one of 65537^2
+    # (256^2 + 1 = 65537); one item per pass needs the cap of 2^16
     poly = IntPolynomial((65537, 0, 65537))
     values = [poly(x) for x in range(-3, 400)] + [0]
     want = pair_histogram_total(values)
@@ -363,7 +364,20 @@ def test_many_passes_equal_one_pass():
     with mock.patch.object(energy_module, "_square_sum",
                            wraps=energy_module._square_sum) as square_sum:
         assert pair_total_in_passes(values, 1) == want
-    assert square_sum.call_count == 2**16 + 1  # the classes and the zero pass
+    assert square_sum.call_count == 2**16  # one per class, none for the zeros
+
+
+P16 = 65537
+# rows with and without factors 65537 whose products and ratios agree:
+# 2 (3 p) = 3 (2 p) = 6 p, p p = p^2 1 and (2 p)/2 = p/1
+MIXED_65537 = [2, 3, 6, P16, 2 * P16, -3 * P16, 6 * P16, P16**2, 2 * P16**2]
+
+
+def test_classes_strip_every_power_of_65537():
+    values = MIXED_65537 + [-1, 0, 0]
+    want = pair_histogram_total(values)
+    for run_items in (1, 7):
+        assert pair_total_in_passes(values, run_items) == want
 
 
 @given(values=st.lists(st.integers(-2**100, 2**100), min_size=1, max_size=30))
@@ -444,6 +458,51 @@ def test_paired_primes_match_the_counter_engine(text, n_max):
     table = factor_values(parse_polynomial(text), n_max)
     same, total = _paired_primes(table)
     assert (total, same, total - same) == paired_prime_counter(table)
+
+
+def _signed_groups(seed):
+    """Random signed groups that share absolute values across groups, so
+    that pairs with |v| = |w| must be counted inside each group."""
+    rng = np.random.default_rng(seed)
+    pool = [2, 3, 4, 6, 12, 36, 65537, 2 * 65537, 65537**2]
+    return [[int(rng.choice([-1, 1])) * int(rng.choice(pool))
+             for _ in range(rng.integers(1, 9))] for _ in range(rng.integers(1, 6))]
+
+
+def _table_groups(text, n_max):
+    return list(lpf_groups(factor_values(parse_polynomial(text), n_max)).values())
+
+
+GROUP_CASES = {
+    "multiples of 65537": lambda: _table_groups("65537,0,65537", 40),
+    "beyond 2^64": lambda: _table_groups("100000000000000000000,0,1", 14),
+    "mixed powers of 65537": lambda: [MIXED_65537, [-2, P16, 1, P16**2]],
+    **{f"signed {seed}": lambda seed=seed: _signed_groups(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("groups", GROUP_CASES.values(), ids=GROUP_CASES)
+@pytest.mark.parametrize("run_items", [1, 7, energy_module._RUN_ITEMS])
+def test_group_pair_counts_in_forced_passes(groups, run_items):
+    groups = groups()
+    with mock.patch.object(energy_module, "_RUN_ITEMS", run_items):
+        got = group_pair_counts(groups)
+    assert got == group_pair_counter(groups)
+
+
+def test_group_pair_counts_stay_in_bounded_passes():
+    # at least 16 passes of seven square sums: none may see more than a
+    # quarter of the ordered pairs, whichever keys it sorts
+    table = factor_values(parse_polynomial("x^2+x"), 2000)
+    groups = [[abs(v) for v in g] for g in lpf_groups(table).values()]
+    pairs = sum(len(g) ** 2 for g in groups)
+    want = group_pair_counts(groups)
+    with mock.patch.object(energy_module, "_RUN_ITEMS", pairs // 16), \
+            mock.patch.object(energy_module, "_square_sum",
+                              wraps=energy_module._square_sum) as square_sum:
+        assert group_pair_counts(groups) == want
+    sizes = [len(call.args[0][0]) for call in square_sum.call_args_list]
+    assert len(sizes) >= 16 * 7 and max(sizes) <= pairs / 4
 
 
 def test_error_exponents():

@@ -120,6 +120,17 @@ def test_e_sets_exclude_earlier_scales(family_200):
         assert incidence[p][0] > grid.points[0]
 
 
+@pytest.mark.parametrize("x_base,ratio", [(300, 4), (400, 4), (400, 6), (300, 8)])
+def test_f_sets_are_e_sets_minus_the_previous_scale(x_base, ratio):
+    # the scale grids of the benchmark's fluct jobs (k = 3): F_1 = E_1 and
+    # F_{i+1} = E_{i+1} minus E_i, recomputed from the reported E_i
+    poly = parse_polynomial("x^2+3x+7")
+    grid = build_grid(x_base, 3, ratio)
+    fam = build_prime_sets(poly, factor_values(poly, grid.points[-1]), grid)
+    e = fam.e_sets
+    assert fam.f_sets == e[:1] + tuple(b - a for a, b in zip(e, e[1:]))
+
+
 def test_split_partition_identity(family_200):
     poly, table, grid, fam = family_200
     s = SteinhausSampler(13)
