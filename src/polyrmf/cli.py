@@ -346,7 +346,7 @@ def _cmd_audit(args):
         check_factor_budget(grid[-1])
         return config, None
     table = factor_values(poly, grid[-1])
-    return config, mcleish_audit(poly, table, grid)
+    return config, mcleish_audit(table, grid)
 
 
 _COMMANDS = {

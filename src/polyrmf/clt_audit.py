@@ -27,10 +27,13 @@ classes are enumerated, so the rational outputs are exact:
   p != q, and A counts the rarer class v1 v2 w1 = w2 across distinct
   groups (its mirror contributes the factor 2).
 
-Every count is a square sum S(X) = sum_k x_k^2 over the keys k of the
-ordered pairs inside the groups g of |P(n)| (``energy.group_pair_counts``),
-R_g and Pi_g counting the pairs of g^2 by ratio and by product, R and Pi
-their sums over g.  The equal pairs of g are R_g(1), C22 = sum_m Pi_g(m)^2
+The groups g of |P(n)| are read off the factor table's CSR exponent
+matrix: each nonempty row is tagged by its last column, the column of
+its largest prime, and a grid point N takes the rows n <= N.  Every
+count is a square sum S(X) = sum_k x_k^2 over the keys k of the ordered
+pairs inside the groups (``energy.group_pair_counts``), R_g and Pi_g
+counting the pairs of g^2 by ratio and by product, R and Pi their sums
+over g.  The equal pairs of g are R_g(1), C22 = sum_m Pi_g(m)^2
 and sum_g C22 + D = sum_r R(r)^2, as v1 v2 = v3 v4 iff v1/v3 = v4/v2.
 C31 = sum_m Pi_g(m) R_g(m), as v1 v2 v3 = v4 iff v4/v3 = v1 v2, and
 sum_g C31 + A = sum_m Pi(m) R(m), inner products by polarization,
@@ -51,7 +54,7 @@ import numpy as np
 from scipy import sparse
 
 from .polynomial import IntPolynomial, require_not_pure_power
-from .energy import group_pair_counts, lpf_groups, value_pair_count
+from .energy import group_pair_counts, value_pair_count
 from .rmf import PhaseTable, check_replicates, replicate_sums
 from .sieve import FactorTable, check_factor_budget, check_grid, factor_values
 
@@ -61,11 +64,11 @@ def normal_cdf_half_variance(x: float) -> float:
     return 0.5 * (1.0 + erf(x))
 
 
-def ks_statistic(samples: np.ndarray, cdf=normal_cdf_half_variance) -> float:
-    """One-sample Kolmogorov-Smirnov distance against a reference CDF."""
+def ks_statistic(samples: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov distance against N(0, 1/2)."""
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(xs)
-    cdf_vals = np.array([cdf(x) for x in xs])
+    cdf_vals = np.array([normal_cdf_half_variance(x) for x in xs])
     upper = np.max(np.arange(1, n + 1) / n - cdf_vals)
     lower = np.max(cdf_vals - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -124,19 +127,18 @@ def run_clt(
     seed: int,
     *,
     threads: int = 1,
-    table: FactorTable | None = None,
 ) -> CltRun:
-    """Monte-Carlo sample of the normalized partial sums with statistics."""
+    """Monte-Carlo sample of the normalized partial sums with statistics,
+    over the table of P(1..n_max) that it factors itself."""
     check_clt_config(poly, n_max, reps, threads)
-    if table is None:
-        table = factor_values(poly, n_max)
-    pt = PhaseTable(table, n_max)
-    samples = sample_normalized_sums(pt, n_max, seed, reps, threads=threads)
+    table = factor_values(poly, n_max)
+    samples = sample_normalized_sums(PhaseTable(table), n_max, seed, reps,
+                                     threads=threads)
 
     re, im = samples.real, samples.imag
     abs2 = re * re + im * im
     abs4 = abs2 * abs2
-    values = [abs(v) for v in table.values[:n_max]]
+    values = [abs(v) for v in table.values]
     nonzero = [v for v in values if v]
     exact_second = Fraction(value_pair_count(nonzero), n_max)
     small = values.count(1)
@@ -180,18 +182,23 @@ class McLeishAudit:
     scales: tuple[McLeishScale, ...]
 
 
-def mcleish_audit(
-    poly: IntPolynomial, table: FactorTable, grid: list[int]
-) -> McLeishAudit:
-    """Exact martingale-condition sums at each N of the grid."""
-    check_grid(grid)  # lpf_groups refuses an N beyond the table
+def mcleish_audit(table: FactorTable, grid: list[int]) -> McLeishAudit:
+    """Exact martingale-condition sums at each N of the grid; each nonempty
+    row of the table's CSR is grouped by its last column, its largest prime."""
+    check_grid(grid)
+    if grid[-1] > table.N:
+        raise ValueError("table does not cover the requested range")
+    ptr = table.exponents.indptr[:grid[-1] + 1]
+    rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+    tags = table.exponents.indices[ptr[rows + 1] - 1]
+    mags = [abs(table.values[r]) for r in rows.tolist()]
     scales = []
     for n_max in grid:
-        equal, same, total, c31, triples = group_pair_counts(
-            [[abs(v) for v in vs] for vs in lpf_groups(table, n_max).values()])
+        m = int(np.searchsorted(rows, n_max))  # the rows n <= n_max
+        equal, same, total, c31, triples = group_pair_counts(mags[:m], tags[:m])
         scales.append(McLeishScale(
             N=n_max, variance_sum=Fraction(equal, n_max),
             lindeberg_sum=Fraction(6 * same + 8 * c31, 4 * n_max * n_max),
             cross_term=Fraction(total - same + 2 * (triples - c31), n_max**2),
-            small_value_count=sum(1 for v in table.values[:n_max] if abs(v) <= 1)))
-    return McLeishAudit(polynomial=poly, scales=tuple(scales))
+            small_value_count=n_max - m))
+    return McLeishAudit(polynomial=table.polynomial, scales=tuple(scales))

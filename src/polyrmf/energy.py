@@ -44,7 +44,7 @@ from .errors import BudgetError, ConfigError
 from .polynomial import (IntPolynomial, generalized_even_center,
                          require_not_pure_power)
 from .primes import is_prime
-from .sieve import FactorTable, check_factor_budget, check_grid
+from .sieve import check_factor_budget, check_grid
 
 DEFAULT_PAIR_BUDGET = 80_000_000
 _RUN_ITEMS = 4_000_000
@@ -329,28 +329,20 @@ def energy(
     )
 
 
-def lpf_groups(table: FactorTable, n_max: int | None = None) -> dict[int, list[int]]:
-    """Group values P(n), n <= n_max, by largest prime factor (> 0 only)."""
-    n_max = table.N if n_max is None else n_max
-    if n_max > table.N:
-        raise ValueError("table does not cover the requested range")
-    groups: dict[int, list[int]] = {}
-    for value, p in zip(table.values[:n_max], table.largest_primes()):
-        if p > 0:
-            groups.setdefault(p, []).append(value)
-    return groups
-
-
-def group_pair_counts(groups: list[list[int]]) -> tuple[int, int, int, int, int]:
-    """(equal, same, total, c31, triples) of groups of nonzero values: the
-    pairs with |v| = |w|, then sum_g C22, sum_g C22 + D, sum_g C31 and
-    sum_g C31 + A of ``clt_audit``.  Pass k takes the canonical products
-    and the ordered ratios of class k, so equal keys, and each product m
-    with its ratio m/1, meet in one pass."""
-    sizes = np.array([len(g) for g in groups], dtype=np.int64)
-    values, qs = _exact_array([v for g in groups for v in g])
+def group_pair_counts(values: list[int],
+                      tags: np.ndarray) -> tuple[int, int, int, int, int]:
+    """(equal, same, total, c31, triples) of nonzero values in groups,
+    values[i] in the group of the integer tags[i] (in any order, as in
+    ``value_pair_count``): the pairs with |v| = |w| inside a group, then
+    sum_g C22, sum_g C22 + D, sum_g C31 and sum_g C31 + A of
+    ``clt_audit``.  Pass k takes the canonical products and the ordered
+    ratios of class k, so equal keys, and each product m with its ratio
+    m/1, meet in one pass."""
+    tags = np.asarray(tags, dtype=np.int64)  # int32 CSR columns overflow below
+    sizes = np.unique(tags, return_counts=True)[1]
+    values, qs = _exact_array(values)
     passes, cls = _classes(values, int(np.dot(sizes, 3 * sizes + 1)) // 2)
-    key = np.repeat(np.arange(len(sizes)), sizes) * passes + cls
+    key = tags * passes + cls
     order = np.argsort(key)
     key, cls, values = key[order], cls[order], values[order]
     keys, mag, neg = _residue_keys(values, qs), np.abs(values), values < 0

@@ -95,9 +95,7 @@ class PrimeSetFamily:
     a_scale: np.ndarray = field(repr=False, compare=False)
 
 
-def build_prime_sets(
-    poly: IntPolynomial, table: FactorTable, grid: ScaleGrid
-) -> PrimeSetFamily:
+def build_prime_sets(table: FactorTable, grid: ScaleGrid) -> PrimeSetFamily:
     """Thresholded new-prime sets and a greedy conflict-free selection.
 
     The greedy pass walks F_i in ascending prime order and accepts a prime
@@ -106,7 +104,7 @@ def build_prime_sets(
     """
     if grid.points[-1] > table.N:
         raise ValueError("table does not cover the top grid point")
-    d = poly.degree
+    d = table.polynomial.degree
     thresholds = tuple(x * log(x) / (2 * d * d) for x in grid.points)
     csc = table.by_prime
     first = csc.indices[csc.indptr[:-1]]  # smallest n - 1 with p | P(n)
@@ -132,11 +130,12 @@ def build_prime_sets(
     def primes(cols) -> frozenset[int]:
         return frozenset(table.primes[j] for j in cols.tolist())
 
+    e_sets = tuple(map(primes, e_cols))
     return PrimeSetFamily(
         grid=grid,
         thresholds=thresholds,
-        e_sets=tuple(map(primes, e_cols)),
-        f_sets=tuple(map(primes, e_cols)),
+        e_sets=e_sets,
+        f_sets=e_sets,
         a_sets=tuple(primes(np.flatnonzero(a_scale == i))
                      for i in range(len(grid.points))),
         a_scale=a_scale,
@@ -280,9 +279,9 @@ def run_fluct(
     conditional: bool = False,
     threads: int = 1,
     factor_budget: int = DEFAULT_FACTOR_BUDGET,
-    table: FactorTable | None = None,
 ) -> FluctReport:
-    """Replicated split-sum experiment over a geometric scale grid.
+    """Replicated split-sum experiment over a geometric scale grid, on the
+    table of P(1..x_k) that it factors itself.
 
     In conditional mode the stream for primes outside A stays frozen at
     the base seed and only A-primes are resampled per replicate, so S3
@@ -291,11 +290,10 @@ def run_fluct(
     grid = check_fluct_config(x_base, k, ratio, reps, threads,
                               factor_budget=factor_budget)
     top = grid.points[-1]
-    if table is None:
-        table = factor_values(poly, top, budget=factor_budget)
-    family = build_prime_sets(poly, table, grid)
+    table = factor_values(poly, top, budget=factor_budget)
+    family = build_prime_sets(table, grid)
     labels = classification_labels(table, family)
-    pt = PhaseTable(table, top)
+    pt = PhaseTable(table)
     # three selector rows per scale: S1_i, S2_i and the prefix n <= x_i
     index_sets = []
     for lab in labels:

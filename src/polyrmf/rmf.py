@@ -110,24 +110,22 @@ class SteinhausSampler:
 class PhaseTable:
     """Sparse exponent structure of a factor table for batched evaluation.
 
-    Row n-1 holds the prime exponents of |P(n)|; ``unit_values_batch``
-    maps per-prime angles to f(P(n)) (0 at roots of P).
+    Row n-1 holds the prime exponents of |P(n)|, n = 1..table.N, over
+    the table's primes; ``unit_values_batch`` maps per-prime angles to
+    f(P(n)) (0 at roots of P).  A row's phase sums only its own entries,
+    in ascending prime order, so the rows n <= N of a table factored
+    beyond N give the same bits as those of the table of N.
     """
 
-    def __init__(self, table: FactorTable, n_max: int | None = None):
-        n_max = table.N if n_max is None else n_max
-        if n_max > table.N:
-            raise ValueError("table does not cover the requested range")
-        self.n_max = n_max
-        # every column of the table is kept: a row's phase sums only its
-        # own entries, in ascending prime order, whatever the other columns
+    def __init__(self, table: FactorTable):
+        self.n_max = table.N
         self.primes = table.primes
         # the angle hash only sees p mod 2^64, so primes >= 2^64 reduce
         self.primes_u64 = np.array([p & M64 for p in self.primes], dtype=np.uint64)
-        self.matrix = table.exponents[:n_max].astype(np.float64)
+        self.matrix = table.exponents.astype(np.float64)
         # only a row without factors can hold P(n) = 0
         empty = np.flatnonzero(np.diff(self.matrix.indptr) == 0).tolist()
-        self.zero_mask = np.zeros(n_max, dtype=bool)
+        self.zero_mask = np.zeros(table.N, dtype=bool)
         self.zero_mask[[i for i in empty if table.values[i] == 0]] = True
 
     def angles(self, sampler: SteinhausSampler) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Factorization tables for polynomial values P(1..N).
 
 Rather than factoring each |P(n)| independently, small primes are removed
-with a root sieve: for each prime p up to B = min(trial bound,
+with a root sieve: for each prime p up to B = min(``DEFAULT_TRIAL_BOUND``,
 isqrt(max|P(n)|)), the roots of P mod p are found once and p is divided
 out of every P(n) with n = root (mod p).  Only the residues
 0..min(p, N+1)-1 are evaluated, since no n <= N reaches the others, so
@@ -42,6 +42,7 @@ from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial
 from .primes import sieve_primes, _factor_rough
 
+# the root sieve's largest prime; the table is the same for any bound
 DEFAULT_TRIAL_BOUND = 10_000
 # largest N that factor_values accepts unless fluct passes --factor-budget
 DEFAULT_FACTOR_BUDGET = 2_000_000
@@ -179,8 +180,7 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int, n_max: int) -> np.ndarray:
 
 
 def factor_values(
-    poly: IntPolynomial, n_max: int, trial_bound: int = DEFAULT_TRIAL_BOUND,
-    *, budget: int = DEFAULT_FACTOR_BUDGET,
+    poly: IntPolynomial, n_max: int, *, budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> FactorTable:
     """Factor |P(n)| completely for every n = 1..n_max <= budget."""
     check_factor_budget(n_max, budget)
@@ -188,7 +188,7 @@ def factor_values(
     v_max = max(map(abs, values))
     # sieve only up to isqrt(max|P(n)|): a larger prime leaves a cofactor
     # below (bound + 1)^2, which the prime test below takes as it is
-    bound = max(0, min(trial_bound, isqrt(v_max)))
+    bound = max(0, min(DEFAULT_TRIAL_BOUND, isqrt(v_max)))
     residual = np.array([abs(v) for v in values],
                         dtype=np.int64 if v_max < 2**63 else object)
 

@@ -19,7 +19,8 @@ martingale audit and the paired-prime counts of
 ``energy.group_pair_counts`` against the Counter engine they ran on
 before they sorted machine-word keys (``group_pair_counter``, which
 takes any groups, ``mcleish_counter``, ``paired_prime_counter``), which
-reaches sizes beyond the brute force;
+reaches sizes beyond the brute force; their groups by largest prime are
+dicts of lists built from the rows (``lpf_groups``);
 so are the square sums themselves (``square_sum_counter``) and the
 equal-value pair counts of ``run_clt`` and ``variance_floor``
 (``clt_value_counter``, ``variance_floor_counter``).  The ``sieve``
@@ -266,12 +267,18 @@ def _sign_pattern_count(values):
     return count
 
 
-def _abs_groups(table, n_max):
+def lpf_groups(table, n_max=None):
+    """The signed values P(n), n <= n_max (default N), grouped by largest
+    prime (> 0 only), from the table's FactoredValue rows."""
     groups = {}
     for row in table_rows(table, 0, n_max):
         if row.largest_prime > 0:
-            groups.setdefault(row.largest_prime, []).append(abs(row.value))
+            groups.setdefault(row.largest_prime, []).append(row.value)
     return groups
+
+
+def _abs_groups(table, n_max):
+    return {p: [abs(v) for v in vs] for p, vs in lpf_groups(table, n_max).items()}
 
 
 def _merged_ratios(ratios):
@@ -290,11 +297,8 @@ def paired_prime_counter(table):
     P(n2)P(n4) and pairwise equal largest primes, from the signed values
     of each largest-prime group: the total is sum_r R(r)^2, same the part
     where all four largest primes agree."""
-    groups = {}
-    for row in table_rows(table):
-        if row.largest_prime > 0:
-            groups.setdefault(row.largest_prime, []).append(row.value)
-    combined, same = _merged_ratios(map(ratio_histogram, groups.values()))
+    combined, same = _merged_ratios(map(ratio_histogram,
+                                        lpf_groups(table).values()))
     total = sum(c * c for c in combined.values())
     return total, same, total - same
 

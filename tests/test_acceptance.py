@@ -46,8 +46,8 @@ def table_32000(poly):
 @pytest.fixture(scope="module")
 def fluct_setup(poly, table_32000):
     grid = build_grid(500, 3, 8)
-    family = build_prime_sets(poly, table_32000, grid)
-    report = run_fluct(poly, 500, 3, 8, 2000, FLUCT_SEED, table=table_32000)
+    family = build_prime_sets(table_32000, grid)
+    report = run_fluct(poly, 500, 3, 8, 2000, FLUCT_SEED)
     return grid, family, report
 
 
@@ -113,7 +113,7 @@ def test_criterion_5_clt_statistics(clt_run):
 
 def test_criterion_6_mcleish_audit(poly):
     table = factor_values(poly, 800)
-    audit = mcleish_audit(poly, table, [200, 400, 800])
+    audit = mcleish_audit(table, [200, 400, 800])
     for sc in audit.scales:
         assert sc.variance_sum == 1  # injective with all |P(n)| > 1
     linds = [sc.lindeberg_sum for sc in audit.scales]

@@ -82,7 +82,7 @@ def test_exact_second_moment_counts_value_collisions(x2m6x):
 def test_clt_value_counts_match_the_counter_oracle(text, n_max):
     poly = parse_polynomial(text)
     table = factor_values(poly, n_max)
-    st = run_clt(poly, n_max, 100, 1, table=table).stats
+    st = run_clt(poly, n_max, 100, 1).stats
     pairs, small, zeros = clt_value_counter(table, n_max)
     assert st.exact_second_moment == Fraction(pairs, n_max)
     assert (st.small_value_count, st.zero_value_count) == (small, zeros)
@@ -94,7 +94,7 @@ def test_samples_use_documented_replicate_seeds(x2p1):
     from polyrmf.rmf import SteinhausSampler, derive_seed
 
     table = factor_values(x2p1, 90)
-    run = run_clt(x2p1, 90, 120, 31, table=table)
+    run = run_clt(x2p1, 90, 120, 31)
     for r in (0, 1, 119):
         scalar = partial_sum(SteinhausSampler(derive_seed(31, r)), table, 90)
         assert abs(run.samples[r] - scalar / sqrt(90)) <= 1e-9
@@ -102,7 +102,7 @@ def test_samples_use_documented_replicate_seeds(x2p1):
 
 def test_thread_counts_bit_identical(x2p1):
     table = factor_values(x2p1, 150)
-    pt = PhaseTable(table, 150)
+    pt = PhaseTable(table)
     # rows: the full prefix, then the even n; every third prime frozen
     selector = sparse.csr_matrix(
         np.vstack([np.ones(150), np.arange(1, 151) % 2 == 0]))
@@ -128,7 +128,7 @@ def test_thread_counts_bit_identical(x2p1):
 def test_mcleish_audit_matches_brute_force(text, n_max):
     poly = parse_polynomial(text)
     table = factor_values(poly, n_max)
-    audit = mcleish_audit(poly, table, [n_max])
+    audit = mcleish_audit(table, [n_max])
     sc = audit.scales[0]
     variance, lindeberg, cross = mcleish_brute(table, n_max)
     assert sc.variance_sum == variance
@@ -146,7 +146,7 @@ def test_mcleish_audit_matches_brute_force_on_random_polynomials(coeffs, sizes):
     poly = IntPolynomial(tuple(coeffs))
     grid = sorted(sizes)
     table = factor_values(poly, grid[-1])
-    for sc in mcleish_audit(poly, table, grid).scales:
+    for sc in mcleish_audit(table, grid).scales:
         assert (sc.variance_sum, sc.lindeberg_sum, sc.cross_term) == (
             mcleish_brute(table, sc.N))
 
@@ -156,7 +156,7 @@ def test_mcleish_audit_pinned_fractions():
     # groups here are beyond the reach of the brute-force oracle
     poly = parse_polynomial("x^2+x")
     table = factor_values(poly, 2000)
-    sc1000, sc2000 = mcleish_audit(poly, table, [1000, 2000]).scales
+    sc1000, sc2000 = mcleish_audit(table, [1000, 2000]).scales
     assert (sc1000.variance_sum, sc1000.lindeberg_sum, sc1000.cross_term) == (
         1, Fraction(8637, 250000), Fraction(247513, 250000))
     assert (sc2000.variance_sum, sc2000.lindeberg_sum, sc2000.cross_term) == (
@@ -173,7 +173,7 @@ def test_mcleish_audit_matches_the_counter_engine(text, grid):
     # groups far beyond the reach of the brute-force oracle
     poly = parse_polynomial(text)
     table = factor_values(poly, grid[-1])
-    for sc in mcleish_audit(poly, table, grid).scales:
+    for sc in mcleish_audit(table, grid).scales:
         assert (sc.variance_sum, sc.lindeberg_sum, sc.cross_term) == (
             mcleish_counter(table, sc.N))
 
@@ -182,7 +182,7 @@ def test_mcleish_audit_matches_the_counter_engine(text, grid):
 def test_mcleish_audit_without_groups(text):
     # P(1) is 0 or 1: no largest-prime group and no pair at all
     poly = parse_polynomial(text)
-    sc, = mcleish_audit(poly, factor_values(poly, 1), [1]).scales
+    sc, = mcleish_audit(factor_values(poly, 1), [1]).scales
     assert (sc.variance_sum, sc.lindeberg_sum, sc.cross_term) == (0, 0, 0)
     assert sc.small_value_count == 1
 
@@ -190,11 +190,11 @@ def test_mcleish_audit_without_groups(text):
 def test_variance_sum_exactly_one_for_injective():
     poly = parse_polynomial("x^3+2x+1")
     table = factor_values(poly, 60)
-    audit = mcleish_audit(poly, table, [60])
+    audit = mcleish_audit(table, [60])
     assert audit.scales[0].variance_sum == 1
 
 
 def test_audit_requires_coverage(x2p1):
     table = factor_values(x2p1, 50)
     with pytest.raises(ValueError):
-        mcleish_audit(x2p1, table, [50, 100])
+        mcleish_audit(table, [50, 100])

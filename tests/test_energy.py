@@ -19,6 +19,7 @@ from oracles import (
     energy_cross_loop,
     energy_quadruple_loop,
     group_pair_counter,
+    lpf_groups,
     pair_histogram,
     pair_histogram_total,
     paired_prime_counter,
@@ -41,7 +42,6 @@ from polyrmf.energy import (
     error_exponent,
     exponent_fit,
     group_pair_counts,
-    lpf_groups,
 )
 from polyrmf.errors import BudgetError
 from polyrmf.polynomial import IntPolynomial, classify, parse_polynomial
@@ -389,10 +389,18 @@ def test_counting_agrees_on_values_of_any_size(values):
     assert pair_total_in_passes(values, 37) == want
 
 
+def _flatten(groups):
+    """(values, tags) of ``group_pair_counts`` for a list of groups: the
+    values of group g, in order, tagged g."""
+    groups = list(groups)
+    return ([v for g in groups for v in g],
+            np.repeat(np.arange(len(groups)), [len(g) for g in groups]))
+
+
 def _paired_primes(table):
     """(same, total) of ``group_pair_counts`` over the signed values of the
     largest-prime groups: sum_g C22 and sum_g C22 + D."""
-    _, same, total, _, _ = group_pair_counts(list(lpf_groups(table).values()))
+    _, same, total, _, _ = group_pair_counts(*_flatten(lpf_groups(table).values()))
     return same, total
 
 
@@ -486,8 +494,35 @@ GROUP_CASES = {
 def test_group_pair_counts_in_forced_passes(groups, run_items):
     groups = groups()
     with mock.patch.object(energy_module, "_RUN_ITEMS", run_items):
-        got = group_pair_counts(groups)
+        got = group_pair_counts(*_flatten(groups))
     assert got == group_pair_counter(groups)
+
+
+_POOL = [2, 3, 4, 6, 12, 36, 65537, 2 * 65537, 65537**2, 3**40, 2**70]
+# tags 2^30 apart wrap onto one int32 key from four passes on
+_TAGS = [0, 1, 5, 2**15 + 1, 2**30, 2**30 + 1, 2**30 + 5, 2**31 - 1]
+
+
+@pytest.mark.parametrize("run_items", [1, 7, energy_module._RUN_ITEMS])
+@given(items=st.lists(
+           st.tuples(st.sampled_from(_TAGS) | st.integers(0, 2**31 - 1),
+                     st.sampled_from(_POOL) | st.integers(2, 2**80),
+                     st.booleans()),
+           min_size=1, max_size=24),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_group_pair_counts_takes_any_integer_tags(run_items, items, seed):
+    # int32 tags, as CSR columns are, in any order and not 0..g-1: above
+    # 2^31 / passes a tag times the pass count overflows an int32 key
+    order = np.random.default_rng(seed).permutation(len(items))
+    tags = np.array([items[i][0] for i in order], dtype=np.int32)
+    values = [-v if neg else v for _, v, neg in (items[i] for i in order)]
+    groups = {}
+    for t, v in zip(tags.tolist(), values):
+        groups.setdefault(t, []).append(v)
+    with mock.patch.object(energy_module, "_RUN_ITEMS", run_items):
+        got = group_pair_counts(values, tags)
+    assert got == group_pair_counter(list(groups.values()))
 
 
 def test_group_pair_counts_stay_in_bounded_passes():
@@ -496,11 +531,11 @@ def test_group_pair_counts_stay_in_bounded_passes():
     table = factor_values(parse_polynomial("x^2+x"), 2000)
     groups = [[abs(v) for v in g] for g in lpf_groups(table).values()]
     pairs = sum(len(g) ** 2 for g in groups)
-    want = group_pair_counts(groups)
+    want = group_pair_counts(*_flatten(groups))
     with mock.patch.object(energy_module, "_RUN_ITEMS", pairs // 16), \
             mock.patch.object(energy_module, "_square_sum",
                               wraps=energy_module._square_sum) as square_sum:
-        assert group_pair_counts(groups) == want
+        assert group_pair_counts(*_flatten(groups)) == want
     sizes = [len(call.args[0][0]) for call in square_sum.call_args_list]
     assert len(sizes) >= 16 * 7 and max(sizes) <= pairs / 4
 

@@ -40,7 +40,7 @@ def test_build_grid_examples():
 def family_200(x2p1):
     grid = build_grid(200, 2, 4)  # {200, 800}
     table = factor_values(x2p1, 800)
-    return x2p1, table, grid, build_prime_sets(x2p1, table, grid)
+    return x2p1, table, grid, build_prime_sets(table, grid)
 
 
 def test_family_set_inclusions(family_200):
@@ -126,7 +126,7 @@ def test_f_sets_are_e_sets_minus_the_previous_scale(x_base, ratio):
     # F_{i+1} = E_{i+1} minus E_i, recomputed from the reported E_i
     poly = parse_polynomial("x^2+3x+7")
     grid = build_grid(x_base, 3, ratio)
-    fam = build_prime_sets(poly, factor_values(poly, grid.points[-1]), grid)
+    fam = build_prime_sets(factor_values(poly, grid.points[-1]), grid)
     e = fam.e_sets
     assert fam.f_sets == e[:1] + tuple(b - a for a, b in zip(e, e[1:]))
 
@@ -146,7 +146,7 @@ def test_empty_family_puts_everything_in_s3():
     poly = parse_polynomial("0,0,1")
     grid = build_grid(3000, 2, 2)  # thresholds 3002 and 6525 exceed x_i
     table = factor_values(poly, 6000)
-    fam = build_prime_sets(poly, table, grid)
+    fam = build_prime_sets(table, grid)
     assert all(not e for e in fam.e_sets)
     assert all(not a for a in fam.a_sets)
     s = SteinhausSampler(3)
@@ -185,7 +185,7 @@ def test_variance_floor_matches_the_counter_oracle(text, x_base, k):
     poly = parse_polynomial(text)
     grid = build_grid(x_base, k, 4)
     table = factor_values(poly, grid.points[-1])
-    fam = build_prime_sets(poly, table, grid)
+    fam = build_prime_sets(table, grid)
     labels = classification_labels(table, fam)
     for i, x in enumerate(grid.points):
         want = variance_floor_counter(table, fam, i)
@@ -202,7 +202,7 @@ def test_variance_floor_empty_family():
     poly = parse_polynomial("0,0,1")
     grid = build_grid(3000, 2, 2)
     table = factor_values(poly, 6000)
-    fam = build_prime_sets(poly, table, grid)
+    fam = build_prime_sets(table, grid)
     fl = variance_floor(table, fam, 1)
     assert fl.mu == 0 and fl.lower_bound == 0
 
@@ -213,7 +213,7 @@ def test_classification_labels_match_scalar(family_200):
     s = SteinhausSampler(29)
     from polyrmf.rmf import PhaseTable
 
-    pt = PhaseTable(table, grid.points[-1])
+    pt = PhaseTable(table)
     z = pt.unit_values_batch(pt.angles(s))
     for i in range(2):
         lab = labels[i]
@@ -234,7 +234,7 @@ def _s3(rep):
 def test_run_fluct_vectorized_matches_scalar(x2p1):
     rep = run_fluct(x2p1, 100, 2, 4, 8, 77)
     table = factor_values(x2p1, 400)
-    fam = build_prime_sets(x2p1, table, rep.grid)
+    fam = build_prime_sets(table, rep.grid)
     for r in (0, 5):
         s = SteinhausSampler(derive_seed(77, r))
         for i in range(2):
@@ -295,7 +295,7 @@ def test_run_fluct_threads_bit_identical(x2p1):
 def test_split_sums_pinned_regression(x2p1):
     # frozen at the first verified run of this configuration
     table = factor_values(x2p1, 400)
-    fam = build_prime_sets(x2p1, table, build_grid(100, 2, 4))
+    fam = build_prime_sets(table, build_grid(100, 2, 4))
     s = SteinhausSampler(derive_seed(42, 0))
     parts = split_sums(s, table, fam, 0)
     assert parts.s1 == pytest.approx(-8.995469274943547 + 3.312614965668357j)
@@ -325,7 +325,7 @@ def _conditional_matches_scalar_oracle(poly, ratio, reps, seed):
     ConditionalSampler split sums; returns the prime-set family."""
     rep = run_fluct(poly, 100, 2, ratio, reps, seed, conditional=True)
     table = factor_values(poly, rep.grid.points[-1])
-    fam = build_prime_sets(poly, table, rep.grid)
+    fam = build_prime_sets(table, rep.grid)
     for r in (0, reps - 1):
         sampler = ConditionalSampler(
             base=SteinhausSampler(seed),

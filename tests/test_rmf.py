@@ -173,7 +173,7 @@ def test_replicate_seed_derivation():
 def test_phase_table_matches_scalar(x2p1):
     table = factor_values(x2p1, 200)
     s = SteinhausSampler(314159)
-    pt = PhaseTable(table, 200)
+    pt = PhaseTable(table)
     z = pt.unit_values_batch(pt.angles(s))
     for n in (1, 2, 50, 200):
         assert abs(z[n - 1] - f_of(s, table_row(table, n))) <= 1e-9
@@ -182,7 +182,7 @@ def test_phase_table_matches_scalar(x2p1):
 
 def test_phase_table_zero_rows(x2m6x):
     table = factor_values(x2m6x, 10)
-    pt = PhaseTable(table, 10)
+    pt = PhaseTable(table)
     z = pt.unit_values_batch(pt.angles(SteinhausSampler(4)))
     assert z[5] == 0  # P(6) = 0 is excluded, not mapped to 1
 
@@ -199,7 +199,7 @@ def test_prime_subsum_skips_roots_at_prime_arguments():
 
 def test_batch_matches_single_column(x2p1):
     table = factor_values(x2p1, 120)
-    pt = PhaseTable(table, 120)
+    pt = PhaseTable(table)
     samplers = [SteinhausSampler(derive_seed(55, r)) for r in range(4)]
     theta = np.stack([pt.angles(s) for s in samplers], axis=1)
     batch = pt.unit_values_batch(theta)
@@ -210,15 +210,15 @@ def test_batch_matches_single_column(x2p1):
 
 @pytest.mark.parametrize("text", ["x^2+1", "100000000000000000000,0,1"])
 def test_phase_table_on_a_sub_range(text):
-    # a table factored beyond n_max keeps its extra primes as columns
-    # that rows n <= n_max never touch
+    # a table factored beyond 120 keeps its extra primes as columns that
+    # rows n <= 120 never touch: those rows have the bits of the table of 120
     poly = parse_polynomial(text)
-    wide = PhaseTable(factor_values(poly, 200), 120)
+    wide = PhaseTable(factor_values(poly, 200))
     exact = PhaseTable(factor_values(poly, 120))
     assert len(wide.primes) > len(exact.primes)
     rng = np.random.default_rng(17)
     angle = {p: rng.random(3) for p in wide.primes}
-    batches = [pt.unit_values_batch(np.array([angle[p] for p in pt.primes]))
+    batches = [pt.unit_values_batch(np.array([angle[p] for p in pt.primes]))[:120]
                for pt in (wide, exact)]
     assert np.array_equal(*batches)
 
@@ -247,7 +247,7 @@ def test_phase_table_primes_above_2_64():
     table = factor_values(parse_polynomial("100000000000000000000,0,1"), 20)
     big = table_row(table, 19).largest_prime
     assert big > M64
-    pt = PhaseTable(table, 20)
+    pt = PhaseTable(table)
     s = SteinhausSampler(2718)
     i = pt.primes.index(big)
     assert pt.angles(s)[i] == angle(s, big)

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,7 +201,8 @@ def test_trial_bound_does_not_change_the_table(text, n):
     default = factor_values(poly, n)
     _assert_factored(default)
     for bound in TRIAL_BOUNDS:
-        table = factor_values(poly, n, trial_bound=bound)
+        with mock.patch.object(sieve, "DEFAULT_TRIAL_BOUND", bound):
+            table = factor_values(poly, n)
         assert table_rows(table) == table_rows(default), bound
         assert prime_to_indices(table) == prime_to_indices(default), bound
 
@@ -214,7 +216,9 @@ def test_any_trial_bound_gives_the_default_table(coeffs, n, bound):
     poly = IntPolynomial(tuple(coeffs))
     default = factor_values(poly, n)
     _assert_factored(default)
-    assert table_rows(factor_values(poly, n, trial_bound=bound)) == table_rows(default)
+    with mock.patch.object(sieve, "DEFAULT_TRIAL_BOUND", bound):
+        table = factor_values(poly, n)
+    assert table_rows(table) == table_rows(default)
 
 
 @pytest.mark.parametrize("p", [46_337, 46_349])  # the int32 and int64 sides
