@@ -2,10 +2,11 @@
 
 Rather than factoring each |P(n)| independently, small primes are removed
 with a root sieve: for each prime p up to B = min(``DEFAULT_TRIAL_BOUND``,
-isqrt(max|P(n)|)), the roots of P mod p are found once and p is divided
-out of every P(n) with n = root (mod p).  Only the residues
-0..min(p, N+1)-1 are evaluated, since no n <= N reaches the others, so
-the root search costs O(min(p, N)) per prime rather than O(p).
+isqrt(max|P(n)|)), the root classes of P mod p are found once and p is
+divided out of every P(n) with n in a root class.  Since P(n) = P(n mod p)
+(mod p), the classes are read off the values already held: they are the
+n <= min(p, N) with p | P(n), one remainder per residue, so the search
+costs O(min(p, N)) per prime rather than O(p).
 
 The division runs in numpy over the hits alone: the root classes expand
 into the indices n = r (mod p), p is peeled off each hit's value while it
@@ -27,8 +28,8 @@ largest prime 0; they belong to no per-prime group downstream.
 
 from __future__ import annotations
 
-import csv
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -94,19 +95,19 @@ class FactorTable:
         return np.array(self.primes + [0], dtype=object)[cols].tolist()
 
     def write_csv(self, fh: IO[str]) -> None:
-        """Columns: n, value, factorization "p1^e1*p2^e2*...", largest_prime.
+        """Columns: n, value, factorization "p1^e1*p2^e2*...", largest_prime,
+        each line ended by \\r\\n as ``csv.writer`` ends it.
 
         The factorization string is "1" for |value| <= 1.
         """
-        m = self.exponents
-        ptr = m.indptr.tolist()
-        terms = [f"{self.primes[c]}^{e}"
-                 for c, e in zip(m.indices.tolist(), m.data.tolist())]
-        w = csv.writer(fh)
-        w.writerow(["n", "value", "factorization", "largest_prime"])
-        for n, value, a, b, lpf in zip(range(1, self.N + 1), self.values, ptr,
-                                       ptr[1:], self.largest_primes()):
-            w.writerow([n, value, "*".join(terms[a:b]) or "1", lpf])
+        line = "{},{},{},{}\r\n"
+        fh.write(line.format("n", "value", "factorization", "largest_prime"))
+        for ns, values, ptr, ps, es in self._row_blocks():
+            terms = [f"{p}^{e}" for p, e in zip(ps, es)]
+            fh.write("".join(
+                line.format(n, v, "*".join(terms[x:y]), ps[y - 1])
+                if y > x else line.format(n, v, 1, 0)
+                for n, v, x, y in zip(ns, values, ptr, ptr[1:])))
 
     def write_json(self, fh: IO[str]) -> None:
         """The table as indent-2 JSON: polynomial, N and one object per row
@@ -114,6 +115,19 @@ class FactorTable:
         largest_prime)."""
         dump_json({"polynomial": self.polynomial.to_coeff_text(), "N": self.N,
                    "rows": self}, fh)
+
+    def _row_blocks(self) -> Iterator[tuple]:
+        """(n range, values, row pointers, primes, exponents) of each block
+        of 4096 rows, read off the CSR; the block bounds the strings a
+        writer holds at once."""
+        m = self.exponents
+        for lo in range(0, self.N, 4096):
+            hi = min(lo + 4096, self.N)
+            a, b = m.indptr[lo], m.indptr[hi]
+            yield (range(lo + 1, hi + 1), self.values[lo:hi],
+                   (m.indptr[lo:hi + 1] - a).tolist(),
+                   [self.primes[c] for c in m.indices[a:b].tolist()],
+                   m.data[a:b].tolist())
 
     def _write_rows(self, fh: IO[str], pad: int) -> None:
         """The rows array as json.dump(indent=2) writes it under a key
@@ -123,19 +137,13 @@ class FactorTable:
         row = (f'{row_in}{{{{{key_in}"n": {{}},{key_in}"value": "{{}}",'
                f'{key_in}"factors": {{}},{key_in}"largest_prime": {{}}{row_in}}}}}')
         pair = f"{pair_in}[{num_in}{{}},{num_in}{{}}{pair_in}]"
-        m = self.exponents
         fh.write("[")
-        for lo in range(0, self.N, 4096):  # bounds the strings held at once
-            hi = min(lo + 4096, self.N)
-            a, b = m.indptr[lo], m.indptr[hi]
-            ptr = (m.indptr[lo:hi + 1] - a).tolist()
-            ps = [self.primes[c] for c in m.indices[a:b].tolist()]
-            terms = [pair.format(p, e) for p, e in zip(ps, m.data[a:b].tolist())]
-            fh.write("," * (lo > 0) + ",".join(
+        for ns, values, ptr, ps, es in self._row_blocks():
+            terms = [pair.format(p, e) for p, e in zip(ps, es)]
+            fh.write("," * (ns.start > 1) + ",".join(
                 row.format(n, v, f"[{','.join(terms[x:y])}{key_in}]", ps[y - 1])
                 if y > x else row.format(n, v, "[]", 0)
-                for n, v, x, y in zip(range(lo + 1, hi + 1), self.values[lo:hi],
-                                      ptr, ptr[1:])))
+                for n, v, x, y in zip(ns, values, ptr, ptr[1:])))
         fh.write(f"\n{' ' * pad}]")
 
 
@@ -162,21 +170,9 @@ def dump_json(doc: dict, fh: IO[str]) -> None:
     fh.write(tail)
 
 
-def _roots_mod_p(coeffs: tuple[int, ...], p: int, n_max: int) -> np.ndarray:
-    """Residues r in [0, min(p, n_max + 1)) with P(r) = 0 (mod p)."""
-    width = min(p, n_max + 1)
-    cs = [c % p for c in reversed(coeffs)]
-    if not any(cs):
-        return np.arange(width)
-    # Horner in place: acc, x < p keep acc * x + c below p^2 + p
-    dtype = np.int32 if p * p + p < 2**31 else np.int64
-    xs = np.arange(width, dtype=dtype)
-    acc = np.full(width, cs[0], dtype=dtype)
-    for c in cs[1:]:
-        acc *= xs
-        acc += c
-        acc %= p
-    return np.flatnonzero(acc == 0)
+def _root_classes(residual: np.ndarray, p: int) -> np.ndarray:
+    """The n in 1..min(p, N) with p | P(n), from residual[n-1] = |P(n)|."""
+    return np.flatnonzero(residual[:p] % p == 0) + 1
 
 
 def factor_values(
@@ -192,12 +188,11 @@ def factor_values(
     residual = np.array([abs(v) for v in values],
                         dtype=np.int64 if v_max < 2**63 else object)
 
-    # the root classes n = r (mod p), expanded into their hits n <= n_max
+    # the root classes n <= min(p, n_max), expanded into their hits
     sieve = sieve_primes(bound)
-    roots = [_roots_mod_p(poly.coeffs, p, n_max) for p in sieve]
+    roots = [_root_classes(residual, p) for p in sieve]
     cls_p = np.repeat(np.array(sieve, dtype=np.int64), [len(r) for r in roots])
     cls_n = np.concatenate([np.zeros(0, np.int64), *roots])
-    cls_n = np.where(cls_n == 0, cls_p, cls_n)
     count = (n_max - cls_n) // cls_p + 1
     step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     hit_p = np.repeat(cls_p, count)

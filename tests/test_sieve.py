@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from polyrmf import primes, sieve
 from polyrmf.polynomial import IntPolynomial, parse_polynomial
-from polyrmf.sieve import (DEFAULT_TRIAL_BOUND, _roots_mod_p, factor_values,
+from polyrmf.sieve import (DEFAULT_TRIAL_BOUND, _root_classes, factor_values,
                            lpf_density)
 
 
@@ -185,7 +185,8 @@ def _assert_factored(table):
             assert prod(p**e for p, e in row.factors) == abs(row.value)
 
 
-# below 2 nothing is sieved; 50_000 is above 46_340, the int32 Horner limit
+# below 2 nothing is sieved; 50_000 sieves past the default bound, up to
+# isqrt(max|P(n)|) where that is larger, with primes above N
 TRIAL_BOUNDS = (-3, 0, 2, 3, 10, 47, 100, DEFAULT_TRIAL_BOUND, 50_000)
 
 
@@ -221,13 +222,58 @@ def test_any_trial_bound_gives_the_default_table(coeffs, n, bound):
     assert table_rows(table) == table_rows(default)
 
 
-@pytest.mark.parametrize("p", [46_337, 46_349])  # the int32 and int64 sides
-def test_roots_mod_p_at_the_dtype_switch(p):
-    # (x^2 - 1)(x - 5): at the root x = p - 1 Horner multiplies p - 6 by
-    # p - 1, which passes 2^31 for p = 46_349
-    coeffs = (5, -1, -5, 1)
-    assert _roots_mod_p(coeffs, p, 10**6).tolist() == [1, 5, p - 1]
-    assert _roots_mod_p(coeffs, p, 4).tolist() == [1]
+def _residual(poly, n_max):
+    """|P(1..n_max)| as factor_values holds them: int64 below 2^63."""
+    values = [abs(poly(n)) for n in range(1, n_max + 1)]
+    return np.array(values, dtype=np.int64 if max(values) < 2**63 else object)
+
+
+# p^2 + p either side of 2^31, the edge a fixed-width root search overflows at
+@pytest.mark.parametrize("p", [46_337, 46_349])
+def test_root_classes_of_primes_near_the_square_root_of_2_31(p):
+    # (x^2 - 1)(x - 5): the class of the root -1 is n = p - 1
+    poly = IntPolynomial((5, -1, -5, 1))
+    assert _root_classes(_residual(poly, p + 3), p).tolist() == [1, 5, p - 1]
+    assert _root_classes(_residual(poly, 4), p).tolist() == [1]
+    # x (x^2 - 1)(x - 5): P(0) = 0, so the class of 0 is n = p once N >= p
+    poly = IntPolynomial((0, 5, -1, -5, 1))
+    assert _root_classes(_residual(poly, p + 3), p).tolist() == [1, 5, p - 1, p]
+    assert _root_classes(_residual(poly, p - 1), p).tolist() == [1, 5, p - 1]
+
+
+@st.composite
+def _root_class_cases(draw):
+    """(P, N, p): random P, with an integer root, with p dividing the content,
+    with every value negative, or peaking at 2^63 - 1 or 2^63 at n = N."""
+    n_max = draw(st.integers(1, 120))
+    p = draw(st.sampled_from(primes.sieve_primes(300))  # below and above N
+             | st.sampled_from(primes.sieve_primes(30)))
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=2, max_size=4)
+                  .filter(lambda c: c[-1] != 0))
+    poly = IntPolynomial(tuple(coeffs))
+    shape = draw(st.sampled_from(("plain", "root", "content", "negative", "top")))
+    if shape == "root":  # P(r) = 0, a zero row when r <= N
+        r = draw(st.integers(-3, n_max + 3))
+        poly = IntPolynomial(tuple(
+            a - r * b for a, b in zip((0, *poly.coeffs), (*poly.coeffs, 0))))
+    elif shape == "content":
+        poly = IntPolynomial(tuple(p * c for c in poly.coeffs))
+    elif shape == "negative":  # -(c_1^2 + ... + c_d^2) x^2 - 1 - c_0^2
+        poly = IntPolynomial((-1 - coeffs[0]**2, 0,
+                              -sum(c * c for c in coeffs[1:])))
+    elif shape == "top":  # x^2 + top - N^2, at most top over n <= N
+        top = draw(st.sampled_from((2**63 - 1, 2**63)))
+        poly = IntPolynomial((top - n_max**2, 0, 1))
+    return poly, n_max, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_root_class_cases())
+def test_root_classes_match_brute_force(case):
+    poly, n_max, p = case
+    residual = _residual(poly, n_max)
+    expected = [n for n in range(1, min(p, n_max) + 1) if poly(n) % p == 0]
+    assert _root_classes(residual, p).tolist() == expected
 
 
 def test_no_primality_test_below_the_square_of_the_trial_bound(monkeypatch, x2p1):
@@ -305,11 +351,11 @@ def test_values_at_the_int64_residual_switch(top):
 
 def test_root_search_stops_at_the_square_root_of_the_values(monkeypatch):
     searched = []
-    roots_mod_p = sieve._roots_mod_p
+    root_classes = sieve._root_classes
 
-    def counting(coeffs, p, n_max):
+    def counting(residual, p):
         searched.append(p)
-        return roots_mod_p(coeffs, p, n_max)
+        return root_classes(residual, p)
 
     rough = []
     factor_rough = primes._factor_rough
@@ -318,7 +364,7 @@ def test_root_search_stops_at_the_square_root_of_the_values(monkeypatch):
         rough.append(m)
         factor_rough(m, out)
 
-    monkeypatch.setattr(sieve, "_roots_mod_p", counting)
+    monkeypatch.setattr(sieve, "_root_classes", counting)
     monkeypatch.setattr(sieve, "_factor_rough", recording)
     # max P(n) = 250^2 + 1 < 251^2: the primes up to 250 suffice
     _assert_factored(factor_values(parse_polynomial("x^2+1"), 250))
