@@ -51,7 +51,6 @@ from fractions import Fraction
 from math import erf, sqrt
 
 import numpy as np
-from scipy import sparse
 
 from .polynomial import IntPolynomial, require_not_pure_power
 from .energy import group_pair_counts, value_pair_count
@@ -116,7 +115,7 @@ def sample_normalized_sums(
 ) -> np.ndarray:
     """R replicates of N^(-1/2) sum_{n<=N} f(P(n)), reproducibly; the
     replicate engine with a single all-ones selector row."""
-    ones = sparse.csr_matrix(np.ones((1, pt.n_max)))
+    ones = np.ones((1, pt.n_max), dtype=bool)
     return replicate_sums(pt, seed, reps, ones, threads=threads)[0] / sqrt(n_max)
 
 

@@ -22,8 +22,8 @@ uncorrelated, and the exact second-moment and variance-floor counts
 below quantify the conditional-variance picture.
 
 The sets are built in the factor table's columns: ``build_prime_sets``
-reads each prime's CSC column and records ``a_scale``, the scale of
-every column's A_i (-1 outside A).  The labels, the S2 moment counts,
+reads each prime's column off ``by_prime`` and records ``a_scale``, the
+scale of every column's A_i (-1 outside A).  The labels, the S2 moment counts,
 the variance floors and the conditional freeze all read ``a_scale``
 against the table's CSR rows.  The S1 rows of scale i are the union of
 the variance-floor sets T_{i,p}, p in A_i: the n whose only A-prime is p.
@@ -37,7 +37,6 @@ from fractions import Fraction
 from math import log, nan, sqrt
 
 import numpy as np
-from scipy import sparse
 
 from .energy import value_pair_count
 from .errors import ConfigError
@@ -117,12 +116,11 @@ def build_prime_sets(table: FactorTable, grid: ScaleGrid) -> PrimeSetFamily:
         prev_x = x
 
     a_scale = np.full(len(table.primes), -1)
+    rows, ptr = csc.indices.tolist(), csc.indptr.tolist()
     for i, (x, cols) in enumerate(zip(grid.points, e_cols)):
-        sub = csc[:, cols]
-        rows, ptr = sub.indices.tolist(), sub.indptr.tolist()
         claimed: set[int] = set()
-        for k, col in enumerate(cols.tolist()):
-            hits = [r for r in rows[ptr[k]:ptr[k + 1]] if r < x]
+        for col in cols.tolist():
+            hits = [r for r in rows[ptr[col]:ptr[col + 1]] if r < x]
             if claimed.isdisjoint(hits):
                 a_scale[col] = i
                 claimed.update(hits)
@@ -295,15 +293,9 @@ def run_fluct(
     labels = classification_labels(table, family)
     pt = PhaseTable(table)
     # three selector rows per scale: S1_i, S2_i and the prefix n <= x_i
-    index_sets = []
-    for lab in labels:
-        index_sets += [np.flatnonzero(lab == 1), np.flatnonzero(lab == 2),
-                       np.arange(len(lab))]
-    indptr = np.cumsum([0] + [len(idx) for idx in index_sets])
-    selector = sparse.csr_matrix(
-        (np.ones(indptr[-1]), np.concatenate(index_sets), indptr),
-        shape=(len(index_sets), top),
-    )
+    selector = np.zeros((3 * len(labels), top), dtype=bool)
+    for i, lab in enumerate(labels):
+        selector[3 * i:3 * i + 3, :len(lab)] = lab == 1, lab == 2, lab >= 0
     frozen = family.a_scale < 0 if conditional else None
     out = replicate_sums(pt, seed, reps, selector, frozen=frozen, threads=threads)
     s1_matrix, s2_matrix, partial_matrix = out[0::3], out[1::3], out[2::3]

@@ -13,16 +13,19 @@ Replicate r of a run derives its stream from
 ``derive_seed(seed, r) = mix64((seed + (r + 1) * GOLDEN) mod 2^64)``;
 this mapping is part of the output contract and will not change.
 
-``PhaseTable`` evaluates f on a factor table: it reads the table's
-exponent matrix as float64 over the table's primes, so that a batch of
-replicates costs one broadcast hash (``angles_for_key`` with an array of
-keys), one sparse matmul for the phases and one cos/sin pass.
+``PhaseTable`` evaluates f on a factor table: a batch of replicates
+costs one broadcast hash (``angles_for_key`` with an array of keys), one
+gather of angles per factor slot and one cos/sin pass.  Slot k holds the
+k-th stored factor of every row with more than k factors, so a row's
+phase adds its e * theta_p from 0 in ascending prime order, the order in
+which a CSR matrix-vector product adds them.
 
 ``replicate_sums`` is the one replicate engine behind both ``clt`` and
-``fluct``: it sums f(P(n)) over the index sets of a 0/1 selector matrix
-for every replicate, in chunks of replicates and tiles of rows whose
-results do not depend on the thread count, the chunk width or the tile
-size.  Memory is bounded by each chunk's primes x replicates angle block.
+``fluct``: it sums f(P(n)) over the index sets of a boolean selector
+mask for every replicate, in chunks of replicates and tiles of rows
+whose results do not depend on the thread count, the chunk width or the
+tile size.  Memory is bounded by each chunk's primes x replicates angle
+block.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError
 from .sieve import FactorTable
@@ -122,35 +124,82 @@ class PhaseTable:
         self.primes = table.primes
         # the angle hash only sees p mod 2^64, so primes >= 2^64 reduce
         self.primes_u64 = np.array([p & M64 for p in self.primes], dtype=np.uint64)
-        self.matrix = table.exponents.astype(np.float64)
+        self.matrix = table.exponents
         # only a row without factors can hold P(n) = 0
         empty = np.flatnonzero(np.diff(self.matrix.indptr) == 0).tolist()
-        self.zero_mask = np.zeros(table.N, dtype=bool)
-        self.zero_mask[[i for i in empty if table.values[i] == 0]] = True
+        self.zero_rows = np.array([i for i in empty if table.values[i] == 0],
+                                  dtype=np.int64)
+        self._arrange(0, table.N)
+
+    def _arrange(self, lo: int, hi: int) -> None:
+        """Lay out the rows lo..hi-1 in slots.
+
+        The rows are ranked by falling factor count, so that slot k, the
+        k-th factor of every row with more than k factors, covers the
+        first ranks: it is (their columns, the positions among them whose
+        exponent is not 1, those exponents).  ``rank[i]`` is row i's rank,
+        and the first ``factored`` ranks are the rows with a factor.
+        """
+        m = self.matrix
+        counts = np.diff(m.indptr[lo:hi + 1])
+        order = np.argsort(-counts, kind="stable")
+        self.rank = np.argsort(order)
+        self.factored = np.count_nonzero(counts)
+        self.slots = []
+        for k in range(int(counts.max(initial=0))):
+            at = m.indptr[lo + order[:np.count_nonzero(counts > k)]] + k
+            pos = np.flatnonzero(m.data[at] != 1)
+            self.slots.append((m.indices[at], pos,
+                               m.data[at[pos], None].astype(np.float64)))
 
     def angles(self, sampler: SteinhausSampler) -> np.ndarray:
         return angles_for_key(sampler.key, self.primes_u64)
 
-    def unit_values_batch(self, angle_matrix: np.ndarray) -> np.ndarray:
+    def unit_values_batch(self, angle_matrix: np.ndarray,
+                          out: np.ndarray | None = None,
+                          work: np.ndarray | None = None) -> np.ndarray:
         """Column b holds f(P(n)) under the b-th angle vector; a 1-D angle
-        vector gives the n-vector of f(P(n))."""
-        phases = self.matrix @ angle_matrix
+        vector gives the n-vector of f(P(n)).
+
+        ``out`` (complex, rows x angle vectors) receives the values, and
+        ``work`` is float64 scratch of at least two such blocks; both are
+        allocated when not given."""
+        theta = angle_matrix if angle_matrix.ndim > 1 else angle_matrix[:, None]
+        shape = (self.n_max, theta.shape[1])
+        z = np.empty(shape, dtype=np.complex128) if out is None else out
+        if work is None:
+            work = np.empty((2,) + shape)
+        ranked, phases = work[0, :shape[0]], work[1, :shape[0]]
+        # in rank order, each slot adds e * theta_p to its first rows, so a
+        # row's phase adds its factors from 0 in ascending prime order
+        for k, (cols, pos, exps) in enumerate(self.slots):
+            # slot 0 is taken straight in, the others through the scratch;
+            # mode="clip" writes straight into out, the columns are in range
+            t = theta.take(cols, axis=0, mode="clip",
+                           out=(phases if k else ranked)[:len(cols)])
+            if len(pos):
+                t[pos] *= exps
+            if k:
+                ranked[:len(cols)] += t
+        ranked[self.factored:] = 0.0
+        ranked.take(self.rank, axis=0, mode="clip", out=phases)
         # phases are >= 0, so this is exactly phases % 1.0, and cos and sin
         # of 2*pi times it give the bits of exp(2j*pi*(phases % 1.0))
-        phases -= np.floor(phases)
+        phases -= np.floor(phases, out=ranked)
         phases *= 2 * np.pi
-        z = np.empty(phases.shape, dtype=np.complex128)
         np.cos(phases, out=z.real)
         np.sin(phases, out=z.imag)
-        z[self.zero_mask] = 0.0
-        return z
+        if len(self.zero_rows):
+            z[self.zero_rows] = 0.0
+        return z if angle_matrix.ndim > 1 else z[:, 0]
 
     def _rows(self, lo: int, hi: int) -> "PhaseTable":
         """The rows lo..hi-1 as a table over the same primes."""
         tile = copy.copy(self)
         tile.n_max = hi - lo
-        tile.matrix = self.matrix[lo:hi]
-        tile.zero_mask = self.zero_mask[lo:hi]
+        tile._arrange(lo, hi)
+        zeros = self.zero_rows
+        tile.zero_rows = zeros[(zeros >= lo) & (zeros < hi)] - lo
         return tile
 
 
@@ -166,26 +215,28 @@ def replicate_sums(
     pt: PhaseTable,
     seed: int,
     reps: int,
-    selector: sparse.csr_matrix,
+    selector: np.ndarray,
     *,
     frozen: np.ndarray | None = None,
     threads: int = 1,
 ) -> np.ndarray:
     """Sums of f(P(n)) over index sets for replicates 0..reps-1.
 
-    ``selector`` is a 0/1 CSR matrix with one row per index set and one
+    ``selector`` is a boolean mask with one row per index set and one
     column per table row; entry [s, r] of the complex result is row s's
     sum under the stream ``derive_seed(seed, r)``.  Primes marked in the
     boolean mask ``frozen`` keep their base-stream (``seed``) angle in
     every replicate.
 
     A chunk of replicates hashes all its angles at once and evaluates f
-    in tiles of ``_TILE`` rows.  Each tile is folded into the running
-    sums by one product ``[I | selector[:, tile]] @ [sums; f(tile)]``:
-    scipy adds the terms of a CSR row in stored order, so every row
-    still adds its terms in ascending n, starting from its sum so far.
-    Chunks are concatenated in chunk order, so the result is
-    bit-identical for any thread count, chunk width and tile size.
+    in tiles of ``_TILE`` rows.  Each set folds a tile into its running
+    sum by one ``np.add.reduce`` over the rows [sum; f(n) for its n in
+    the tile], which adds them in that order along axis 0, so every set
+    adds its terms in ascending n, starting from its sum so far; a set
+    that takes the whole tile reduces a slice of the buffer in place of
+    a gathered copy.  Chunks are concatenated in chunk order, so the
+    result is bit-identical for any thread count, chunk width and tile
+    size.
     """
     if selector.shape[1] != pt.n_max:
         raise ValueError(f"selector has {selector.shape[1]} columns, "
@@ -194,24 +245,37 @@ def replicate_sums(
     root = SteinhausSampler(seed)
     base = None if frozen is None else pt.angles(root)[frozen, None]
     n_sets, rows = selector.shape[0], _TILE
-    eye = sparse.identity(n_sets, format="csr")
-    tiles = [(pt._rows(lo, min(lo + rows, pt.n_max)),
-              sparse.hstack([eye, selector[:, lo:lo + rows]], format="csr"))
-             for lo in range(0, pt.n_max, rows)]
+    tiles = []
+    for lo in range(0, pt.n_max, rows):
+        hi = min(lo + rows, pt.n_max)
+        # per set: the fold buffer rows it adds, starting at the head row
+        # n_sets that gets a copy of its sum; a slice for the whole tile
+        folds = []
+        for s in range(n_sets):
+            idx = np.flatnonzero(selector[s, lo:hi])
+            if len(idx) == hi - lo:
+                folds.append((s, slice(n_sets, n_sets + 1 + hi - lo)))
+            elif len(idx):
+                folds.append((s, np.concatenate([[n_sets], n_sets + 1 + idx])))
+        tiles.append((pt._rows(lo, hi), folds))
 
     def chunk(lo: int) -> np.ndarray:
         keys = [root.replicate(r).key for r in range(lo, min(lo + width, reps))]
         theta = angles_for_key(np.array(keys, dtype=np.uint64), pt.primes_u64)
         if base is not None:
             theta[frozen] = base
-        # [sums; f-values of one tile] as float64: a complex sum adds re and
-        # im apart, so summing the real view gives the same bits
-        buf = np.zeros((n_sets + rows, 2 * len(keys)))
-        for tile, fold in tiles:
-            end = n_sets + tile.n_max
-            buf[n_sets:end] = tile.unit_values_batch(theta).view(np.float64)
-            buf[:n_sets] = fold @ buf[:end]
-        return buf[:n_sets].view(np.complex128)
+        # [sums; head; f-values of one tile] as float64: a complex sum adds
+        # re and im apart, so summing the real view gives the same bits
+        buf = np.zeros((n_sets + 1 + rows, 2 * len(keys)))
+        z = buf.view(np.complex128)
+        work = np.empty((2, rows, len(keys)))
+        for tile, folds in tiles:
+            tile.unit_values_batch(theta, out=z[n_sets + 1:n_sets + 1 + tile.n_max],
+                                   work=work)
+            for s, take in folds:
+                buf[n_sets] = buf[s]
+                buf[s] = np.add.reduce(buf[take], axis=0)
+        return z[:n_sets]
 
     starts = range(0, reps, width)
     if threads <= 1:

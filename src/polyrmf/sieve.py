@@ -19,11 +19,12 @@ is; this covers every cofactor once B = isqrt(max|P(n)|).  Only
 cofactors >= (B+1)^2 go to ``_factor_rough``, which tests each once with
 deterministic Miller-Rabin and splits the composite ones with Brent rho.
 
-The table is the signed ``values`` P(n) and one integer CSR matrix of
-the exponents of |P(n)| over the ascending ``primes``; the per-prime
-columns and largest primes are views of it, and ``dump_json`` writes
-the rows straight from it.  Rows with |P(n)| <= 1 are empty, with
-largest prime 0; they belong to no per-prime group downstream.
+The table is the signed ``values`` P(n) and the exponents of |P(n)| over
+the ascending ``primes`` as compressed sparse rows, three numpy arrays;
+the per-prime columns and largest primes are read off them, and
+``dump_json`` writes the rows straight from them.  Rows with |P(n)| <= 1
+are empty, with largest prime 0; they belong to no per-prime group
+downstream.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from math import isqrt, log
 from typing import IO
 
 import numpy as np
-from scipy import sparse
 
 from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial
@@ -66,25 +66,51 @@ def check_grid(grid: list[int]) -> None:
                           field="grid")
 
 
+@dataclass(frozen=True, eq=False)
+class Compressed:
+    """A sparse integer matrix as compressed rows: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` in the ascending columns ``indices``
+    of the same slice."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    nnz: int
+
+
+def _compress(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+              shape: tuple[int, int]) -> Compressed:
+    """The entries (rows[k], cols[k], data[k]), given sorted by row and
+    then by column, as compressed rows of the given shape."""
+    counts = np.bincount(rows, minlength=shape[0])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return Compressed(indptr, cols, data, shape, len(data))
+
+
 @dataclass(eq=False)
 class FactorTable:
     """Complete factorizations of P(n) for n = 1..N.
 
-    Row n-1 of the N x len(primes) CSR ``exponents`` holds the exponents
-    of |P(n)|, its columns in ascending prime order; ``primes`` are
-    Python ints, so primes >= 2^64 fit.
+    Row n-1 of the N x len(primes) ``exponents`` holds the exponents of
+    |P(n)|, its columns in ascending prime order; ``primes`` are Python
+    ints, so primes >= 2^64 fit.
     """
 
     polynomial: IntPolynomial
     N: int
     values: list[int]
     primes: list[int]
-    exponents: sparse.csr_matrix
+    exponents: Compressed
 
     @cached_property
-    def by_prime(self) -> sparse.csc_matrix:
-        """``exponents`` as CSC: column j holds the n-1 with primes[j] | P(n)."""
-        return self.exponents.tocsc()
+    def by_prime(self) -> Compressed:
+        """``exponents`` transposed: row j holds the n-1 with primes[j] | P(n)."""
+        m = self.exponents
+        rows = np.repeat(np.arange(self.N), np.diff(m.indptr))
+        order = np.argsort(m.indices, kind="stable")  # keeps n ascending
+        return _compress(m.indices[order], rows[order], m.data[order],
+                         m.shape[::-1])
 
     def largest_primes(self) -> list[int]:
         """P+(P(n)) for n = 1..N from each row's last column (0 if empty)."""
@@ -180,13 +206,17 @@ def factor_values(
 ) -> FactorTable:
     """Factor |P(n)| completely for every n = 1..n_max <= budget."""
     check_factor_budget(n_max, budget)
-    values = [poly(n) for n in range(1, n_max + 1)]
-    v_max = max(map(abs, values))
+    # Horner over all n at once, in int64 when no partial sum can overflow
+    small = sum(abs(c) * n_max**i for i, c in enumerate(poly.coeffs)) < 2**63
+    evaluated = poly(np.arange(1, n_max + 1, dtype=np.int64 if small else object))
+    values = evaluated.tolist()
+    residual = np.abs(evaluated)
+    v_max = int(residual.max())
+    if v_max < 2**63:
+        residual = residual.astype(np.int64, copy=False)
     # sieve only up to isqrt(max|P(n)|): a larger prime leaves a cofactor
     # below (bound + 1)^2, which the prime test below takes as it is
     bound = max(0, min(DEFAULT_TRIAL_BOUND, isqrt(v_max)))
-    residual = np.array([abs(v) for v in values],
-                        dtype=np.int64 if v_max < 2**63 else object)
 
     # the root classes n <= min(p, n_max), expanded into their hits
     sieve = sieve_primes(bound)
@@ -233,9 +263,8 @@ def factor_values(
     exps = np.concatenate([hit_e, np.ones(prime.sum(), np.int64),
                            np.array(rough_e, np.int64)])
     order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_max))])
-    exponents = sparse.csr_matrix((exps[order], cols[order], indptr),
-                                  shape=(n_max, len(primes)))
+    exponents = _compress(rows[order], cols[order], exps[order],
+                          (n_max, len(primes)))
     return FactorTable(polynomial=poly, N=n_max, values=values,
                        primes=primes.tolist(), exponents=exponents)
 

@@ -8,8 +8,11 @@ and split sums that the batched replicate engine computes (the split
 labels come from each row's factor list, ``split_labels``; ``f_of``
 adds one factor's phase at a time; ``unit_values_reference`` is the
 complex exponential of whole phase arrays that the engine's cos/sin
-kernel must match bit for bit), and the prime -> n incidence rebuilt
-from each row's factor list (``prime_to_indices``).  Those rows are
+kernel must match bit for bit; ``sequential_unit_values`` and
+``sequential_set_sums`` add every phase and every set sum one float at a
+time, in the order whose bits the engine must reproduce), and the
+prime -> n incidence rebuilt from each row's factor list
+(``prime_to_indices``).  Those rows are
 ``FactoredValue`` records read off a table's CSR (``table_rows``,
 ``table_row``), and ``angle`` hashes one prime at a time, the scalar
 reference for ``rmf.angles_for_key``.  The sorting pair counters are
@@ -155,10 +158,11 @@ class FactoredValue:
 
 def table_rows(table, lo=0, hi=None):
     """The FactoredValue rows n = lo+1..hi of a FactorTable, from its CSR."""
-    m = table.exponents[lo:hi]
-    ptr = m.indptr.tolist()
-    pairs = list(zip([table.primes[c] for c in m.indices.tolist()],
-                     m.data.tolist()))
+    m = table.exponents
+    ptr = m.indptr[lo:(table.N if hi is None else hi) + 1].tolist()
+    pairs = list(zip([table.primes[c] for c in m.indices[ptr[0]:ptr[-1]].tolist()],
+                     m.data[ptr[0]:ptr[-1]].tolist()))
+    ptr = [a - ptr[0] for a in ptr]
     out = []
     for n, a, b in zip(range(lo + 1, table.N + 1), ptr, ptr[1:]):
         f = tuple(pairs[a:b])
@@ -422,6 +426,44 @@ def unit_values_reference(phases):
     """e(phase) for an array of phases >= 0 by the complex exponential:
     the reference for the replicate engine's cos/sin kernel."""
     return np.exp(2j * np.pi * (phases % 1.0))
+
+
+def sequential_unit_values(table, theta):
+    """f(P(n)) under each column of ``theta`` (primes x columns), 0 at the
+    roots of P: a row's phase adds float(e) * theta_p one factor at a
+    time, from 0.0 and in ascending prime order, in Python floats."""
+    column = {p: j for j, p in enumerate(table.primes)}
+    rows = table_rows(table)
+    phases = np.zeros((table.N, theta.shape[1]))
+    for row in rows:
+        for b in range(theta.shape[1]):
+            acc = 0.0
+            for p, e in row.factors:
+                acc += float(e) * float(theta[column[p], b])
+            phases[row.n - 1, b] = acc
+    z = unit_values_reference(phases)
+    z[[row.n - 1 for row in rows if row.value == 0]] = 0
+    return z
+
+
+def sequential_set_sums(table, seed, reps, selector, frozen=None):
+    """``rmf.replicate_sums`` one replicate and one set at a time: angles
+    hashed per prime by ``angle``, f from ``sequential_unit_values``, and
+    each set's sum added in ascending n from 0j in Python complex."""
+    root = SteinhausSampler(seed)
+    resample = frozenset(p for j, p in enumerate(table.primes)
+                         if frozen is None or not frozen[j])
+    out = np.zeros((len(selector), reps), dtype=complex)
+    for r in range(reps):
+        sampler = ConditionalSampler(root, root.replicate(r), resample)
+        theta = np.array([[angle(sampler, p)] for p in table.primes]).reshape(-1, 1)
+        f = sequential_unit_values(table, theta)[:, 0].tolist()
+        for s, mask in enumerate(selector):
+            acc = 0j
+            for n in np.flatnonzero(mask).tolist():
+                acc += f[n]
+            out[s, r] = acc
+    return out
 
 
 def prime_to_indices(table):

@@ -330,6 +330,35 @@ def test_help_for_every_subcommand():
         assert "--poly" in proc.stdout
 
 
+def test_no_subcommand_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency: one fresh interpreter runs every
+    # subcommand and then lists the scipy modules it holds
+    script = """
+import json, sys
+from polyrmf import cli
+codes = [cli.main(argv) for argv in [
+    ["classify", "--poly", "x^2+x", "--out", "classify.json"],
+    ["sieve", "--poly", "x^2+1", "--n", "300", "--out", "sieve.json"],
+    ["energy", "--poly", "x^2+1", "--n", "200", "--out", "energy.json"],
+    ["audit", "--poly", "x^2+x", "--grid", "100,200", "--out", "audit.json"],
+    ["clt", "--poly", "x^2+1", "--n", "200", "--reps", "100", "--seed", "1",
+     "--out", "clt.json"],
+    ["fluct", "--poly", "x^2+1", "--x", "100", "--k", "2", "--ratio", "4",
+     "--reps", "4", "--seed", "3", "--conditional", "--out", "fluct.json"],
+]]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+    import os
+
+    env = dict(os.environ, PYTHONPATH=SRC, POLYRMF_OUT_DIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 6, []]
+    assert len(list(tmp_path.glob("*.json"))) == 6
+
+
 def call_cli(*argv):
     """polyrmf.cli.main in-process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

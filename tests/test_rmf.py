@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse, stats
+from scipy import stats
 
 from oracles import (ConditionalSampler, FactoredValue, angle, f_of,
                      martingale_piece, partial_sum, prime_subsum,
-                     prime_to_indices, table_row, table_rows,
+                     prime_to_indices, sequential_set_sums,
+                     sequential_unit_values, table_row, table_rows,
                      unit_values_reference)
 from polyrmf import rmf
 from polyrmf.polynomial import parse_polynomial
@@ -311,7 +312,7 @@ def test_replicate_sums_memory_is_bounded_by_the_angle_block():
     # f-values alone would take 78 MiB; the angle block takes 28 MiB
     n = 20_000
     pt = PhaseTable(factor_values(parse_polynomial("x^2+1"), n))
-    ones = sparse.csr_matrix(np.ones((1, n)))
+    ones = np.ones((1, n), dtype=bool)
     tracemalloc.start()
     try:
         out = replicate_sums(pt, 5, 256, ones)
@@ -328,7 +329,51 @@ def test_selector_must_match_the_table_rows(x2p1, monkeypatch):
     pt = PhaseTable(factor_values(x2p1, 50))
     for cols in (49, 51, 60):
         with pytest.raises(ValueError):
-            replicate_sums(pt, 1, 3, sparse.csr_matrix(np.ones((1, cols))))
+            replicate_sums(pt, 1, 3, np.ones((1, cols), dtype=bool))
+
+
+# exponents > 1 (x^2 is a square at every n), rows without factors and
+# roots of P (P(1) = -1, P(6) = 0), rows of 8 or more primes (the constant
+# 9699690 is 2*3*...*19) and a prime above 2^64 (P(19) of x^2 + 10^20)
+PHASE_TABLES = [("0,0,1", 40), ("0,-6,1", 40), ("-2,0,1", 40),
+                ("9699690,0,9699690", 30), ("100000000000000000000,0,1", 20)]
+
+
+@pytest.mark.parametrize("text,n", PHASE_TABLES)
+def test_unit_values_match_the_sequential_oracle(text, n):
+    table = factor_values(parse_polynomial(text), n)
+    pt = PhaseTable(table)
+    theta = np.random.default_rng(n).random((len(pt.primes), 3))
+    assert np.array_equal(pt.unit_values_batch(theta),
+                          sequential_unit_values(table, theta))
+    assert np.array_equal(pt.unit_values_batch(theta[:, 1]),
+                          sequential_unit_values(table, theta[:, 1:2])[:, 0])
+
+
+def test_phase_tables_cover_the_oracle_cases():
+    tables = [factor_values(parse_polynomial(t), n) for t, n in PHASE_TABLES]
+    rows = [r for t in tables for r in table_rows(t)]
+    assert any(e > 1 for r in rows for _, e in r.factors)
+    assert any(r.value == 0 for r in rows)
+    assert any(abs(r.value) == 1 for r in rows)
+    assert any(len(r.factors) >= 8 for r in rows)
+    assert any(p > M64 for r in rows for p, _ in r.factors)
+
+
+@pytest.mark.parametrize("text,n", PHASE_TABLES)
+def test_replicate_sums_match_the_sequential_oracle(text, n, monkeypatch):
+    # tiles of 7 rows and chunks of 2 replicates put the tile and chunk
+    # seams inside every set; one set is empty, one takes every row
+    monkeypatch.setattr(rmf, "_TILE", 7)
+    monkeypatch.setattr(rmf, "_CHUNK", 2)
+    table = factor_values(parse_polynomial(text), n)
+    pt = PhaseTable(table)
+    idx = np.arange(n)
+    selector = np.vstack([idx >= 0, idx % 3 == 1, idx < 0, idx > n // 2])
+    frozen = np.arange(len(pt.primes)) % 2 == 0
+    for sel, frz in ((selector, None), (selector, frozen), (selector[:1], None)):
+        assert np.array_equal(replicate_sums(pt, 7, 5, sel, frozen=frz),
+                              sequential_set_sums(table, 7, 5, sel, frz))
 
 
 def test_check_replicates_caps_the_thread_count():

@@ -341,12 +341,32 @@ def test_values_at_the_int64_residual_switch(top):
         assert [p for p, _ in row.factors] == sorted(p for p, _ in row.factors)
     small = factor_values(parse_polynomial("x^2+1"), 3).exponents
     m = table.exponents
-    assert m.shape == (3, len(table.primes)) and m.has_sorted_indices
+    assert m.shape == (3, len(table.primes)) and m.nnz == len(m.data)
     assert m.indptr.tolist() == np.cumsum(
         [0] + [len(r.factors) for r in table_rows(table)]).tolist()
+    # each row's columns ascend strictly and every column is in range
+    cols = m.indices.tolist()
+    assert all(cols[k] < cols[k + 1] for a, b in zip(m.indptr[:-1], m.indptr[1:])
+               for k in range(a, b - 1))
+    assert len(cols) == m.nnz and all(0 <= c < m.shape[1] for c in cols)
     assert [a.dtype for a in (m.indptr, m.indices, m.data)] == [
         a.dtype for a in (small.indptr, small.indices, small.data)]
     assert all(type(p) is int for p in table.primes)
+
+
+@pytest.mark.parametrize("coeffs,n", [
+    ((-(2**63 - 10), 0, 1), 3),   # sum |c_i| N^i >= 2^63 but |P(n)| < 2^63
+    ((2**62, -(2**62), 1), 2),    # the terms cancel: P(1) = 1, P(2) = 2^62 + 4
+    ((5, -3, 0, 2**40), 300),     # P(n) crosses 2^63 at n = 204
+])
+def test_values_are_exact_on_both_sides_of_the_int64_evaluation(coeffs, n):
+    poly = IntPolynomial(coeffs)
+    table = factor_values(poly, n)
+    values = [poly(k) for k in range(1, n + 1)]
+    assert table.values == values
+    assert all(type(v) is int for v in table.values)
+    for row in table_rows(table, 0, min(n, 3)):
+        assert dict(row.factors) == sympy.factorint(abs(row.value))
 
 
 def test_root_search_stops_at_the_square_root_of_the_values(monkeypatch):
