@@ -134,18 +134,25 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
+def _open_out(out: Path, newline: str | None = None):
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        return open(out, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror}",
+                          field="out") from exc
+
+
 def _emit(doc: dict, out: Path | None, as_csv_rows=None) -> None:
     if out is None:
         dump_json(doc, sys.stdout)
         sys.stdout.write("\n")
-        return
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if out.suffix == ".csv" and as_csv_rows is not None:
+    elif out.suffix == ".csv" and as_csv_rows is not None:
         header, rows = as_csv_rows
-        with open(out, "w", newline="") as fh:
+        with _open_out(out, newline="") as fh:
             csv.writer(fh).writerows([header, *rows])
     else:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             dump_json(doc, fh)
             fh.write("\n")
 
@@ -264,8 +271,7 @@ def _cmd_sieve(args):
         if out is None:
             table.write_csv(sys.stdout)
         else:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with open(out, "w", newline="") as fh:
+            with _open_out(out, newline="") as fh:
                 table.write_csv(fh)
         return config, None
     count, fraction = lpf_density(table, scale)

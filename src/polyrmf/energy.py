@@ -184,15 +184,18 @@ _LOG_PRIME = 65537  # 2^16 + 1, with primitive root 3
 def _classes(values: np.ndarray, items: int) -> tuple[int, np.ndarray]:
     """``passes``, the least power of two up to 2^16 that splits ``items``
     pairs into passes of about ``_RUN_ITEMS``, and the class L(v) mod
-    ``passes`` of each nonzero value v = 65537^e u (65537 not dividing u):
+    ``passes`` of each value v = 65537^e u (65537 not dividing u):
     L(v) = log_3(u mod 65537) is completely additive, so a product v w
-    has class L(v) + L(w), and a ratio v/w, reduced or not, L(v) - L(w)."""
+    has class L(v) + L(w), and a ratio v/w, reduced or not, L(v) - L(w).
+    Every value must be nonzero: the loop that strips 65537 never ends on
+    a zero.  ``_pair_total`` drops the zeros, and the audit's groups hold
+    |P(n)| >= 2."""
     need = -(-items // _RUN_ITEMS)
     passes = min(1 << max(need - 1, 0).bit_length(), _LOG_PRIME - 1)
     if passes == 1:
         return 1, np.zeros(len(values), dtype=np.int64)
     p = _LOG_PRIME
-    while (hit := values % p == 0).any():  # a zero never leaves
+    while (hit := values % p == 0).any():
         values = np.where(hit, values // p, values)
     # log3[3^(256 a + b) mod p] = 256 a + b for 0 <= a, b < 256
     small = np.array([pow(3, e, p) for e in range(256)], dtype=np.int64)
@@ -338,7 +341,8 @@ def group_pair_counts(values: list[int],
     ``clt_audit``.  Pass k takes the canonical products and the ordered
     ratios of class k, so equal keys, and each product m with its ratio
     m/1, meet in one pass."""
-    tags = np.asarray(tags, dtype=np.int64)  # int32 CSR columns overflow below
+    # for tags * passes below: a list would repeat, a narrow dtype overflow
+    tags = np.asarray(tags, dtype=np.int64)
     sizes = np.unique(tags, return_counts=True)[1]
     values, qs = _exact_array(values)
     passes, cls = _classes(values, int(np.dot(sizes, 3 * sizes + 1)) // 2)

@@ -31,7 +31,12 @@ document oracle builds one dict per row and dumps the whole document
 with ``json.dump``, as the CLI did before it wrote the rows from the
 CSR.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
-are kept here beside their tests.
+are kept here beside their tests.  ``classify_reference`` decides every
+``classify`` field in exact coefficient arithmetic, as the package did
+before it decided them by evaluating P: the pure-power and
+generalized-even forms by composing P with a linear map
+(``compose_linear``), and the rational roots by synthetic division
+(``rational_roots_reference``).
 """
 
 import cmath
@@ -48,7 +53,8 @@ import numpy as np
 
 from polyrmf.cli import _document, to_jsonable
 from polyrmf.energy import DEFAULT_PAIR_BUDGET, ProgressionRange, check_pair_budget
-from polyrmf.polynomial import IntPolynomial
+from polyrmf.polynomial import (IntPolynomial, PolynomialClass, PurePowerWitness,
+                                 _divisors)
 from polyrmf.primes import sieve_primes
 from polyrmf.rmf import GOLDEN, M64, SteinhausSampler, mix64
 from polyrmf.sieve import lpf_density
@@ -597,3 +603,85 @@ def sieve_csv_text(table):
         fac = "*".join(f"{p}^{e}" for p, e in row.factors) or "1"
         lines.append(f"{row.n},{row.value},{fac},{row.largest_prime}")
     return "".join(line + "\r\n" for line in lines)
+
+
+def compose_linear(p: IntPolynomial, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+    """Coefficients of P(alpha*x + beta), lowest degree first, exact."""
+    acc = [Fraction(0)]
+    for c in reversed(p.coeffs):
+        # acc <- acc * (alpha*x + beta) + c
+        shifted = [Fraction(0)] + [a * alpha for a in acc]
+        for i, a in enumerate(acc):
+            shifted[i] += a * beta
+        shifted[0] += c
+        while len(shifted) > 1 and shifted[-1] == 0:
+            shifted.pop()
+        acc = shifted
+    return acc
+
+
+def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
+    """Exact synthetic division by (x - root); assumes root is a root."""
+    out: list[Fraction] = [Fraction(0)] * (len(coeffs) - 1)
+    acc = Fraction(0)
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[k] + acc * root
+        out[k - 1] = acc
+    return out
+
+
+def _eval_fracs(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def rational_roots_reference(p: IntPolynomial) -> list[tuple[Fraction, int]]:
+    """Rational roots with multiplicities: roots at zero are stripped
+    first, then each +-num/den candidate is confirmed and deflated."""
+    work = [Fraction(c) for c in p.coeffs]
+    roots: dict[Fraction, int] = {}
+    zero_mult = 0
+    while work[0] == 0 and len(work) > 1:
+        work = work[1:]
+        zero_mult += 1
+    if zero_mult:
+        roots[Fraction(0)] = zero_mult
+    if len(work) > 1:
+        trailing, leading = int(work[0]), int(work[-1])
+        candidates = []
+        for num in _divisors(trailing):
+            for den in _divisors(leading):
+                if gcd(num, den) == 1:
+                    candidates.append(Fraction(num, den))
+                    candidates.append(Fraction(-num, den))
+        for cand in sorted(set(candidates)):
+            while len(work) > 1 and _eval_fracs(work, cand) == 0:
+                work = _deflate(work, cand)
+                roots[cand] = roots.get(cand, 0) + 1
+    return sorted(roots.items())
+
+
+def classify_reference(p: IntPolynomial) -> PolynomialClass:
+    """Every ``classify`` field from coefficients: P(x) = w*(x+c)^d iff
+    P(x - c) = w*x^d, and beta is a center iff P(beta - x) has P's
+    coefficients."""
+    d, lead = p.degree, p.coeffs[-1]
+    c = Fraction(p.coeffs[d - 1], d * lead)
+    pure = not any(compose_linear(p, Fraction(1), -c)[:-1])
+    beta = Fraction(-2 * p.coeffs[d - 1], d * lead)
+    even = (d % 2 == 0
+            and compose_linear(p, Fraction(-1), beta) == [Fraction(a) for a in p.coeffs])
+    roots = tuple(rational_roots_reference(p))
+    linear = sum(m for _, m in roots) == d
+    return PolynomialClass(
+        degree=d,
+        is_pure_power=pure,
+        pure_power_witness=PurePowerWitness(w=lead, c=c) if pure else None,
+        rational_roots=roots,
+        is_product_of_linear_factors=linear,
+        generalized_even_center=beta if even else None,
+        clt_admissible=not pure,
+        fluct_admissible=not linear,
+    )

@@ -51,6 +51,14 @@ def test_classify_accepts_both_poly_forms():
     assert human["result"] == csvf["result"]
 
 
+def test_classify_takes_a_leading_minus_after_an_equals_sign():
+    # "--poly -x^2+3" would read as an option; "--poly=-x^2+3" cannot
+    for text, roots in (("-x^2+3", []), ("-1,0,1", [["-1/1", 1], ["1/1", 1]])):
+        proc = run_cli("classify", f"--poly={text}")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["rational_roots"] == roots
+
+
 def test_energy_rejects_pure_power_exit_2():
     proc = run_cli("energy", "--poly", "0,0,1", "--n", "10")
     assert proc.returncode == 2
@@ -413,6 +421,21 @@ def test_config_errors_name_their_field():
         assert rc == 2 and out == "", argv
         error = json.loads(err)["error"]
         assert (error["kind"], error["field"]) == ("config", field), argv
+
+
+def test_out_that_cannot_be_opened_exits_2(tmp_path):
+    # a path under a regular file fails in mkdir, a directory in open
+    (tmp_path / "file").write_text("")
+    sieve = ("sieve", "--poly", "x^2+1", "--n", "20")
+    for argv in ((*sieve, "--out", str(tmp_path / "file" / "x.json")),
+                 (*sieve, "--out", str(tmp_path)),
+                 (*sieve, "--format", "csv", "--out", str(tmp_path / "file" / "x.csv")),
+                 (*sieve, "--format", "csv", "--out", str(tmp_path)),
+                 (*sieve, "--dry-run", "--out", str(tmp_path / "file" / "x.json"))):
+        rc, out, err = call_cli(*argv)
+        assert rc == 2 and out == "", argv
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("config", "out"), argv
 
 
 def test_internal_value_error_exits_1(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import classify_reference
 
 from polyrmf.polynomial import (
     MAX_DEGREE,
@@ -123,6 +124,23 @@ def test_repeated_rational_roots():
     assert classify(p).is_product_of_linear_factors
 
 
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _substitute(h: list[int], q: list[int]) -> list[int]:
+    """Coefficients of h(q(x)), both lowest degree first."""
+    acc = [h[-1]]
+    for c in reversed(h[:-1]):
+        acc = _mul(acc, q)
+        acc[0] += c
+    return acc
+
+
 def _expand_pure_power(w: int, num: int, den: int, d: int) -> IntPolynomial:
     from math import comb
 
@@ -155,11 +173,7 @@ def test_pure_power_round_trip(t, num, den, d):
 def test_linear_factor_products_round_trip(factors):
     coeffs = [1]
     for a, b in factors:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * b
-            nxt[i + 1] += c * a
-        coeffs = nxt
+        coeffs = _mul(coeffs, [b, a])
     p = IntPolynomial(tuple(coeffs))
     cls = classify(p)
     assert cls.is_product_of_linear_factors
@@ -185,25 +199,11 @@ def test_generalized_even_center_detection(g_coeffs, lead, shift):
     even[-1] = 0
     even.append(lead)  # even degree leading coefficient
     g = IntPolynomial(tuple(even))
-    shifted = _compose_int_shift(g, -shift)  # P(x) = g(x - shift)
+    shifted = IntPolynomial(tuple(_substitute(g.coeffs, [-shift, 1])))  # g(x - shift)
     beta = generalized_even_center(shifted)
     assert beta == 2 * shift
     for n in range(-100, 101):
         assert shifted(beta - n) == shifted(n)
-
-
-def _compose_int_shift(p: IntPolynomial, b: int) -> IntPolynomial:
-    acc = [0]
-    for c in reversed(p.coeffs):
-        nxt = [0] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            nxt[i + 1] += a
-            nxt[i] += a * b
-        nxt[0] += c
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt.pop()
-        acc = nxt
-    return IntPolynomial(tuple(acc))
 
 
 def test_odd_degree_has_no_even_center():
@@ -226,3 +226,65 @@ def test_classify_huge_trailing_coefficient_is_fast():
     cls = classify(parse_polynomial("100000000000000000000,0,1"))
     assert time.perf_counter() - started < 5.0
     assert cls.rational_roots == () and cls.clt_admissible
+    # w*x^d has only the root 0: its 29-digit semiprime w is never factored
+    w = (10**14 + 31) * (10**15 + 37)
+    cls, elapsed = _timed_classify(IntPolynomial((0, 0, w)))
+    assert cls.rational_roots == ((Fraction(0), 2),) and elapsed < 0.5
+
+
+_nonzero = st.integers(-6, 6).filter(bool)
+_factor = st.one_of(
+    st.tuples(st.integers(-7, 7), st.integers(1, 5)).map(list),  # b + a*x
+    st.tuples(st.integers(-7, 7), st.integers(-7, 7), _nonzero).map(list),
+)
+
+
+@st.composite
+def _linear_quadratic_products(draw):
+    # factors repeat up to three times; b = 0 in b + a*x gives roots at zero
+    coeffs = [draw(_nonzero)]
+    for f, e in draw(st.lists(st.tuples(_factor, st.integers(1, 3)),
+                              min_size=1, max_size=4)):
+        for _ in range(e):
+            coeffs = _mul(coeffs, f)
+    return coeffs
+
+
+@st.composite
+def _pure_powers(draw):
+    num, den, d = draw(st.integers(-6, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    return [int(f) for f in _expand_pure_power(draw(_nonzero) * den**d, num, den, d).coeffs]
+
+
+@st.composite
+def _generalized_even(draw):
+    # x*(b*x - a) is symmetric about a/b, and so is h of it
+    a, b = draw(st.integers(-6, 6)), draw(st.integers(1, 3))
+    h = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)) + [draw(_nonzero)]
+    return _substitute(h, [0, -a, b])
+
+
+@given(coeffs=st.one_of(_linear_quadratic_products(), _pure_powers(),
+                        _generalized_even()))
+@settings(max_examples=300, deadline=None)
+def test_classify_matches_the_composition_and_deflation_oracle(coeffs):
+    p = IntPolynomial(tuple(coeffs))
+    assert classify(p) == classify_reference(p)
+
+
+def _timed_classify(p: IntPolynomial):
+    started = time.perf_counter()
+    cls = classify(p)
+    return cls, time.perf_counter() - started
+
+
+def test_classify_at_max_degree_is_under_a_second():
+    # the time MAX_DEGREE's comment states; the ends stay small, so the root
+    # candidates are few, and a symmetric P is evaluated at all d+1 points
+    h = [(-1) ** k * (k % 7 + 1) for k in range(MAX_DEGREE // 2 + 1)]
+    for p, center in ((parse_polynomial(f"x^{MAX_DEGREE}+x+1"), None),
+                      (IntPolynomial(tuple(_substitute(h, [0, -3, 1]))), 3)):
+        cls, elapsed = _timed_classify(p)  # h(x^2 - 3x) is symmetric about 3
+        assert (cls.degree, cls.generalized_even_center) == (MAX_DEGREE, center)
+        assert cls.rational_roots == () and cls.clt_admissible and cls.fluct_admissible
+        assert elapsed < 1.0
