@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -134,9 +135,22 @@ def _resolve_out(path: str | None) -> Path | None:
     return p
 
 
-def _open_out(out: Path, newline: str | None = None):
+def _prepare_out(out: Path) -> None:
+    """Make the directory of ``out`` and check that ``out`` can be written
+    there, before any computation; the file is written after it."""
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
+        if out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(out if out.exists() else out.parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror}",
+                          field="out") from exc
+
+
+def _open_out(out: Path, newline: str | None = None):
+    try:
         return open(out, "w", newline=newline)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out}: {exc.strerror}",
@@ -379,10 +393,12 @@ def _error_json(kind: str, exit_code: int, message: str,
 def dispatch(args) -> int:
     started = time.perf_counter()
     try:
+        out = _resolve_out(args.out)
+        if out is not None:
+            _prepare_out(out)
         # a handler returns (config, result[, csv rows]); a result of None
         # is a dry run or output the handler wrote itself
         config, result, *csv_rows = _COMMANDS[args.command](args)
-        out = _resolve_out(args.out)
         if args.dry_run:
             _emit({"dry_run": True, **config}, out)
         elif result is not None:

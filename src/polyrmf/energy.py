@@ -24,17 +24,21 @@ the keys are exact for every value size, as are those of a reduced
 ratio's parts, at most V.  A square sum sorts the low words by value to
 find those that repeat; only the items that carry one are sorted by
 index, and every other item adds its weight squared.  The energy and
-the audit's grouped counts build each pair once, in passes of about 4e6
-pairs (at most 2^16) classed by the discrete logarithm mod 65537, so
-memory stays bounded up to about 7e5 values and time grows with the
-pair count; the pair budget caps that time, and a budget of None
-(chunked mode) lifts it.
+the audit's grouped counts build each pair once, in passes classed by
+the discrete logarithm mod 65537.  A pass holds about 2^18 pairs, so
+that one uint64 column of it (2 MiB) stays in a core's L2 cache, and
+every pass of a call reuses the arrays of the first.  There are at most
+2^16 passes, so memory stays bounded up to about 1.85e5 values (beyond,
+a pass holds about M^2 / 2^17 pairs), and time grows with the pair
+count; the pair budget caps that time, and a budget of None (chunked
+mode) lifts it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import log
 
@@ -47,7 +51,9 @@ from .primes import is_prime
 from .sieve import check_factor_budget, check_grid
 
 DEFAULT_PAIR_BUDGET = 80_000_000
-_RUN_ITEMS = 4_000_000
+_RUN_ITEMS = 1 << 18  # pairs per class pass: a uint64 column of 2 MiB
+_BLOCK = 8 << 20  # bytes: the least block that _Scratch allocates
+_SMALL = 1 << 16  # bytes: the least array that _Scratch cuts from a block
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
@@ -128,34 +134,85 @@ def _exact_array(values: list[int]) -> tuple[np.ndarray, list[int]]:
 
 def _residue_keys(values: np.ndarray, qs: list[int]) -> list[np.ndarray]:
     """Residues of int64 or ``object`` values mod 2^64 (uint64) and mod qs."""
-    low = (values & (2**64 - 1) if values.dtype == object else values).astype(np.uint64)
-    return [low] + [(values % q).astype(np.int64) for q in qs]
+    if values.dtype == object:
+        low = (values & (2**64 - 1)).astype(np.uint64)
+    else:
+        low = values.view(np.uint64)  # the same bits
+    return [low] + [(values % q).astype(np.int64, copy=False) for q in qs]
 
 
-def _square_sum(keys: list[np.ndarray], weights: np.ndarray) -> int:
+class _Scratch:
+    """The work arrays of one call's class passes, each allocated at the
+    first pass that needs it and reused by every later one, which writes
+    into it with ``out=``: pass-sized temporaries freed and allocated again
+    would fault in fresh pages on every pass.  An array holds an eighth
+    more items than first asked for, as the passes of one call differ
+    little in size.  Arrays of ``_SMALL`` bytes or more are cut from blocks
+    of ``_BLOCK`` bytes: glibc raises its mmap threshold to the largest
+    block it has unmapped, so once one call has freed its block, the
+    blocks of later calls come from its heap, and their pages stay mapped
+    between calls."""
+
+    def __init__(self):
+        self._arrays: dict[tuple, np.ndarray] = {}
+        self._free = np.empty(0, np.uint8)  # the unused tail of the block
+
+    def get(self, name: str, n: int, dtype) -> np.ndarray:
+        """The first n items of the array ``name`` of ``dtype``."""
+        a = self._arrays.get((name, dtype))
+        if a is None or len(a) < n:
+            a = self._arrays[name, dtype] = self._new(n + n // 8, np.dtype(dtype))
+        return a[:n]
+
+    def _new(self, size: int, dtype: np.dtype) -> np.ndarray:
+        nbytes = -(-size * dtype.itemsize // 64) * 64
+        # references are not bytes, and malloc keeps small arrays mapped
+        if dtype.hasobject or nbytes < _SMALL:
+            return np.empty(size, dtype)
+        if nbytes > len(self._free):
+            self._free = np.empty(max(nbytes, _BLOCK), np.uint8)
+        a, self._free = self._free[:nbytes].view(dtype), self._free[nbytes:]
+        return a
+
+
+def _square_sum(keys: list[np.ndarray], weights: np.ndarray,
+                scratch: _Scratch | None = None) -> int:
     """Sum over the distinct key rows of the squared total weight of their
     items, 0 for none.  keys[0] is the uint64 low word.  Sorting its values
     finds the low words that repeat, and a multiplicative hash of them
     marks every item that may carry one; an unmarked item's key row is its
     own, and adds its weight squared.  Only the marked items are argsorted
     by their low word, or lexsorted by all keys when some run of equal low
-    words carries more than one key row."""
-    s = np.sort(keys[0])
-    twice = s[1:][s[1:] == s[:-1]]  # every low word that repeats, and more
+    words carries more than one key row.  The work arrays "low", "flag"
+    and "marked" come from ``scratch``, a fresh one when None; the keys and
+    weights must not be among them."""
+    scratch = scratch or _Scratch()
+    n = len(weights)
+    s = scratch.get("low", n, np.uint64)
+    np.copyto(s, keys[0])
+    s.sort()
+    repeats = np.equal(s[1:], s[:-1], out=scratch.get("flag", n, bool)[1:])
+    twice = s[1:][repeats]  # every low word that repeats, and more
+    square = s.view(np.int64)  # the sorted words are spent
     if not twice.size:
-        weights = weights.astype(np.int64)
-        return int(np.dot(weights, weights))
+        np.copyto(square, weights)
+        return int(np.dot(square, square))
     # more than min(64 t, n) flags for the t repeating words, so that few
     # other items share a flag with one of them
-    bits = min(64 * twice.size, weights.size).bit_length()
+    bits = min(64 * twice.size, n).bit_length()
     shift = np.uint64(64 - bits)
     table = np.zeros(1 << bits, dtype=bool)
     table[(twice * _MIX) >> shift] = True
-    at = keys[0] * _MIX
+    at = np.multiply(keys[0], _MIX, out=s)
     at >>= shift
-    marked = table[at]
-    once = weights[~marked].astype(np.int64)
-    keys, weights = [k[marked] for k in keys], weights[marked]
+    marked = table.take(at, out=scratch.get("flag", n, bool), mode="clip")
+    np.copyto(square, weights)
+    np.copyto(square, 0, where=marked)
+    once = int(np.dot(square, square))
+    size = np.count_nonzero(marked)
+    weights = weights.compress(marked, out=scratch.get("marked", size, weights.dtype))
+    keys = [k.compress(marked, out=scratch.get(f"marked {c}", size, k.dtype))
+            for c, k in enumerate(keys)]
 
     def runs(order):  # where each key changes between neighbours in order
         return [(s := k[order])[1:] != s[:-1] for k in keys]
@@ -167,7 +224,7 @@ def _square_sum(keys: list[np.ndarray], weights: np.ndarray) -> int:
         new = runs(order)
     starts = np.r_[0, np.flatnonzero(np.logical_or.reduce(new)) + 1]
     sums = np.add.reduceat(weights[order], starts, dtype=np.int64)
-    return int(np.dot(once, once)) + int(np.dot(sums, sums))
+    return once + int(np.dot(sums, sums))
 
 
 def value_pair_count(values: list[int], tags: np.ndarray | None = None) -> int:
@@ -181,10 +238,26 @@ def value_pair_count(values: list[int], tags: np.ndarray | None = None) -> int:
 _LOG_PRIME = 65537  # 2^16 + 1, with primitive root 3
 
 
+@cache
+def _log3_table() -> np.ndarray:
+    """log3[3^e mod 65537] = e for 0 <= e < 65536 (log3[0] = 0), read-only:
+    built once per process, at the first call with more than one pass."""
+    p = _LOG_PRIME
+    # 3^(256 a + b) for 0 <= a, b < 256
+    small = np.array([pow(3, e, p) for e in range(256)], dtype=np.int64)
+    large = np.array([pow(3, 256 * e, p) for e in range(256)], dtype=np.int64)
+    log3 = np.zeros(p, dtype=np.int64)
+    log3[np.multiply.outer(large, small).ravel() % p] = np.arange(p - 1)
+    log3.flags.writeable = False
+    return log3
+
+
 def _classes(values: np.ndarray, items: int) -> tuple[int, np.ndarray]:
     """``passes``, the least power of two up to 2^16 that splits ``items``
-    pairs into passes of about ``_RUN_ITEMS``, and the class L(v) mod
-    ``passes`` of each value v = 65537^e u (65537 not dividing u):
+    pairs into passes of about ``_RUN_ITEMS`` = 2^18 (M values have about
+    M^2 / 2 canonical products, so the cap is reached at about 1.85e5
+    values), and the class L(v) mod ``passes`` of each value
+    v = 65537^e u (65537 not dividing u):
     L(v) = log_3(u mod 65537) is completely additive, so a product v w
     has class L(v) + L(w), and a ratio v/w, reduced or not, L(v) - L(w).
     Every value must be nonzero: the loop that strips 65537 never ends on
@@ -197,12 +270,7 @@ def _classes(values: np.ndarray, items: int) -> tuple[int, np.ndarray]:
     p = _LOG_PRIME
     while (hit := values % p == 0).any():
         values = np.where(hit, values // p, values)
-    # log3[3^(256 a + b) mod p] = 256 a + b for 0 <= a, b < 256
-    small = np.array([pow(3, e, p) for e in range(256)], dtype=np.int64)
-    large = np.array([pow(3, 256 * e, p) for e in range(256)], dtype=np.int64)
-    log3 = np.zeros(p, dtype=np.int64)
-    log3[np.multiply.outer(large, small).ravel() % p] = np.arange(p - 1)
-    return passes, log3[(values % p).astype(np.int64)] % passes
+    return passes, _log3_table()[(values % p).astype(np.int64)] % passes
 
 
 def _class_pairs(key, cls, passes, k, sign) -> tuple[np.ndarray, np.ndarray]:
@@ -221,17 +289,23 @@ def _class_pairs(key, cls, passes, k, sign) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(rows, count), j
 
 
-def _pair_keys(keys, qs, i, j):
+def _pair_keys(keys, qs, i, j, scratch):
     """Residue keys of the products of pairs (i, j) of the values keyed by
-    ``keys``, and their int8 weights: 1 where i = j, else 2."""
+    ``keys``, and their int8 weights: 1 where i = j, else 2.  They are
+    written into the arrays "product c" and "weight" of ``scratch``."""
+    n = len(i)
+    other = scratch.get("factor", n, np.int64)
     prods = []
-    for key, q in zip(keys, [None] + qs):
-        prod = key[i]
-        prod *= key[j]
+    for c, (key, q) in enumerate(zip(keys, [None] + qs)):
+        prod = key.take(i, out=scratch.get(f"product {c}", n, key.dtype), mode="clip")
+        prod *= key.take(j, out=other.view(key.dtype), mode="clip")
         if q is not None:
             prod %= q
         prods.append(prod)
-    return prods, np.where(i == j, np.int8(1), np.int8(2))
+    weight = scratch.get("weight", n, np.int8)
+    np.not_equal(i, j, out=weight.view(bool))
+    weight += 1
+    return prods, weight
 
 
 def _pair_total(values: list[int]) -> int:
@@ -247,9 +321,10 @@ def _pair_total(values: list[int]) -> int:
     keys = [k[order] for k in _residue_keys(arr, qs)]  # crt products stay below 2^62
     cls = cls[order]
     total = (len(values) ** 2 - m * m) ** 2
+    scratch = _Scratch()
     for k in range(passes):  # nested: each pass frees its pair indices before the sort
         total += _square_sum(*_pair_keys(
-            keys, qs, *_class_pairs(cls, cls, passes, k, 1)))
+            keys, qs, *_class_pairs(cls, cls, passes, k, 1), scratch), scratch)
     return total
 
 
@@ -353,26 +428,42 @@ def group_pair_counts(values: list[int],
 
     def inner(x, y, sx):  # sum_k x_k y_k, x weighted, y of weight 1
         ones = np.ones(len(y[0]), dtype=np.int64)
-        both = _square_sum([np.r_[u, v] for u, v in zip(x, y)], np.r_[weight, ones])
-        return (both - sx - _square_sum(y, ones)) // 2
+        n = len(weight) + len(ones)
+        both = [np.concatenate([u, v], out=scratch.get(f"both {c}", n, u.dtype))
+                for c, (u, v) in enumerate(zip(x, y))]
+        both = _square_sum(both, np.concatenate(
+            [weight, ones], out=scratch.get("both", n, np.int64)), scratch)
+        return (both - sx - _square_sum(y, ones, scratch)) // 2
 
+    def take(a, at, name):  # a[at] into the scratch array ``name``
+        return a.take(at, out=scratch.get(name, len(at), a.dtype), mode="clip")
+
+    scratch = _Scratch()
     counts = np.zeros(5, dtype=object)
     for k in range(passes):
         i, j = _class_pairs(key, cls, passes, k, 1)
-        prods, weight = _pair_keys(keys, qs, i, j)
-        prods_tag = prods + [key[i] // passes]
+        prods, weight = _pair_keys(keys, qs, i, j, scratch)
+        tag = take(key, i, "tag")
+        prods_tag = prods + [np.floor_divide(tag, passes, out=tag)]
         # the reduced ratios v_i/v_j, and the integer ones m/1 with their tags
         i, j = _class_pairs(key, cls, passes, k, -1)
-        av, aw = mag[i], mag[j]
-        a, b = av // (d := np.gcd(av, aw)), aw // d
-        a[neg[i] != neg[j]] *= -1
+        n = len(i)
+        av, aw = take(mag, i, "numerator"), take(mag, j, "denominator")
+        equal = np.count_nonzero(np.equal(av, aw, out=scratch.get("flag", n, bool)))
+        d = np.gcd(av, aw, out=scratch.get("gcd", n, mag.dtype))
+        a, b = np.floor_divide(av, d, out=av), np.floor_divide(aw, d, out=aw)
+        flip = take(neg, i, "flip")
+        flip ^= take(neg, j, "sign")  # the signs differ
+        np.negative(a, out=a, where=flip)
         num = _residue_keys(a, qs)
-        ints = [u[b == 1] for u in num + [key[i] // passes]]
-        same = _square_sum(prods_tag, weight)
-        counts += [np.count_nonzero(av == aw), same,
-                   _square_sum(num + _residue_keys(b, qs), np.ones(len(b), np.int64)),
+        unit = np.equal(b, 1, out=scratch.get("unit", n, bool))
+        ints = [u[unit] for u in num] + [key[i[unit]] // passes]
+        same = _square_sum(prods_tag, weight, scratch)
+        counts += [equal, same,
+                   _square_sum(num + _residue_keys(b, qs),
+                               np.broadcast_to(np.int64(1), n), scratch),
                    inner(prods_tag, ints, same),
-                   inner(prods, ints[:-1], _square_sum(prods, weight))]
+                   inner(prods, ints[:-1], _square_sum(prods, weight, scratch))]
     return tuple(map(int, counts))
 
 

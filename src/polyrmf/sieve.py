@@ -108,7 +108,13 @@ class FactorTable:
         """``exponents`` transposed: row j holds the n-1 with primes[j] | P(n)."""
         m = self.exponents
         rows = np.repeat(np.arange(self.N), np.diff(m.indptr))
-        order = np.argsort(m.indices, kind="stable")  # keeps n ascending
+        # a stable sort keeps n ascending: one pass per 16 bits of the
+        # column, least significant first, as numpy sorts 16-bit keys by
+        # counting, in time linear in the entries
+        order = np.arange(m.nnz)
+        for shift in range(0, max(len(self.primes) - 1, 1).bit_length(), 16):
+            digit = (m.indices[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
         return _compress(m.indices[order], rows[order], m.data[order],
                          m.shape[::-1])
 

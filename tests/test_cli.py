@@ -438,6 +438,19 @@ def test_out_that_cannot_be_opened_exits_2(tmp_path):
         assert (error["kind"], error["field"]) == ("config", "out"), argv
 
 
+def test_out_is_checked_before_computing(tmp_path):
+    # the sieve at N = 2e5 takes seconds: an --out that cannot be written
+    # ends the run before it starts
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "file" / "x.json", tmp_path):
+        started = time.perf_counter()
+        rc, out_text, err = call_cli("sieve", "--poly", "x^2+1", "--n", "200000",
+                                     "--out", str(out))
+        assert time.perf_counter() - started < 1, out
+        assert rc == 2 and out_text == "", out
+        assert json.loads(err)["error"]["field"] == "out", out
+
+
 def test_internal_value_error_exits_1(monkeypatch):
     def broken(poly):
         raise ValueError("not a user error")

@@ -1,5 +1,6 @@
 import importlib
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -30,6 +31,7 @@ from oracles import (
     table_rows,
 )
 from polyrmf import polynomial
+from polyrmf.clt_audit import mcleish_audit
 from polyrmf.energy import (
     ProgressionRange,
     _crt_primes,
@@ -380,6 +382,35 @@ def test_classes_strip_every_power_of_65537():
         assert pair_total_in_passes(values, run_items) == want
 
 
+def test_log3_table_inverts_powers_of_3():
+    log3 = energy_module._log3_table()
+    assert energy_module._log3_table() is log3 and not log3.flags.writeable
+    assert all(pow(3, e, P16) == u for u, e in enumerate(log3[1:].tolist(), 1))
+
+
+def _traced_peak(call) -> int:
+    """The peak bytes that tracemalloc sees (numpy's arrays among them)
+    while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_total_memory_stays_within_a_few_passes():
+    # 4.5e6 canonical products in passes of 2^18: one pass's arrays, not
+    # the 75 MiB of passes of 4e6
+    values = [x * x + 1 for x in range(1, 3001)]
+    assert _traced_peak(lambda: _pair_total(values)) <= 16 * 2**20
+
+
+def test_audit_memory_stays_within_a_few_passes():
+    table = factor_values(parse_polynomial("x^2+x"), 20000)
+    assert _traced_peak(lambda: mcleish_audit(table, [20000])) <= 32 * 2**20
+
+
 @given(values=st.lists(st.integers(-2**100, 2**100), min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_counting_agrees_on_values_of_any_size(values):
@@ -489,8 +520,9 @@ GROUP_CASES = {
 }
 
 
+# 4e6 pairs per pass is more than any case here holds: a single pass
 @pytest.mark.parametrize("groups", GROUP_CASES.values(), ids=GROUP_CASES)
-@pytest.mark.parametrize("run_items", [1, 7, energy_module._RUN_ITEMS])
+@pytest.mark.parametrize("run_items", [1, 7, 4_000_000])
 def test_group_pair_counts_in_forced_passes(groups, run_items):
     groups = groups()
     with mock.patch.object(energy_module, "_RUN_ITEMS", run_items):
@@ -503,7 +535,7 @@ _POOL = [2, 3, 4, 6, 12, 36, 65537, 2 * 65537, 65537**2, 3**40, 2**70]
 _TAGS = [0, 1, 5, 2**15 + 1, 2**30, 2**30 + 1, 2**30 + 5, 2**31 - 1]
 
 
-@pytest.mark.parametrize("run_items", [1, 7, energy_module._RUN_ITEMS])
+@pytest.mark.parametrize("run_items", [1, 7, 4_000_000])
 @given(items=st.lists(
            st.tuples(st.sampled_from(_TAGS) | st.integers(0, 2**31 - 1),
                      st.sampled_from(_POOL) | st.integers(2, 2**80),

@@ -113,6 +113,43 @@ def test_prime_columns_are_the_inverse_image(text, n):
         assert ns == incidence[p]
 
 
+def _wide_table(n, columns, seed):
+    """A table whose CSR spans ``columns`` columns (fake primes): each of
+    n rows holds a random set of them, and some rows none."""
+    rng = np.random.default_rng(seed)
+    rows = [np.sort(rng.choice(columns, rng.integers(0, 4), replace=False))
+            for _ in range(n)]
+    indices = np.concatenate(rows).astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    data = rng.integers(1, 9, len(indices))
+    exponents = sieve.Compressed(indptr, indices, data, (n, columns), len(data))
+    return sieve.FactorTable(IntPolynomial((1, 1)), n, [0] * n,
+                             list(range(columns)), exponents)
+
+
+@pytest.mark.parametrize("table", [
+    lambda: factor_values(parse_polynomial("x^2+1"), 2000),
+    lambda: factor_values(parse_polynomial("0,-6,1"), 40),  # P(6) = 0, P(1) = -5
+    lambda: factor_values(parse_polynomial("100000000000000000000,0,1"), 20),
+    lambda: factor_values(parse_polynomial("0,0,1"), 30),  # P(1) = 1: empty row
+    lambda: _wide_table(400, 2**16, 1),
+    lambda: _wide_table(400, 2**16 + 1, 2),  # two passes of 16 bits
+    lambda: _wide_table(300, 3 * 2**20, 3),
+], ids=["x^2+1", "zero row", "prime beyond 2^64", "empty row",
+        "2^16 columns", "2^16+1 columns", "3*2^20 columns"])
+def test_prime_columns_match_a_stable_argsort(table):
+    table = table()
+    m = table.exponents
+    rows = np.repeat(np.arange(table.N), np.diff(m.indptr))
+    order = np.argsort(m.indices, kind="stable")
+    columns = table.by_prime
+    assert columns.shape == (len(table.primes), table.N)
+    assert columns.indptr.tolist() == np.concatenate(
+        [[0], np.cumsum(np.bincount(m.indices, minlength=len(table.primes)))]).tolist()
+    assert columns.indices.tolist() == rows[order].tolist()
+    assert columns.data.tolist() == m.data[order].tolist()
+
+
 def test_large_primes_have_few_indices(x2p1):
     # at most d = 2 indices for primes beyond N (root count mod p)
     table = factor_values(x2p1, 500)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import polyrmf
 from polyrmf import cli
+from polyrmf.energy import _log3_table
 
 SRC = Path(polyrmf.__file__).resolve().parent
 # perfbench's tracer and self-test look this method up by name
@@ -25,7 +26,7 @@ CALLS = [
     # values near 1e20 leave composite cofactors for Brent rho
     (["sieve", "--poly", "100000000000000000000,0,1", "--n", "40",
       "--format", "csv", "--out", "sieve.csv"], 0),
-    # more than 4e6 pairs: the passes are classed by log_3 mod 65537
+    # more than 2^18 pairs: the passes are classed by log_3 mod 65537
     (["energy", "--poly", "x^2+1", "--n", "3000", "--out", "energy.json"], 0),
     (["energy", "--poly", "100000000000000000000,0,1", "--grid", "20,40",
       "--chunked", "--out", "fit.csv"], 0),
@@ -66,6 +67,8 @@ def test_cli_traffic_reaches_every_function(tmp_path, monkeypatch, capsys):
         if event == "call":
             entered.add(frame.f_code)
 
+    # a cached function runs its body at its first call only
+    _log3_table.cache_clear()
     codes = []
     sys.setprofile(profile)
     try:
