@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+import numpy as np
+
 # Proven-deterministic witness tiers for Miller-Rabin.
 _MR_TIERS = (
     (2047, (2,)),
@@ -45,7 +47,7 @@ def sieve_primes(limit: int) -> list[int]:
         if flags[p]:
             start = p * p
             flags[start:limit + 1:p] = bytearray(len(range(start, limit + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
+    return np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
 
 
 def _mr_witness(a: int, d: int, s: int, n: int) -> bool:

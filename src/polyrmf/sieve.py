@@ -5,8 +5,12 @@ with a root sieve: for each prime p up to B = min(``DEFAULT_TRIAL_BOUND``,
 isqrt(max|P(n)|)), the root classes of P mod p are found once and p is
 divided out of every P(n) with n in a root class.  Since P(n) = P(n mod p)
 (mod p), the classes are read off the values already held: they are the
-n <= min(p, N) with p | P(n), one remainder per residue, so the search
-costs O(min(p, N)) per prime rather than O(p).
+n <= min(p, N) with p | P(n), one remainder per residue.  One search
+finds them for every prime at once, with one multiply and one compare
+per cell (n, p) with n <= min(p, N): an odd p divides a word v exactly
+when v * p^-1 mod 2^64 <= (2^64 - 1) // p.  It runs in numpy over blocks
+of ``_BLOCK_CELLS`` cells, and Python-int residuals are first reduced to
+one word per group of consecutive primes whose product is below 2^63.
 
 The division runs in numpy over the hits alone: the root classes expand
 into the indices n = r (mod p), p is peeled off each hit's value while it
@@ -34,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt, log
+from math import isqrt, log, prod
 from typing import IO
 
 import numpy as np
@@ -45,6 +49,8 @@ from .primes import sieve_primes, _factor_rough
 
 # the root sieve's largest prime; the table is the same for any bound
 DEFAULT_TRIAL_BOUND = 10_000
+# the cells (n, p) that the root search tests at once: 1 MiB of products
+_BLOCK_CELLS = 2**17
 # largest N that factor_values accepts unless fluct passes --factor-budget
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
@@ -202,9 +208,86 @@ def dump_json(doc: dict, fh: IO[str]) -> None:
     fh.write(tail)
 
 
-def _root_classes(residual: np.ndarray, p: int) -> np.ndarray:
-    """The n in 1..min(p, N) with p | P(n), from residual[n-1] = |P(n)|."""
-    return np.flatnonzero(residual[:p] % p == 0) + 1
+def _prime_groups(primes: list[int]) -> list[list[int]]:
+    """``primes`` cut into runs of consecutive primes, each as long as its
+    product stays below 2^63."""
+    groups: list[list[int]] = []
+    for p in primes:
+        if groups and product * p < 2**63:
+            groups[-1].append(p)
+            product *= p
+        else:
+            groups.append([p])
+            product = p
+    return groups
+
+
+def _word_hits(words: np.ndarray, column: np.ndarray,
+               primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (p, n), as int64 arrays (cls_p, cls_n), with n <=
+    min(p, len(words)) and p | words[n-1, c] for the ascending primes and
+    their columns c in the uint64 ``words``, tested in blocks of at most
+    ``_BLOCK_CELLS`` cells (n, p).
+
+    An odd p divides v exactly when v * p^-1 mod 2^64 <= (2^64 - 1) // p
+    (Granlund and Montgomery, PLDI 1994): the multiplication permutes
+    the words and maps the multiples of p onto 0..(2^64 - 1) // p, so
+    every other word lands above them.  p = 2 reads the low bit."""
+    found_p, found_n = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    if primes[:1] == [2]:
+        found_n.append(np.flatnonzero((words[:2, column[0]] & 1) == 0) + 1)
+        found_p.append(np.full(len(found_n[-1]), 2, np.int64))
+        primes, column = primes[1:], column[1:]
+    ps = np.array(primes, dtype=np.int64)
+    odd = ps.astype(np.uint64)
+    inv = odd.copy()  # p * p = 1 mod 8, and each Newton step doubles the bits
+    for _ in range(5):
+        inv *= 2 - odd * inv
+    limit = np.uint64(2**64 - 1) // odd
+    stop = min(len(words), max(primes, default=0))
+    size = max(min(_BLOCK_CELLS, stop * len(ps)), len(ps))
+    product, divides = np.empty(size, np.uint64), np.empty(size, bool)
+    lo = 0
+    while lo < stop:
+        j = int(np.searchsorted(ps, lo, side="right"))  # the p >= n = lo + 1
+        k = len(ps) - j
+        hi = min(stop, lo + max(1, _BLOCK_CELLS // k))
+        # one column broadcasts; several are gathered, one per prime
+        block = words[lo:hi] if words.shape[1] == 1 else words[lo:hi, column[j:]]
+        cells = product[:(hi - lo) * k].reshape(hi - lo, k)
+        np.multiply(block, inv[j:], out=cells)
+        mask = divides[:cells.size].reshape(cells.shape)
+        np.less_equal(cells, limit[j:], out=mask)
+        row, col = np.divmod(np.flatnonzero(mask), k)
+        n, p = row + (lo + 1), ps[j + col]
+        inside = n <= p  # a prime below hi is searched up to n = p only
+        found_p.append(p[inside])
+        found_n.append(n[inside])
+        lo = hi
+    return np.concatenate(found_p), np.concatenate(found_n)
+
+
+def _root_classes(residual: np.ndarray,
+                  primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (p, n) with p in the ascending ``primes``, n <= min(p, N)
+    and p | P(n), as int64 arrays (cls_p, cls_n), from residual[n-1] =
+    |P(n)|.
+
+    int64 residuals are the words of the divisibility test themselves.
+    Python-int residuals are reduced modulo the product of each group of
+    primes, which every prime of the group divides: one word column per
+    group, filled up to the group's largest prime."""
+    if residual.dtype != object:
+        return _word_hits(residual.view(np.uint64)[:, None],
+                          np.zeros(len(primes), np.intp), primes)
+    groups = _prime_groups(primes)
+    words = np.zeros((min(len(residual), max(primes, default=0)), len(groups)),
+                     np.uint64)
+    for c, group in enumerate(groups):
+        rows = residual[:group[-1]]
+        words[:len(rows), c] = rows % prod(group)
+    column = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return _word_hits(words, column, primes)
 
 
 def factor_values(
@@ -225,10 +308,7 @@ def factor_values(
     bound = max(0, min(DEFAULT_TRIAL_BOUND, isqrt(v_max)))
 
     # the root classes n <= min(p, n_max), expanded into their hits
-    sieve = sieve_primes(bound)
-    roots = [_root_classes(residual, p) for p in sieve]
-    cls_p = np.repeat(np.array(sieve, dtype=np.int64), [len(r) for r in roots])
-    cls_n = np.concatenate([np.zeros(0, np.int64), *roots])
+    cls_p, cls_n = _root_classes(residual, sieve_primes(bound))
     count = (n_max - cls_n) // cls_p + 1
     step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     hit_p = np.repeat(cls_p, count)

@@ -30,6 +30,8 @@ equal-value pair counts of ``run_clt`` and ``variance_floor``
 document oracle builds one dict per row and dumps the whole document
 with ``json.dump``, as the CLI did before it wrote the rows from the
 CSR.
+``root_classes_reference`` finds the sieve's root classes one prime at
+a time with ``%``, as the sieve did before its multiply-compare test.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
 are kept here beside their tests.  ``classify_reference`` decides every
 ``classify`` field in exact coefficient arithmetic, as the package did
@@ -160,6 +162,15 @@ class FactoredValue:
     value: int
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
     largest_prime: int  # 0 when |value| <= 1
+
+
+def root_classes_reference(residual, primes):
+    """The root search of ``sieve._root_classes`` one prime at a time, by
+    ``%`` over the first min(p, N) residuals: (cls_p, cls_n), ordered by p
+    and then n."""
+    roots = [np.flatnonzero(residual[:p] % p == 0) + 1 for p in primes]
+    cls_p = np.repeat(np.array(primes, dtype=np.int64), [len(r) for r in roots])
+    return cls_p, np.concatenate([np.zeros(0, np.int64), *roots])
 
 
 def table_rows(table, lo=0, hi=None):

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from oracles import prime_to_indices, table_row, table_rows
+from oracles import prime_to_indices, root_classes_reference, table_row, table_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,17 +265,85 @@ def _residual(poly, n_max):
     return np.array(values, dtype=np.int64 if max(values) < 2**63 else object)
 
 
+def _hits(cls_p, cls_n):
+    """The root search's pairs (p, n), sorted."""
+    assert cls_p.dtype == cls_n.dtype == np.int64
+    return sorted(zip(cls_p.tolist(), cls_n.tolist()))
+
+
+def _classes(residual, p):
+    """The n of the root classes that the search finds for the prime p alone."""
+    hits = _hits(*_root_classes(residual, [p]))
+    assert all(q == p for q, _ in hits)
+    return [n for _, n in hits]
+
+
 # p^2 + p either side of 2^31, the edge a fixed-width root search overflows at
 @pytest.mark.parametrize("p", [46_337, 46_349])
 def test_root_classes_of_primes_near_the_square_root_of_2_31(p):
     # (x^2 - 1)(x - 5): the class of the root -1 is n = p - 1
     poly = IntPolynomial((5, -1, -5, 1))
-    assert _root_classes(_residual(poly, p + 3), p).tolist() == [1, 5, p - 1]
-    assert _root_classes(_residual(poly, 4), p).tolist() == [1]
+    assert _classes(_residual(poly, p + 3), p) == [1, 5, p - 1]
+    assert _classes(_residual(poly, 4), p) == [1]
     # x (x^2 - 1)(x - 5): P(0) = 0, so the class of 0 is n = p once N >= p
     poly = IntPolynomial((0, 5, -1, -5, 1))
-    assert _root_classes(_residual(poly, p + 3), p).tolist() == [1, 5, p - 1, p]
-    assert _root_classes(_residual(poly, p - 1), p).tolist() == [1, 5, p - 1]
+    assert _classes(_residual(poly, p + 3), p) == [1, 5, p - 1, p]
+    assert _classes(_residual(poly, p - 1), p) == [1, 5, p - 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 9973, 46_337])
+def test_divisibility_test_at_the_word_extremes(p):
+    k = (2**63 - 1) // p  # k * p is the largest multiple of p below 2^63
+    for v in (0, 1, p - 1, p, p + 1, 7 * p, k * p - 1, k * p, k * p + 1,
+              (k - 1) * p, 2**63 - 1):
+        hits = _hits(*_root_classes(np.array([v], dtype=np.int64), [p]))
+        assert hits == ([(p, 1)] if v % p == 0 else []), v
+    # the test is exact for every uint64 word, not only for int64 residuals
+    top = (2**64 - 1) // p * p
+    for v in (top - 1, top, (top + 1) % 2**64, 2**63, 2**64 - 1):
+        words = np.array([[v]], dtype=np.uint64)
+        hits = _hits(*sieve._word_hits(words, np.zeros(1, np.intp), [p]))
+        assert hits == ([(p, 1)] if v % p == 0 else []), v
+
+
+def test_object_residuals_are_reduced_per_prime_group():
+    ps = primes.sieve_primes(60_000)
+    # the run of four consecutive primes with the largest product below 2^63
+    i = max(i for i in range(len(ps) - 3) if prod(ps[i:i + 4]) < 2**63)
+    group, q = ps[i:i + 4], prod(ps[i:i + 4])
+    assert 0 < 2**63 - q < 2**63 // 1000  # within 0.1 %
+    assert sieve._prime_groups(ps[i:i + 5]) == [group, [ps[i + 4]]]
+    groups = sieve._prime_groups(primes.sieve_primes(DEFAULT_TRIAL_BOUND))
+    assert sum(groups, []) == primes.sieve_primes(DEFAULT_TRIAL_BOUND)
+    assert all(prod(g) < 2**63 <= prod(g) * h[0] for g, h in zip(groups, groups[1:]))
+    values = [q - 1, q, q + 1, 2 * q, 2 * q + group[0], 2**63, 2**63 + 1,
+              2**64 - 1, 2**64 + group[1], group[2] * (2**70 + 1),
+              group[3] * (q - 1), q * q - 1, group[0] * group[3], 1, 0]
+    residual = np.array(values, dtype=object)
+    expected = _hits(*root_classes_reference(residual, group))
+    assert expected == sorted((p, n) for n, v in enumerate(values, 1)
+                              for p in group if v % p == 0)
+    assert _hits(*_root_classes(residual, group)) == expected
+
+
+@pytest.mark.parametrize("text,n", [("x^3+2x+1", 600), ("5,-3,0,1099511627776", 300)])
+@pytest.mark.parametrize("cells", [1, 7, 2**20])
+def test_cell_budget_does_not_change_the_table(text, n, cells):
+    poly = parse_polynomial(text)  # the second peaks above 2^63
+
+    def written(table):
+        json_text, csv_text = io.StringIO(), io.StringIO()
+        table.write_json(json_text)
+        table.write_csv(csv_text)
+        return json_text.getvalue(), csv_text.getvalue()
+
+    default = factor_values(poly, n)
+    residual = _residual(poly, n)
+    search = primes.sieve_primes(DEFAULT_TRIAL_BOUND)
+    with mock.patch.object(sieve, "_BLOCK_CELLS", cells):
+        assert written(factor_values(poly, n)) == written(default)
+        assert (_hits(*_root_classes(residual, search))
+                == _hits(*root_classes_reference(residual, search)))
 
 
 @st.composite
@@ -307,10 +375,14 @@ def _root_class_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=_root_class_cases())
 def test_root_classes_match_brute_force(case):
-    poly, n_max, p = case
+    poly, n_max, _ = case
     residual = _residual(poly, n_max)
-    expected = [n for n in range(1, min(p, n_max) + 1) if poly(n) % p == 0]
-    assert _root_classes(residual, p).tolist() == expected
+    search = primes.sieve_primes(300)
+    expected = [(p, n) for p in search for n in range(1, min(p, n_max) + 1)
+                if poly(n) % p == 0]
+    # int64 residuals are searched as Python ints too
+    for dtype in {residual.dtype, np.dtype(object)}:
+        assert _hits(*_root_classes(residual.astype(dtype), search)) == expected
 
 
 def test_no_primality_test_below_the_square_of_the_trial_bound(monkeypatch, x2p1):
@@ -410,9 +482,9 @@ def test_root_search_stops_at_the_square_root_of_the_values(monkeypatch):
     searched = []
     root_classes = sieve._root_classes
 
-    def counting(residual, p):
-        searched.append(p)
-        return root_classes(residual, p)
+    def counting(residual, ps):
+        searched.append(list(ps))
+        return root_classes(residual, ps)
 
     rough = []
     factor_rough = primes._factor_rough
@@ -425,11 +497,11 @@ def test_root_search_stops_at_the_square_root_of_the_values(monkeypatch):
     monkeypatch.setattr(sieve, "_factor_rough", recording)
     # max P(n) = 250^2 + 1 < 251^2: the primes up to 250 suffice
     _assert_factored(factor_values(parse_polynomial("x^2+1"), 250))
-    assert searched == primes.sieve_primes(250) and len(searched) == 53
+    assert searched == [primes.sieve_primes(250)] and len(searched[0]) == 53
     assert rough == []
     # max P(n) = 600^3 + 1201 > 10^8: every prime up to B is searched
     searched.clear()
     _assert_factored(factor_values(parse_polynomial("x^3+2x+1"), 600))
-    assert searched == primes.sieve_primes(DEFAULT_TRIAL_BOUND)
-    assert len(searched) == 1229
+    assert searched == [primes.sieve_primes(DEFAULT_TRIAL_BOUND)]
+    assert len(searched[0]) == 1229
     assert rough and min(rough) >= DEFAULT_TRIAL_BOUND**2
