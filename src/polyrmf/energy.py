@@ -12,11 +12,33 @@ signed big integers, and the count is split into
   polynomials via P(x) = P(beta - x)),
 * the genuinely nontrivial remainder.
 
+Most values never meet another: a value v_i is *lonely* when some prime p
+divides it and no other nonzero member value.  In v_a v_b = v_c v_d the
+p-adic valuations of the two sides are (#{a, b} = i) v_p(v_i) and
+(#{c, d} = i) v_p(v_i), so i occurs as often on either side.  Removing
+lonely values in rounds, a value lonely among those still kept, the
+same holds by induction over the rounds: the earlier values on p's
+column occur equally often on both sides, so their share of v_p
+cancels.  With S the removed values, R the kept nonzero ones, m = |S| +
+|R| and M the members, a quadruple holds no S value, one S value i on
+either side (i v = i w with v = w in R), or the same pair of S values
+on both sides, so the energy is
+
+    (M^2 - m^2)^2 + E(R) + 2|S|^2 - |S| + 4 |S| s2(R),
+
+s2(R) the ordered pairs of R with equal values (``value_pair_count``).
+The certificates come from the sieve's small-prime stage
+(``sieve_small_primes``), with no primality test: a prime p <= B with a
+single kept row on its column, or a cofactor below (B+1)^2, which is
+prime, that no other kept row shares and that divides no kept cofactor
+of (B+1)^2 or more (``_lonely``).  Only R goes through the pair passes
+below.
+
 Every count is a square sum S(X) = sum_k x_k^2, x_k the weight of key k
 (``_square_sum``; an inner product is (S(X+Y) - S(X) - S(Y))/2): the
-energy is S of the M*(M+1)/2 canonical pair products, weight 1 on the
-diagonal and 2 off it.  Each product is keyed by its residue mod 2^64
-and mod k primes q_i < 2^31, in machine words.  With V the largest
+energy of M values is S of their M*(M+1)/2 canonical pair products,
+weight 1 on the diagonal and 2 off it.  Each product is keyed by its
+residue mod 2^64 and mod k primes q_i < 2^31, in machine words.  With V the largest
 |value|, two products that agree in every residue differ by a multiple
 of 2^64 * prod(q_i), so they are equal once V^2 < 2^63 * prod(q_i) (the
 CRT); k is the least count that makes this hold, 0 when V^2 < 2^63, so
@@ -48,13 +70,15 @@ from .errors import BudgetError, ConfigError
 from .polynomial import (IntPolynomial, generalized_even_center,
                          require_not_pure_power)
 from .primes import is_prime
-from .sieve import check_factor_budget, check_grid
+from .sieve import (SmallPrimes, check_factor_budget, check_grid,
+                    sieve_small_primes)
 
 DEFAULT_PAIR_BUDGET = 80_000_000
 _RUN_ITEMS = 1 << 18  # pairs per class pass: a uint64 column of 2 MiB
 _BLOCK = 8 << 20  # bytes: the least block that _Scratch allocates
 _SMALL = 1 << 16  # bytes: the least array that _Scratch cuts from a block
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
+_CHECK_CELLS = 1 << 17  # (cofactor, q) remainders that _lonely takes at once
 
 
 @dataclass(frozen=True)
@@ -369,6 +393,66 @@ def count_pair_products(
     return _pair_total(values)
 
 
+def _lonely(stage: SmallPrimes, size: int) -> np.ndarray:
+    """The lonely rows among the first ``size`` rows of ``stage``, as a
+    bool mask: removed in rounds, a row is lonely when its value is nonzero
+    and has a prime that divides no other value still kept.  A certificate
+    is a sieve prime whose column holds that row alone among the kept
+    rows, or a cofactor q with 1 < q < (B+1)^2, prime since no p <= B
+    divides it, that no other kept row has as its cofactor and that divides
+    no kept cofactor >= (B+1)^2.  Such a cofactor is a product of primes
+    > B, so q can divide it only when q <= cofactor / (B+1); for those q
+    ``%`` decides.  Cofactors >= (B+1)^2 are never certified, as that would
+    need a primality test."""
+    square = (stage.bound + 1) ** 2
+    kept = stage.values[:size] != 0
+    lonely = np.zeros(size, dtype=bool)
+    hit = stage.hit_row < size
+    hit_p, hit_row = stage.hit_p[hit], stage.hit_row[hit]
+    cofactor = stage.residual[:size]
+    rough = cofactor >= square
+    prime = (cofactor > 1) & ~rough
+    while True:
+        live = kept[hit_row]
+        p, row = hit_p[live], hit_row[live]
+        new = np.zeros(size, dtype=bool)
+        new[row[np.bincount(p)[p] == 1]] = True
+        rows = np.flatnonzero(prime & kept)
+        qs, at, times = np.unique(cofactor[rows].astype(np.int64),
+                                  return_index=True, return_counts=True)
+        rows, qs = rows[at[times == 1]], qs[times == 1]
+        blocks = cofactor[rough & kept]
+        free = np.ones(len(qs), dtype=bool)
+        if blocks.size:
+            # a multiple of q with no prime factor <= B is at least q (B+1);
+            # every q is below (B+1)^2, which keeps the bound in int64
+            near = np.flatnonzero(
+                qs <= min(int(blocks.max()) // (stage.bound + 1), square))
+            step = max(1, _CHECK_CELLS // blocks.size)
+            for lo in range(0, len(near), step):
+                some = near[lo:lo + step]
+                free[some] = (np.remainder.outer(blocks, qs[some]) != 0).all(0)
+        new[rows[free]] = True
+        if not new.any():
+            return lonely
+        lonely |= new
+        kept &= ~new
+
+
+def _energy_total(stage: SmallPrimes, size: int) -> int:
+    """The energy of the first ``size`` values of ``stage``: with the m
+    nonzero ones split into the lonely S and the rest R, (M^2 - m^2)^2 +
+    E(R) + 2|S|^2 - |S| + 4|S| s2(R) for M = ``size``, s2(R) the ordered
+    pairs of R with equal values."""
+    values = stage.values[:size]
+    nonzero = values != 0
+    lonely = _lonely(stage, size)
+    rest = values[nonzero & ~lonely].tolist()
+    m, s = int(nonzero.sum()), int(lonely.sum())
+    return ((size * size - m * m) ** 2 + count_pair_products(rest, budget=None)
+            + 2 * s * s - s + 4 * s * value_pair_count(rest))
+
+
 def energy(
     poly: IntPolynomial,
     rng: ProgressionRange,
@@ -377,11 +461,12 @@ def energy(
 ) -> EnergyReport:
     """Exact multiplicative energy of P([N]_{a,q}) with diagonal splits."""
     rng.require_members()
-    members = list(rng.members())
-    values = [poly(x) for x in members]
-    total = count_pair_products(values, budget=budget)
+    check_pair_budget(rng.size, budget)
+    stage = sieve_small_primes(poly, rng.members())
+    total = _energy_total(stage, rng.size)
+    values = stage.values.tolist()
 
-    m = len(members)
+    m = len(values)
     diag = 2 * m * m - m
     counts = Counter(values)
     s2 = sum(c * c for c in counts.values())
@@ -493,9 +578,11 @@ def exponent_fit(
     ranges = check_energy_config(poly, grid, q=q, a=a, budget=budget)
     expo = error_exponent(poly.degree)
     points = []
+    # every point's members are a prefix of the top point's
+    stage = sieve_small_primes(poly, ranges[-1].members())
     for n, rng in zip(grid, ranges):
-        rep = energy(poly, rng, budget=budget)
-        offdiag = rep.total - rep.diagonal_arg
+        size = rng.size
+        offdiag = _energy_total(stage, size) - (2 * size * size - size)
         points.append(
             ExponentFitPoint(N=n, offdiag=offdiag, ratio=offdiag / n ** float(expo))
         )

@@ -12,6 +12,14 @@ when v * p^-1 mod 2^64 <= (2^64 - 1) // p.  It runs in numpy over blocks
 of ``_BLOCK_CELLS`` cells, and Python-int residuals are first reduced to
 one word per group of consecutive primes whose product is below 2^63.
 
+The evaluation, the root search and the division form one stage,
+``sieve_small_primes``, over the x of any range of positive step: row y
+holds P(start + step y), an integer polynomial in y, so its roots mod p
+are read off its first min(p, len) rows in the same way.
+``factor_values`` runs it over 1..N and then finishes the cofactors;
+``energy`` runs it over a progression and reads its lonely values off
+the hits and cofactors.
+
 The division runs in numpy over the hits alone: the root classes expand
 into the indices n = r (mod p), p is peeled off each hit's value while it
 divides (``//`` and ``%`` over the hits still live), and each residual is
@@ -290,21 +298,39 @@ def _root_classes(residual: np.ndarray,
     return _word_hits(words, column, primes)
 
 
-def factor_values(
-    poly: IntPolynomial, n_max: int, *, budget: int = DEFAULT_FACTOR_BUDGET,
-) -> FactorTable:
-    """Factor |P(n)| completely for every n = 1..n_max <= budget."""
-    check_factor_budget(n_max, budget)
-    # Horner over all n at once, in int64 when no partial sum can overflow
-    small = sum(abs(c) * n_max**i for i, c in enumerate(poly.coeffs)) < 2**63
-    evaluated = poly(np.arange(1, n_max + 1, dtype=np.int64 if small else object))
-    values = evaluated.tolist()
-    residual = np.abs(evaluated)
+@dataclass(frozen=True, eq=False)
+class SmallPrimes:
+    """The root sieve's small-prime stage over the values P(x) of the x in a
+    range, row i for its i-th x: ``values`` P(x) (int64, or Python ints
+    when a partial sum may reach 2^63), ``residual`` |P(x)| with every
+    prime <= ``bound`` divided out, and each hit k a prime hit_p[k] that
+    divides the nonzero value of row hit_row[k] exactly hit_e[k] times."""
+
+    values: np.ndarray
+    residual: np.ndarray
+    bound: int
+    hit_p: np.ndarray
+    hit_row: np.ndarray
+    hit_e: np.ndarray
+
+
+def sieve_small_primes(poly: IntPolynomial, xs: range) -> SmallPrimes:
+    """Evaluate P over the non-empty ascending ``xs`` of positive step and
+    divide out every prime up to B = min(``DEFAULT_TRIAL_BOUND``,
+    isqrt(max|P(x)|)).  P(start + step y) is an integer polynomial in the
+    row number y, so its roots mod p are read off the first min(p, len(xs))
+    rows, as for P(n) itself."""
+    n_max = len(xs)
+    # Horner over all x at once, in int64 when no partial sum can overflow
+    small = sum(abs(c) * xs[-1]**i for i, c in enumerate(poly.coeffs)) < 2**63
+    values = poly(np.arange(xs.start, xs.stop, xs.step,
+                            dtype=np.int64 if small else object))
+    residual = np.abs(values)
     v_max = int(residual.max())
     if v_max < 2**63:
         residual = residual.astype(np.int64, copy=False)
     # sieve only up to isqrt(max|P(n)|): a larger prime leaves a cofactor
-    # below (bound + 1)^2, which the prime test below takes as it is
+    # below (bound + 1)^2, which is prime
     bound = max(0, min(DEFAULT_TRIAL_BOUND, isqrt(v_max)))
 
     # the root classes n <= min(p, n_max), expanded into their hits
@@ -327,6 +353,17 @@ def factor_values(
         m[live] = v[divides] // p[divides]
         hit_e[live] += 1
     np.floor_divide.at(residual, hit_row, hit_p.astype(residual.dtype) ** hit_e)
+    return SmallPrimes(values, residual, bound, hit_p, hit_row, hit_e)
+
+
+def factor_values(
+    poly: IntPolynomial, n_max: int, *, budget: int = DEFAULT_FACTOR_BUDGET,
+) -> FactorTable:
+    """Factor |P(n)| completely for every n = 1..n_max <= budget."""
+    check_factor_budget(n_max, budget)
+    stage = sieve_small_primes(poly, range(1, n_max + 1))
+    residual, bound = stage.residual, stage.bound
+    hit_p, hit_row, hit_e = stage.hit_p, stage.hit_row, stage.hit_e
 
     # every prime <= bound is divided out, so a composite cofactor is at
     # least (bound + 1)^2
@@ -351,7 +388,7 @@ def factor_values(
     order = np.lexsort((cols, rows))
     exponents = _compress(rows[order], cols[order], exps[order],
                           (n_max, len(primes)))
-    return FactorTable(polynomial=poly, N=n_max, values=values,
+    return FactorTable(polynomial=poly, N=n_max, values=stage.values.tolist(),
                        primes=primes.tolist(), exponents=exponents)
 
 

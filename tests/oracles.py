@@ -32,6 +32,8 @@ with ``json.dump``, as the CLI did before it wrote the rows from the
 CSR.
 ``root_classes_reference`` finds the sieve's root classes one prime at
 a time with ``%``, as the sieve did before its multiply-compare test.
+``lonely_removal_is_valid`` checks the values that ``energy`` counts in
+closed form by gcds alone, with no factor table.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
 are kept here beside their tests.  ``classify_reference`` decides every
 ``classify`` field in exact coefficient arithmetic, as the package did
@@ -171,6 +173,33 @@ def root_classes_reference(residual, primes):
     roots = [np.flatnonzero(residual[:p] % p == 0) + 1 for p in primes]
     cls_p = np.repeat(np.array(primes, dtype=np.int64), [len(r) for r in roots])
     return cls_p, np.concatenate([np.zeros(0, np.int64), *roots])
+
+
+def lonely_removal_is_valid(values, lonely):
+    """True when the values marked in ``lonely`` can be removed one at a
+    time, each nonzero and with a prime that divides no other value still
+    kept.  A value has such a prime when something above 1 is left of it
+    after every common factor with the other kept values is divided out.
+    Removing values only frees others, so greedy removal decides it."""
+    kept = {i for i, v in enumerate(values) if v}
+    pending = {i for i, flag in enumerate(lonely) if flag}
+
+    def private(i):
+        x = abs(values[i])
+        for j in kept - {i}:
+            while (g := gcd(x, values[j])) > 1:
+                x //= g
+        return x > 1
+
+    if not pending <= kept:
+        return False
+    while pending:
+        i = next((i for i in sorted(pending) if private(i)), None)
+        if i is None:
+            return False
+        pending.remove(i)
+        kept.remove(i)
+    return True
 
 
 def table_rows(table, lo=0, hi=None):

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -20,6 +21,9 @@ from polyrmf.rmf import MAX_THREADS
 from polyrmf.sieve import factor_values
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# polyrmf re-exports a function named energy, so fetch the module itself
+energy_module = importlib.import_module("polyrmf.energy")
+sieve_module = importlib.import_module("polyrmf.sieve")
 
 
 def run_cli(*args, env_extra=None):
@@ -304,6 +308,40 @@ def test_dry_run_still_validates_budget():
         proc = run_cli(*argv)
         assert proc.returncode == 3, argv
         assert json.loads(proc.stderr)["error"]["kind"] == "budget"
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+def test_energy_pair_budget_exits_3_before_any_sieving(dry, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(energy_module, "sieve_small_primes", refuse)
+    monkeypatch.setattr(sieve_module, "sieve_small_primes", refuse)
+    start = time.perf_counter()
+    code = cli.main(["energy", "--poly", "x^2+1", "--n", "25000",
+                     "--budget", "1000000", *dry])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "budget"
+
+
+@pytest.mark.parametrize("text,extra", [
+    ("x^2+1", []), ("x^2+5x+6", []), ("x^3-7x+6", []),
+    ("x^2-6x", ["--q", "3", "--a", "1"])])
+def test_energy_grid_points_equal_direct_counts(text, extra, tmp_path):
+    # the grid sieves once at its top N and counts each prefix of the rows
+    grid = [60, 150, 400]
+    fit = tmp_path / "fit.json"
+    assert cli.main(["energy", "--poly", text, "--grid", ",".join(map(str, grid)),
+                     "--out", str(fit), *extra]) == 0
+    points = json.loads(fit.read_text())["result"]["points"]
+    for n, point in zip(grid, points, strict=True):
+        one = tmp_path / f"{n}.json"
+        assert cli.main(["energy", "--poly", text, "--n", str(n),
+                         "--out", str(one), *extra]) == 0
+        rep = json.loads(one.read_text())["result"]
+        assert point["N"] == n
+        assert point["offdiag"] == rep["total"] - rep["diagonal_arg"]
 
 
 def test_energy_factor_budget_error_counts_values():

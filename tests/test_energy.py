@@ -1,5 +1,6 @@
 import importlib
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from oracles import (
     energy_cross_loop,
     energy_quadruple_loop,
     group_pair_counter,
+    lonely_removal_is_valid,
     lpf_groups,
     pair_histogram,
     pair_histogram_total,
@@ -30,12 +32,13 @@ from oracles import (
     square_sum_counter,
     table_rows,
 )
-from polyrmf import polynomial
+from polyrmf import polynomial, primes
 from polyrmf.clt_audit import mcleish_audit
 from polyrmf.energy import (
     ProgressionRange,
     _crt_primes,
     _exact_array,
+    _lonely,
     _pair_total,
     _residue_keys,
     _square_sum,
@@ -47,7 +50,7 @@ from polyrmf.energy import (
 )
 from polyrmf.errors import BudgetError
 from polyrmf.polynomial import IntPolynomial, classify, parse_polynomial
-from polyrmf.sieve import factor_values
+from polyrmf.sieve import factor_values, sieve_small_primes
 
 # polyrmf re-exports a function named energy, so fetch the module itself
 energy_module = importlib.import_module("polyrmf.energy")
@@ -592,19 +595,116 @@ def test_exponent_fit_uses_degree_exponent():
 
 def test_energy_factors_no_coefficient(monkeypatch):
     # x^2 + c with c a 29-digit semiprime: classify splits c by rho, which
-    # took seconds; energy reads only the symmetry center
+    # took seconds; energy reads only the symmetry center, and sieves its
+    # values by small primes alone, with no primality test and no rho
     def refuse(n, _out=None):
         raise AssertionError(f"factorize({n}) called")
+
+    def refuse_test(n):
+        raise AssertionError(f"primality test or rho on {n}")
 
     monkeypatch.setattr(polynomial, "factorize", refuse)
     poly = IntPolynomial((100000000000031 * 100000001000027, 0, 1))
     with pytest.raises(AssertionError, match="factorize"):
         classify(poly)
+    monkeypatch.setattr(primes, "is_prime", refuse_test)
+    monkeypatch.setattr(primes, "brent_rho", refuse_test)
+    with pytest.raises(AssertionError, match="primality"):
+        factor_values(poly, 40)  # the full table tests its rough cofactors
+    start = time.perf_counter()
     rep = energy(poly, ProgressionRange(40))
+    assert time.perf_counter() - start < 1
     assert rep.generalized_even_center == 0
     assert rep.total == pair_histogram_total([poly(x) for x in range(1, 41)])
+    start = time.perf_counter()
     fit = exponent_fit(poly, [20, 40])
+    assert time.perf_counter() - start < 1
     assert fit.points[-1].offdiag == rep.total - rep.diagonal_arg
+
+
+REPEATING = ["x^2-6x", "x^2-10x+21"]  # P(n) = P(6 - n), P(n) = P(10 - n)
+
+
+@st.composite
+def energy_cases(draw):
+    """(P, progression) with integer roots inside [1, N] (zero values),
+    repeated values, negative leading coefficients, coefficients >= 2^63
+    or q <= 6."""
+    q = draw(st.integers(1, 6))
+    a = draw(st.integers(0, q - 1))
+    n = draw(st.integers(q, 70))
+    kind = draw(st.sampled_from(["roots", "repeats", "negative", "huge", "wide"]))
+    if kind == "roots":
+        roots = draw(st.lists(st.integers(-3, n), min_size=1, max_size=3))
+        coeffs = [draw(st.integers(-4, 4).filter(bool))]
+        for r in roots:  # multiply by (x - r)
+            coeffs = [0] + coeffs
+            coeffs = [c - r * d for c, d in zip(coeffs, coeffs[1:] + [0])]
+        poly = IntPolynomial(coeffs)
+    elif kind == "repeats":
+        poly = parse_polynomial(draw(st.sampled_from(REPEATING)))
+    else:
+        big = {"negative": 10**4, "huge": 2**66, "wide": 10**7}[kind]
+        low = 2**63 if kind == "huge" else 0
+        coef = st.integers(low, big) | st.integers(-big, -low)
+        lead = st.integers(-9, -1) if kind == "negative" else coef.filter(bool)
+        poly = IntPolynomial(draw(st.lists(coef, min_size=1, max_size=3))
+                             + [draw(lead)])
+    return poly, ProgressionRange(n, q, a)
+
+
+@given(case=energy_cases())
+@settings(max_examples=150, deadline=None)
+def test_energy_with_lonely_values_is_exact(case):
+    poly, rng = case
+    values = [poly(x) for x in rng.members()]
+    assert energy(poly, rng).total == pair_histogram_total(values)
+    stage = sieve_small_primes(poly, rng.members())
+    assert lonely_removal_is_valid(values, _lonely(stage, rng.size))
+
+
+def test_energy_counts_repeated_lonely_partners():
+    # 775 = 5^2 31 and 1147 = 31 37 go lonely in two rounds; the values
+    # left hold 4 pairs P(n) = P(6 - n), so s2(R) = 41 for |R| = 37
+    poly = parse_polynomial("x^2-6x")
+    stage = sieve_small_primes(poly, range(1, 41))
+    lonely = _lonely(stage, 40)
+    assert stage.values[lonely].tolist() == [775, 1147]
+    assert energy(poly, ProgressionRange(40)).total == 10096
+    assert pair_histogram_total([poly(x) for x in range(1, 41)]) == 10096
+
+
+def test_prime_cofactor_that_divides_a_rough_one_is_kept():
+    # P(1) = q and P(2) = q r for the primes q = 10007 and r = 10009 above
+    # B = 10^4: q is P(1)'s cofactor, alone among the prime cofactors, but
+    # it divides P(2)'s cofactor q r >= (B + 1)^2, and only % can tell
+    q, r = 10007, 10009
+    poly = IntPolynomial((2 - q * q, q * (r - 1) - 3, 1))
+    stage = sieve_small_primes(poly, range(1, 31))
+    assert stage.bound == 10**4 and stage.residual[:2].tolist() == [q, q * r]
+    lonely = _lonely(stage, 30)
+    assert not lonely[0] and lonely.sum() > 10
+    values = stage.values.tolist()
+    assert lonely_removal_is_valid(values, lonely)
+    assert energy(poly, ProgressionRange(30)).total == pair_histogram_total(values)
+
+
+@pytest.mark.parametrize("text,kept", [("x^2+1", 0.45), ("x^2+5x+6", 1)])
+def test_lonely_values_skip_the_pair_passes(text, kept):
+    # a lonely value has a prime of its own, so x^2+1 drops most values;
+    # (x+2)(x+3) shares x+2 with the value before and x+3 with the one
+    # after, and the last value's 1003 = 17 * 59 is shared as well
+    poly = parse_polynomial(text)
+    values = [poly(x) for x in range(1, 1001)]
+    with mock.patch.object(energy_module, "count_pair_products",
+                           wraps=energy_module.count_pair_products) as spy:
+        total = energy(poly, ProgressionRange(1000)).total
+    (call,) = spy.call_args_list
+    if kept == 1:
+        assert call.args[0] == values
+    else:
+        assert len(call.args[0]) <= kept * 1000
+    assert total == _pair_total(values)
 
 
 def test_exponent_fit_grid_validation(x2p1):
