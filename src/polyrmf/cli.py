@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -195,7 +196,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message, field=field)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no
+    state between calls."""
     parser = _Parser(
         prog="polyrmf",
         description="Exact multiplicative-energy counts and Steinhaus "

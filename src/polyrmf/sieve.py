@@ -33,16 +33,22 @@ deterministic Miller-Rabin and splits the composite ones with Brent rho.
 
 The table is the signed ``values`` P(n) and the exponents of |P(n)| over
 the ascending ``primes`` as compressed sparse rows, three numpy arrays;
-the per-prime columns and largest primes are read off them, and
-``dump_json`` writes the rows straight from them.  Rows with |P(n)| <= 1
-are empty, with largest prime 0; they belong to no per-prime group
-downstream.
+the per-prime columns and largest primes are read off them.  Rows with
+|P(n)| <= 1 are empty, with largest prime 0; they belong to no per-prime
+group downstream.
+
+Both writers, CSV and the JSON rows that ``dump_json`` places in a
+document, share one block renderer.  For each block of ``_RENDER_ROWS``
+rows it fills a numpy object array with text segments: the format's
+literals, str() of each n and value, and the texts of the primes and
+exponents, each built once per table, placed by index arithmetic on the
+row pointers.  One ``"".join`` writes the block.  The bytes are those of
+``csv.writer`` and of ``json.dump(doc, indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -59,6 +65,8 @@ from .primes import sieve_primes, _factor_rough
 DEFAULT_TRIAL_BOUND = 10_000
 # the cells (n, p) that the root search tests at once: 1 MiB of products
 _BLOCK_CELLS = 2**17
+# the rows a writer renders at once
+_RENDER_ROWS = 4096
 # largest N that factor_values accepts unless fluct passes --factor-budget
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
@@ -132,13 +140,14 @@ class FactorTable:
         return _compress(m.indices[order], rows[order], m.data[order],
                          m.shape[::-1])
 
-    def largest_primes(self) -> list[int]:
-        """P+(P(n)) for n = 1..N from each row's last column (0 if empty)."""
+    def _last_columns(self) -> np.ndarray:
+        """Each row's last column, the column of P+(P(n)), and len(primes)
+        for an empty row, whose largest prime reads 0."""
         ptr = self.exponents.indptr
-        cols = np.full(self.N, len(self.primes))  # an empty row reads the 0
+        cols = np.full(self.N, len(self.primes))
         full = ptr[1:] > ptr[:-1]
         cols[full] = self.exponents.indices[ptr[1:][full] - 1]
-        return np.array(self.primes + [0], dtype=object)[cols].tolist()
+        return cols
 
     def write_csv(self, fh: IO[str]) -> None:
         """Columns: n, value, factorization "p1^e1*p2^e2*...", largest_prime,
@@ -146,14 +155,10 @@ class FactorTable:
 
         The factorization string is "1" for |value| <= 1.
         """
-        line = "{},{},{},{}\r\n"
-        fh.write(line.format("n", "value", "factorization", "largest_prime"))
-        for ns, values, ptr, ps, es in self._row_blocks():
-            terms = [f"{p}^{e}" for p, e in zip(ps, es)]
-            fh.write("".join(
-                line.format(n, v, "*".join(terms[x:y]), ps[y - 1])
-                if y > x else line.format(n, v, 1, 0)
-                for n, v, x, y in zip(ns, values, ptr, ptr[1:])))
+        fh.write("n,value,factorization,largest_prime\r\n")
+        self._render(fh, _RowText(first="", mid=",", open=",", sep="*",
+                                  power="^{}", close=",", empty=",1,",
+                                  next="\r\n", last="\r\n"))
 
     def write_json(self, fh: IO[str]) -> None:
         """The table as indent-2 JSON: polynomial, N and one object per row
@@ -162,35 +167,76 @@ class FactorTable:
         dump_json({"polynomial": self.polynomial.to_coeff_text(), "N": self.N,
                    "rows": self}, fh)
 
-    def _row_blocks(self) -> Iterator[tuple]:
-        """(n range, values, row pointers, primes, exponents) of each block
-        of 4096 rows, read off the CSR; the block bounds the strings a
-        writer holds at once."""
-        m = self.exponents
-        for lo in range(0, self.N, 4096):
-            hi = min(lo + 4096, self.N)
-            a, b = m.indptr[lo], m.indptr[hi]
-            yield (range(lo + 1, hi + 1), self.values[lo:hi],
-                   (m.indptr[lo:hi + 1] - a).tolist(),
-                   [self.primes[c] for c in m.indices[a:b].tolist()],
-                   m.data[a:b].tolist())
-
     def _write_rows(self, fh: IO[str], pad: int) -> None:
         """The rows array as json.dump(indent=2) writes it under a key
-        ``pad`` spaces in, from the CSR a block of rows at a time."""
+        ``pad`` spaces in."""
         row_in, key_in = "\n" + " " * (pad + 2), "\n" + " " * (pad + 4)
         pair_in, num_in = key_in + "  ", key_in + "    "
-        row = (f'{row_in}{{{{{key_in}"n": {{}},{key_in}"value": "{{}}",'
-               f'{key_in}"factors": {{}},{key_in}"largest_prime": {{}}{row_in}}}}}')
-        pair = f"{pair_in}[{num_in}{{}},{num_in}{{}}{pair_in}]"
         fh.write("[")
-        for ns, values, ptr, ps, es in self._row_blocks():
-            terms = [pair.format(p, e) for p, e in zip(ps, es)]
-            fh.write("," * (ns.start > 1) + ",".join(
-                row.format(n, v, f"[{','.join(terms[x:y])}{key_in}]", ps[y - 1])
-                if y > x else row.format(n, v, "[]", 0)
-                for n, v, x, y in zip(ns, values, ptr, ptr[1:])))
+        self._render(fh, _RowText(
+            first=f'{row_in}{{{key_in}"n": ', mid=f',{key_in}"value": "',
+            open=f'",{key_in}"factors": [{pair_in}[{num_in}',
+            sep=f",{pair_in}[{num_in}", power=f",{num_in}{{}}{pair_in}]",
+            close=f'{key_in}],{key_in}"largest_prime": ',
+            empty=f'",{key_in}"factors": [],{key_in}"largest_prime": ',
+            next=f'{row_in}}},{row_in}{{{key_in}"n": ', last=f"{row_in}}}"))
         fh.write(f"\n{' ' * pad}]")
+
+    def _render(self, fh: IO[str], text: _RowText) -> None:
+        """Write every row in the format ``text`` spells, one ``"".join``
+        of a numpy array of segments per block of ``_RENDER_ROWS`` rows.
+
+        A row with k factors is 6 + 3k segments: str(n), mid, str(value),
+        then per factor open or sep, its prime's text and its exponent's
+        text, then close (empty when k = 0), the text of the row's last
+        prime (0 when k = 0) and next (last after the table's last row).
+        So within a block, row r starts at segment 6r + 3 indptr[r] and
+        factor j at 6 row(j) + 3j + 3.  The prime and exponent texts are
+        built once per table and shared by every row that names them."""
+        m = self.exponents
+        primes = np.array(list(map(str, self.primes)) + ["0"], dtype=object)
+        powers = np.array([text.power.format(e) for e in
+                           range(int(m.data.max(initial=0)) + 1)], dtype=object)
+        last = self._last_columns()
+        fh.write(text.first)
+        for lo in range(0, self.N, _RENDER_ROWS):
+            hi = min(lo + _RENDER_ROWS, self.N)
+            a, b = m.indptr[lo], m.indptr[hi]
+            counts = np.diff(m.indptr[lo:hi + 1])
+            rows = 6 * np.arange(hi - lo) + 3 * (m.indptr[lo:hi] - a)
+            segments = np.empty(6 * (hi - lo) + 3 * (b - a), dtype=object)
+            segments[rows] = list(map(str, range(lo + 1, hi + 1)))
+            segments[rows + 1] = text.mid
+            segments[rows + 2] = list(map(str, self.values[lo:hi]))
+            at = 6 * np.repeat(np.arange(hi - lo), counts) + 3 * np.arange(1, b - a + 1)
+            segments[at] = text.sep
+            segments[rows[counts > 0] + 3] = text.open
+            segments[at + 1] = primes[m.indices[a:b]]
+            segments[at + 2] = powers[m.data[a:b]]
+            tail = rows + 3 * counts + 3
+            segments[tail] = text.close
+            segments[tail[counts == 0]] = text.empty
+            segments[tail + 1] = primes[last[lo:hi]]
+            segments[tail + 2] = text.next
+            if hi == self.N:
+                segments[-1] = text.last
+            fh.write("".join(segments.tolist()))
+
+
+@dataclass(frozen=True)
+class _RowText:
+    """The literal text of one output format around the numbers of its
+    rows, in the order ``FactorTable._render`` places it."""
+
+    first: str  # before the first row's n
+    mid: str  # between n and the value
+    open: str  # before a row's first prime
+    sep: str  # before each later prime
+    power: str  # an exponent's text, "{}" standing for the exponent
+    close: str  # before the largest prime of a row with factors
+    empty: str  # the same for a row without, whose largest prime reads 0
+    next: str  # between a row and the next row's n
+    last: str  # after the last row
 
 
 def dump_json(doc: dict, fh: IO[str]) -> None:
@@ -404,7 +450,13 @@ def lpf_density(
         d = table.polynomial.degree
         threshold_scale = Fraction(1, 2 * d * d)
     scale = float(threshold_scale)
-    lpf = table.largest_primes()
-    count = sum(1 for n in range(2, table.N + 1)
-                if lpf[n - 1] >= scale * n * log(n))
+    # the thresholds (scale * n) * log(n) of a scalar loop, bit for bit:
+    # math.log, not np.log, whose last bit may differ
+    n = range(2, table.N + 1)
+    threshold = (scale * np.arange(2.0, table.N + 1)
+                 * np.fromiter(map(log, n), float, len(n)))
+    # numpy compares an object array as Python does, Python int against
+    # float, which is exact at any size; float64 would round primes >= 2^53
+    lpf = np.array(table.primes + [0], dtype=object)[table._last_columns()[1:]]
+    count = int(np.count_nonzero(lpf >= threshold))
     return count, Fraction(count, max(1, table.N - 1))

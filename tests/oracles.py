@@ -32,6 +32,9 @@ with ``json.dump``, as the CLI did before it wrote the rows from the
 CSR.
 ``root_classes_reference`` finds the sieve's root classes one prime at
 a time with ``%``, as the sieve did before its multiply-compare test.
+``lpf_density_reference`` compares each row's largest prime with its
+threshold one n at a time in Python, as ``lpf_density`` did before it
+compared them in numpy.
 ``lonely_removal_is_valid`` checks the values that ``energy`` counts in
 closed form by gcds alone, with no factor table.
 ``energy_cross`` and ``bp_bound``, which no subcommand or report uses,
@@ -221,6 +224,18 @@ def table_row(table, n):
     if not 1 <= n <= table.N:
         raise IndexError(f"n={n} outside table range 1..{table.N}")
     return table_rows(table, n - 1, n)[0]
+
+
+def lpf_density_reference(table, threshold_scale=None):
+    """(count, count/(N-1)) of the 2 <= n <= N with P+(P(n)) >= scale * n *
+    ln(n), one Python compare per n; scale 1/(2 d^2) by default."""
+    if threshold_scale is None:
+        d = table.polynomial.degree
+        threshold_scale = Fraction(1, 2 * d * d)
+    scale = float(threshold_scale)
+    count = sum(1 for row in table_rows(table)[1:]
+                if row.largest_prime >= scale * row.n * log(row.n))
+    return count, Fraction(count, max(1, table.N - 1))
 
 
 def angle(sampler, p):

@@ -9,12 +9,13 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sieve_csv_text, sieve_json_text
+from oracles import sieve_csv_text, sieve_json_text, table_json_doc
 from polyrmf import cli
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.rmf import MAX_THREADS
@@ -182,6 +183,81 @@ def test_sieve_bytes_match_the_two_pass_serializer(tmp_path, text, n, scale):
                                *scale_opt)
     assert (rc, err) == (0, "")
     assert wall.sub("", stdout) == wall.sub("", out_json.read_bytes().decode())
+
+
+def _assert_sieve_renders_the_oracle(text, n):
+    """``sieve`` to stdout in both formats, and ``write_json`` at its own
+    indent, give the bytes of the one-pass oracles."""
+    table = factor_values(parse_polynomial(text), n)
+    wall = re.compile(r'"wall_time_s": [^,]+,')
+    rc, out, err = call_cli("sieve", f"--poly={text}", "--n", str(n))
+    assert (rc, err) == (0, "")
+    assert wall.sub("", out) == wall.sub("", sieve_json_text(table))
+    assert call_cli("sieve", f"--poly={text}", "--n", str(n), "--format",
+                    "csv") == (0, sieve_csv_text(table), "")
+    buf = io.StringIO()
+    table.write_json(buf)
+    assert buf.getvalue() == json.dumps(table_json_doc(table), indent=2)
+
+
+@st.composite
+def _sieve_cases(draw):
+    """(coefficients text, N): P with a negative lead, an integer root in
+    [1, N] (a zero row), a value of +-1 (a unit row), or a coefficient of
+    2^63 or more."""
+    shape = draw(st.sampled_from(("negative", "root", "unit", "big")))
+    n = draw(st.integers(1, 40 if shape == "big" else 300))
+    coeffs = draw(st.lists(st.integers(-50, 50), min_size=2, max_size=4)
+                  .filter(lambda c: c[-1] != 0))
+    if shape == "negative":
+        coeffs[-1] = -abs(coeffs[-1])
+    elif shape == "big":
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(
+            st.integers(2**63, 2**66) | st.integers(-2**66, -2**63))
+    else:  # (x - r) Q(x), plus or minus 1 at x = r for a unit row
+        r = draw(st.integers(1, n))
+        coeffs = [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        if shape == "unit":
+            coeffs[0] += draw(st.sampled_from((-1, 1)))
+    return ",".join(map(str, coeffs)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_sieve_cases())
+def test_sieve_renders_the_oracle_bytes(case):
+    _assert_sieve_renders_the_oracle(*case)
+
+
+@pytest.mark.parametrize("text,n", [
+    ("x^2+1", 1), ("x^2+1", 4095), ("x^2+1", 4096), ("x^2+1", 4097),
+    ("0,0,1", 1024),  # 1024^2 = 2^20: a two-digit exponent
+    ("-7,0,-3", 4097),
+])
+def test_sieve_renders_the_oracle_bytes_at_block_edges(text, n):
+    _assert_sieve_renders_the_oracle(text, n)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_render_block_size_does_not_change_the_bytes(rows):
+    with mock.patch.object(sieve_module, "_RENDER_ROWS", rows):
+        _assert_sieve_renders_the_oracle("0,-6,1", 30)  # a zero row at n = 6
+        _assert_sieve_renders_the_oracle("x^3+2x+1", 41)
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert cli.build_parser() is cli.build_parser()
+    rc, out, err = call_cli("sieve", "--poly", "x^2+1", "--n", "3",
+                            "--format", "csv")
+    assert (rc, err) == (0, "") and out.startswith("n,value")
+    rc, out, err = call_cli("sieve", "--poly", "x^2+1", "--n", "3")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["result"]["N"] == 3  # JSON again, not CSV
+    rc, out, err = call_cli("sieve", "--poly", "x^2+1", "--n", "three")
+    assert (rc, out, json.loads(err)["error"]["field"]) == (2, "", "n")
+    rc, out, err = call_cli("sieve", "--poly", "x^2+1", "--n", "3",
+                            "--dry-run")
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"dry_run": True, "poly": "x^2 + 1", "n": 3}
 
 
 def test_clt_runs_and_writes(tmp_path):

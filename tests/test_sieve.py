@@ -2,13 +2,14 @@ import io
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import log, nextafter, prod
 from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
-from oracles import prime_to_indices, root_classes_reference, table_row, table_rows
+from oracles import (lpf_density_reference, prime_to_indices, root_classes_reference,
+                     table_row, table_rows)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +193,105 @@ def test_lpf_density_default_scale(x2p1):
     count_default, _ = lpf_density(table)
     count_explicit, _ = lpf_density(table, Fraction(1, 8))
     assert count_default == count_explicit
+
+
+@pytest.mark.parametrize("text,n", [("x^2+1", 3000), ("0,0,1", 3000), ("0,-6,1", 50),
+                                    ("100000000000000000000,0,1", 60), ("x^2+1", 1)])
+@pytest.mark.parametrize("scale", [None, 0, Fraction(1, 8), -2.5, 1e9, 1e300,
+                                   float("inf")])
+def test_lpf_density_matches_the_scalar_loop(text, n, scale):
+    # 1e9 and above put thresholds past 2^53, where float64 skips integers
+    table = factor_values(parse_polynomial(text), n)
+    assert lpf_density(table, scale) == lpf_density_reference(table, scale)
+
+
+@st.composite
+def _lpf_tables(draw):
+    """(table, scale): random rows over random ascending integers standing
+    for the primes (lpf_density reads each row's last column alone), some
+    next to 2^53 and 2^63 or at least 2^64, and a scale that puts one row's
+    threshold at, or one float step from, its largest prime."""
+    pool = draw(st.lists(st.integers(2, 10**6) | st.integers(2**53 - 9, 2**53 + 9)
+                         | st.integers(2**63 - 9, 2**63 + 9)
+                         | st.integers(2**64, 2**70), max_size=10, unique=True))
+    ps = sorted(pool)
+    n_max = draw(st.integers(1, 30))
+    rows = [sorted(draw(st.sets(st.integers(0, len(ps) - 1), max_size=3)))
+            if ps else [] for _ in range(n_max)]
+    cols = np.array(sum(rows, []), dtype=np.int64)
+    exponents = sieve._compress(np.repeat(np.arange(n_max), [len(r) for r in rows]),
+                                cols, np.ones(len(cols), np.int64), (n_max, len(ps)))
+    table = sieve.FactorTable(parse_polynomial("x^2+1"), n_max, [0] * n_max, ps,
+                              exponents)
+    n = draw(st.integers(2, max(2, n_max)))
+    target = ps[rows[n - 1][-1]] if n <= n_max and rows[n - 1] else draw(
+        st.integers(0, 2**70))
+    scale = target / (n * log(n))
+    for _ in range(draw(st.integers(-2, 2)) % 3):
+        scale = nextafter(scale, draw(st.sampled_from((0.0, float("inf")))))
+    return table, draw(st.sampled_from((scale, 0, None, Fraction(1, 8))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lpf_tables())
+def test_lpf_density_matches_the_scalar_loop_on_random_tables(case):
+    table, scale = case
+    assert lpf_density(table, scale) == lpf_density_reference(table, scale)
+
+
+def test_lpf_density_compares_int64_primes_above_2_53_exactly():
+    # row 2's largest prime against the threshold scale * 2 * ln(2): a
+    # threshold equal to the prime counts it, one a float step above does
+    # not, and 2^53 + 1, which float64 would round down to 2^53, beats
+    # every threshold below 2^53; above 2^53 the compare stays exact
+    def table(p):
+        exponents = sieve._compress(np.array([1]), np.array([0]),
+                                    np.ones(1, np.int64), (2, 1))
+        return sieve.FactorTable(parse_polynomial("x^2+1"), 2, [0, 0], [p],
+                                 exponents)
+
+    def scale_for(t):
+        scale = t / (2 * log(2))
+        while scale * 2 * log(2) < t:
+            scale = nextafter(scale, float("inf"))
+        while scale * 2 * log(2) > t:
+            scale = nextafter(scale, 0.0)
+        return scale
+
+    p = 2**53 - 111
+    assert scale_for(p) * 2 * log(2) == p
+    above = nextafter(scale_for(p), float("inf"))
+    below_2_53 = nextafter(scale_for(2**53), 0.0)
+    top = int(below_2_53 * 2 * log(2))  # the largest threshold below 2^53
+    assert 2**52 < top < 2**53
+    for t, scale, count in [(table(p), scale_for(p), 1), (table(p), above, 0),
+                            (table(2**53 + 1), below_2_53, 1),
+                            (table(top), below_2_53, 1),
+                            (table(top - 1), below_2_53, 0),
+                            # float64 rounds 2^53 + 3 up to 2^53 + 4
+                            (table(2**53 + 3), scale_for(2**53 + 4), 0),
+                            (table(2**63 + 1), scale_for(2**63), 1),
+                            (table(2**64 + 1), scale_for(2**64), 1)]:
+        assert lpf_density(t, scale) == lpf_density_reference(t, scale) == (
+            count, Fraction(count))
+
+
+def test_lpf_density_thresholds_take_math_log():
+    # np.log(9170) can sit one float step from math.log(9170); near 2^53.5,
+    # where floats are the even integers, a prime between the two
+    # thresholds is counted by one and not by the other
+    n = 9170
+    scale = 2**53.5 / (n * log(n))
+    for _ in range(1000):
+        by_math, by_numpy = scale * n * log(n), scale * n * float(np.log(n))
+        if by_math != by_numpy:
+            break
+        scale = nextafter(scale, float("inf"))
+    exponents = sieve._compress(np.array([n - 1]), np.array([0]),
+                                np.ones(1, np.int64), (n, 1))
+    table = sieve.FactorTable(parse_polynomial("x^2+1"), n, [0] * n,
+                              [int(max(by_math, by_numpy)) - 1], exponents)
+    assert lpf_density(table, scale) == lpf_density_reference(table, scale)
 
 
 def test_csv_and_json_serialization(x2m6x):

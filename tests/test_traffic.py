@@ -69,6 +69,7 @@ def test_cli_traffic_reaches_every_function(tmp_path, monkeypatch, capsys):
 
     # a cached function runs its body at its first call only
     _log3_table.cache_clear()
+    cli.build_parser.cache_clear()
     codes = []
     sys.setprofile(profile)
     try:
