@@ -27,9 +27,15 @@ divided once by its p^e (``np.floor_divide.at``).  The residuals are
 int64 when max|P(n)| < 2^63 and Python ints (dtype ``object``) otherwise;
 the same expressions serve both.  A cofactor m left after the division
 has no prime factor <= B, so 1 < m < (B+1)^2 is prime and is taken as it
-is; this covers every cofactor once B = isqrt(max|P(n)|).  Only
-cofactors >= (B+1)^2 go to ``_factor_rough``, which tests each once with
-deterministic Miller-Rabin and splits the composite ones with Brent rho.
+is; this covers every cofactor once B = isqrt(max|P(n)|).  Below
+(B+1)^3, m is a prime or a product of two primes > B.  When B >= 2 and
+the residuals are int64, the m in [(B+1)^2, min((B+1)^3, 2^40)) are
+tested together by ``is_prime_batch``, and ``trial_split`` finds the
+smaller prime of each composite one with the root search's
+multiply-compare test; m = q^2 is one entry with exponent 2.  Only the
+other cofactors, Python ints or m >= (B+1)^3 (where three primes fit) or
+2^40, go to ``_factor_rough``, which tests each once with deterministic
+Miller-Rabin and splits the composite ones with Brent rho.
 
 The table is the signed ``values`` P(n) and the exponents of |P(n)| over
 the ascending ``primes`` as compressed sparse rows, three numpy arrays;
@@ -59,7 +65,8 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial
-from .primes import sieve_primes, _factor_rough
+from .primes import (_factor_rough, is_prime_batch, sieve_primes, trial_split,
+                     word_inverses)
 
 # the root sieve's largest prime; the table is the same for any bound
 DEFAULT_TRIAL_BOUND = 10_000
@@ -67,6 +74,9 @@ DEFAULT_TRIAL_BOUND = 10_000
 _BLOCK_CELLS = 2**17
 # the rows a writer renders at once
 _RENDER_ROWS = 4096
+# np.log and math.log differ by at most one float step for n <= 2e6 on
+# numpy 2.4.6; lpf_density recomputes every threshold this close to its prime
+_NEAR_STEPS = 64
 # largest N that factor_values accepts unless fluct passes --factor-budget
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
@@ -281,23 +291,15 @@ def _word_hits(words: np.ndarray, column: np.ndarray,
     """The pairs (p, n), as int64 arrays (cls_p, cls_n), with n <=
     min(p, len(words)) and p | words[n-1, c] for the ascending primes and
     their columns c in the uint64 ``words``, tested in blocks of at most
-    ``_BLOCK_CELLS`` cells (n, p).
-
-    An odd p divides v exactly when v * p^-1 mod 2^64 <= (2^64 - 1) // p
-    (Granlund and Montgomery, PLDI 1994): the multiplication permutes
-    the words and maps the multiples of p onto 0..(2^64 - 1) // p, so
-    every other word lands above them.  p = 2 reads the low bit."""
+    ``_BLOCK_CELLS`` cells (n, p) by the multiply-compare test of
+    ``word_inverses``; p = 2 reads the low bit."""
     found_p, found_n = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     if primes[:1] == [2]:
         found_n.append(np.flatnonzero((words[:2, column[0]] & 1) == 0) + 1)
         found_p.append(np.full(len(found_n[-1]), 2, np.int64))
         primes, column = primes[1:], column[1:]
     ps = np.array(primes, dtype=np.int64)
-    odd = ps.astype(np.uint64)
-    inv = odd.copy()  # p * p = 1 mod 8, and each Newton step doubles the bits
-    for _ in range(5):
-        inv *= 2 - odd * inv
-    limit = np.uint64(2**64 - 1) // odd
+    inv, limit = word_inverses(ps.astype(np.uint64))
     stop = min(len(words), max(primes, default=0))
     size = max(min(_BLOCK_CELLS, stop * len(ps)), len(ps))
     product, divides = np.empty(size, np.uint64), np.empty(size, bool)
@@ -411,25 +413,41 @@ def factor_values(
     residual, bound = stage.residual, stage.bound
     hit_p, hit_row, hit_e = stage.hit_p, stage.hit_row, stage.hit_e
 
-    # every prime <= bound is divided out, so a composite cofactor is at
-    # least (bound + 1)^2
+    # every prime <= bound is divided out, so a cofactor below
+    # (bound + 1)^2 is prime and one below (bound + 1)^3 is a prime or a
+    # product of two primes
     rest = np.flatnonzero(residual > 1)
-    prime = residual[rest] < (bound + 1) ** 2
+    cofactor = residual[rest]
+    prime = cofactor < (bound + 1) ** 2
+    rough = ~prime
+    pair = np.zeros(0, np.int64)  # the positions in rest of the products
+    if bound >= 2 and residual.dtype != object:
+        two = np.flatnonzero(rough & (cofactor < min((bound + 1) ** 3, 2**40)))
+        tested = is_prime_batch(cofactor[two].astype(np.uint64))
+        prime[two[tested]] = True
+        pair = two[~tested]
+        rough[two] = False
+    low = trial_split(cofactor[pair].astype(np.uint64), bound,
+                      _BLOCK_CELLS).astype(residual.dtype)
+    high = cofactor[pair] // low
+    square = low == high
     rough_row, rough_p, rough_e = [], [], []
-    for i in rest[~prime].tolist():
-        rough: dict[int, int] = {}
-        _factor_rough(int(residual[i]), rough)
-        rough_row += [i] * len(rough)
-        rough_p += rough
-        rough_e += rough.values()
+    for i in rest[rough].tolist():
+        factors: dict[int, int] = {}
+        _factor_rough(int(residual[i]), factors)
+        rough_row += [i] * len(factors)
+        rough_p += factors
+        rough_e += factors.values()
 
     # ascending primes put each row's rough factors after its sieve primes
-    rows = np.concatenate([hit_row, rest[prime], np.array(rough_row, np.int64)])
+    rows = np.concatenate([hit_row, rest[prime], rest[pair], rest[pair[~square]],
+                           np.array(rough_row, np.int64)])
     primes, cols = np.unique(
-        np.concatenate([hit_p.astype(residual.dtype), residual[rest[prime]],
-                        np.array(rough_p, residual.dtype)]),
+        np.concatenate([hit_p.astype(residual.dtype), cofactor[prime], low,
+                        high[~square], np.array(rough_p, residual.dtype)]),
         return_inverse=True)
-    exps = np.concatenate([hit_e, np.ones(prime.sum(), np.int64),
+    exps = np.concatenate([hit_e, np.ones(prime.sum(), np.int64), 1 + square,
+                           np.ones(len(pair) - square.sum(), np.int64),
                            np.array(rough_e, np.int64)])
     order = np.lexsort((cols, rows))
     exponents = _compress(rows[order], cols[order], exps[order],
@@ -450,13 +468,19 @@ def lpf_density(
         d = table.polynomial.degree
         threshold_scale = Fraction(1, 2 * d * d)
     scale = float(threshold_scale)
-    # the thresholds (scale * n) * log(n) of a scalar loop, bit for bit:
-    # math.log, not np.log, whose last bit may differ
-    n = range(2, table.N + 1)
-    threshold = (scale * np.arange(2.0, table.N + 1)
-                 * np.fromiter(map(log, n), float, len(n)))
-    # numpy compares an object array as Python does, Python int against
-    # float, which is exact at any size; float64 would round primes >= 2^53
-    lpf = np.array(table.primes + [0], dtype=object)[table._last_columns()[1:]]
-    count = int(np.count_nonzero(lpf >= threshold))
+    # the scalar loop compares the Python int P+(P(n)) with the float
+    # (scale * n) * math.log(n).  np.log(n) may differ from math.log(n) in
+    # the last bit, so its thresholds, and float64 largest primes, which
+    # round at 2^53 and above, decide only the n whose prime and threshold
+    # are more than _NEAR_STEPS float steps apart; the loop's compare
+    # decides the others
+    n = np.arange(2.0, table.N + 1)
+    threshold = scale * n * np.log(n)
+    last = table._last_columns()[1:]
+    primes = table.primes + [0]
+    lpf = np.array(primes, dtype=float)[last]
+    near = np.abs(lpf - threshold) <= _NEAR_STEPS * np.spacing(np.abs(threshold))
+    count = int(np.count_nonzero((lpf >= threshold) & ~near))
+    count += sum(primes[last[i]] >= scale * (i + 2) * log(i + 2)
+                 for i in np.flatnonzero(near).tolist())
     return count, Fraction(count, max(1, table.N - 1))

@@ -1,8 +1,12 @@
+import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrmf.primes import brent_rho, factorize, is_prime, sieve_primes
+from polyrmf import primes
+from polyrmf.primes import (_mulmod, brent_rho, factorize, is_prime, is_prime_batch,
+                            sieve_primes, trial_split)
 
 
 def test_sieve_matches_sympy():
@@ -51,3 +55,90 @@ def test_factorize_large_semiprime():
     n = (10**9 + 7) * (10**9 + 9)
     fac = factorize(n)
     assert fac == {10**9 + 7: 1, 10**9 + 9: 1}
+
+
+@st.composite
+def _mulmod_cases(draw):
+    """(a, b, n) with a, b < n < 2^40, n often at the top of the range or
+    next to 2^32, where _mulmod stops multiplying directly."""
+    n = draw(st.integers(1, 2**40 - 1) | st.integers(2**40 - 2**20, 2**40 - 1)
+             | st.integers(2**32 - 9, 2**32 + 9) | st.integers(1, 2**32 - 1))
+    ends = st.integers(0, n - 1) | st.sampled_from((0, n - 1, n // 2))
+    return draw(ends), draw(ends), n
+
+
+@given(st.lists(_mulmod_cases(), min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_mulmod_matches_python_ints(cases):
+    a, b, n = (np.array(column, np.uint64) for column in zip(*cases))
+    expected = [x * y % m for x, y, m in cases]
+    top = int(n.max())
+    assert _mulmod(a, b, n, 2**40 - 1).tolist() == expected  # the 20-bit split
+    assert _mulmod(a, b, n, top).tolist() == expected
+
+
+@pytest.fixture(params=[0, primes._BATCH_MIN])
+def batch_min(request, monkeypatch):
+    """Runs a test with every batch on the vector path, then with the
+    short ones on is_prime."""
+    monkeypatch.setattr(primes, "_BATCH_MIN", request.param)
+
+
+def _batch_agrees(values):
+    got = is_prime_batch(np.array(values, np.uint64)).tolist()
+    assert got == [is_prime(v) for v in values]
+    return got
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 20_000), (2**32 - 6001, 2**32 + 6001),
+                                   (2**40 - 20_001, 2**40)])
+def test_batch_miller_rabin_matches_is_prime_on_a_window(lo, hi, batch_min):
+    _batch_agrees(list(range(lo | 1, hi, 2)))  # the odd values
+    if lo == 0:
+        _batch_agrees(list(range(lo, hi)))  # and 0, 1, 2 and the even ones
+
+
+def test_batch_miller_rabin_refutes_pseudoprimes_and_carmichael_numbers(batch_min):
+    # strong pseudoprimes to every base of the tier below them, each alone
+    # (its own tier) and in one batch (the top tier)
+    pseudoprimes = [2047, 1373653, 9080191, 25326001, 3215031751, 4759123141]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601]
+    for n in pseudoprimes + carmichael:
+        assert _batch_agrees([n]) == [False]
+    assert not any(_batch_agrees(pseudoprimes + carmichael))
+    # 10007^2, p q either side of (B + 1)^3 for B = 10^4, and the largest
+    # semiprimes, prime square and primes below 2^40
+    cube = 10_001**3
+    q = sympy.prevprime(cube // 10_007)
+    near = [10_007**2, 10_007 * q, 10_007 * sympy.nextprime(q),
+            sympy.prevprime(2**20)**2]
+    assert 10_007 * q < cube < 10_007 * sympy.nextprime(q) < 2**40
+    semiprimes = [n for n in range(2**40 - 1, 2**40 - 400, -1)
+                  if sum(sympy.factorint(n).values()) == 2][:5]
+    assert len(semiprimes) == 5
+    assert not any(_batch_agrees(near + semiprimes))
+    top_primes = [sympy.prevprime(2**40), sympy.prevprime(sympy.prevprime(2**40))]
+    assert _batch_agrees(top_primes + near[1:2] + [3, 13, 23, 1662803]) == [
+        True, True, False, True, True, True, True]
+
+
+def test_batch_miller_rabin_refuses_values_from_2_40(batch_min):
+    with pytest.raises(ValueError):
+        is_prime_batch(np.array([3, 2**40 + 15], np.uint64))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**17])
+def test_trial_split_finds_the_least_factor_above_the_bound(cells):
+    bound = 10_000
+    ps = [p for p in sieve_primes(40_000) if p > bound]
+    rng = np.random.default_rng(5)
+    pairs = [(int(a), int(b)) for a, b in rng.choice(ps, (200, 2))]
+    composites = [a * b for a, b in pairs] + [10_007**2, 39_989 * 39_989]
+    least = trial_split(np.array(composites, np.uint64), bound, cells)
+    assert least.tolist() == [min(sympy.factorint(c)) for c in composites]
+    # a prime has no factor up to its square root, 3 * 5 and 3 * 10009 none
+    # above the bound; above 2, 3 * 5 splits at 3
+    others = np.array([10_007, 3 * 5, 10_009 * 3], np.uint64)
+    assert trial_split(others, bound, cells).tolist() == [0, 0, 0]
+    assert trial_split(others[1:2], 2, cells).tolist() == [3]

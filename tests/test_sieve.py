@@ -485,58 +485,83 @@ def test_root_classes_match_brute_force(case):
         assert _hits(*_root_classes(residual.astype(dtype), search)) == expected
 
 
-def test_no_primality_test_below_the_square_of_the_trial_bound(monkeypatch, x2p1):
-    # _factor_rough is the sieve's only route to a primality test
+def _record_primality_tests(monkeypatch):
+    """The values that factor_values hands to a primality test, through
+    its two routes: the batch Miller-Rabin and ``_factor_rough``."""
     calls = []
-    factor_rough = primes._factor_rough
+    batch, factor_rough = primes.is_prime_batch, primes._factor_rough
 
-    def recording(m, out):
+    def testing(words):
+        calls.extend(words.tolist())
+        return batch(words)
+
+    def factoring(m, out):
         calls.append(m)
         factor_rough(m, out)
 
-    monkeypatch.setattr(sieve, "_factor_rough", recording)
+    monkeypatch.setattr(sieve, "is_prime_batch", testing)
+    monkeypatch.setattr(sieve, "_factor_rough", factoring)
+    return calls
+
+
+def test_no_primality_test_below_the_square_of_the_trial_bound(monkeypatch, x2p1):
+    calls = _record_primality_tests(monkeypatch)
     factor_values(x2p1, 8000)  # every cofactor is at most 8000^2 + 1 < 10^8
     assert calls == []
     _assert_factored(factor_values(parse_polynomial("x^3+2x+1"), 600))
     assert calls and min(calls) >= DEFAULT_TRIAL_BOUND**2
 
 
-def test_brent_rho_splits_exactly_the_composite_cofactors(monkeypatch):
+def test_trial_split_splits_exactly_the_composite_cofactors(monkeypatch):
     poly = parse_polynomial("x^3+2x+1")
-    calls = []
-    brent_rho = primes.brent_rho
+    tested, splits = [], []
+    batch, split = primes.is_prime_batch, primes.trial_split
 
-    def recording(m):
-        g = brent_rho(m)
-        calls.append((m, g))
-        return g
+    def testing(words):
+        tested.append(words.tolist())
+        return batch(words)
 
-    is_prime = primes.is_prime
-    prime_tests = []
+    def splitting(composites, bound, cells):
+        least = split(composites, bound, cells)
+        splits.append((composites.tolist(), least.tolist()))
+        return least
 
-    def counting(m):
-        prime_tests.append(m)
-        return is_prime(m)
+    def per_value(m):
+        raise AssertionError(f"per-value route called on {m}")
 
-    monkeypatch.setattr(primes, "brent_rho", recording)
-    monkeypatch.setattr(primes, "is_prime", counting)
-    factor_values(poly, 3000)
-    # every composite cofactor here is a product of two primes, so rho is
-    # called once per cofactor; 161 calls and these splits as before the
-    # B^2 rule
-    expected = []
+    monkeypatch.setattr(sieve, "is_prime_batch", testing)
+    monkeypatch.setattr(sieve, "trial_split", splitting)
+    monkeypatch.setattr(primes, "brent_rho", per_value)
+    monkeypatch.setattr(primes, "is_prime", per_value)
+    _assert_factored(factor_values(poly, 3000))
+    # max P(n) < 2.8e10 < (B + 1)^3: every cofactor >= B^2 is a prime or a
+    # product of two, tested once in one batch (672 primes, 161 composites)
+    # and never by is_prime or brent_rho
+    rough = []
     for n in range(1, 3001):
-        rough = prod(p**e for p, e in sympy.factorint(abs(poly(n))).items()
-                     if p > DEFAULT_TRIAL_BOUND)
-        if rough > 1 and not sympy.isprime(rough):
-            expected.append(rough)
-    assert sorted(m for m, _ in calls) == sorted(expected)
-    assert len(calls) == 161
-    assert sum(g for _, g in calls) == 5_916_863
-    assert all(1 < g < m and m % g == 0 for m, g in calls)
-    # each cofactor >= B^2 is tested once (672 primes, 161 composites) and
-    # so is each of the 322 factors rho splits off: 833 + 322 tests
-    assert len(prime_tests) == 1_155
+        factors = {p: e for p, e in sympy.factorint(abs(poly(n))).items()
+                   if p > DEFAULT_TRIAL_BOUND}
+        if prod(p**e for p, e in factors.items()) >= DEFAULT_TRIAL_BOUND**2:
+            rough.append((prod(p**e for p, e in factors.items()), min(factors)))
+    assert len(tested) == 1 and sorted(tested[0]) == sorted(m for m, _ in rough)
+    assert len(rough) == 833
+    # the split receives exactly the composites and returns their least primes
+    composites = sorted((m, p) for m, p in rough if not sympy.isprime(m))
+    assert len(splits) == 1 and len(composites) == 161
+    assert sorted(zip(*splits[0])) == composites
+
+
+def test_a_square_cofactor_is_one_entry_with_exponent_2(monkeypatch):
+    # P(1) = 10007^2, between (B + 1)^2 and (B + 1)^3: the split finds
+    # 10007 and the quotient is 10007 again
+    monkeypatch.setattr(sieve, "_factor_rough", None)
+    poly = IntPolynomial((10007**2 - 1, 1))
+    table = factor_values(poly, 4)
+    m = table.exponents
+    assert m.indptr[1] == 1 and table.primes[m.indices[0]] == 10007
+    assert m.data[0] == 2
+    for row in table_rows(table):
+        assert dict(row.factors) == sympy.factorint(abs(row.value))
 
 
 @pytest.mark.parametrize("top", [2**63 - 1, 2**63])  # int64 and object residuals
@@ -586,15 +611,8 @@ def test_root_search_stops_at_the_square_root_of_the_values(monkeypatch):
         searched.append(list(ps))
         return root_classes(residual, ps)
 
-    rough = []
-    factor_rough = primes._factor_rough
-
-    def recording(m, out):
-        rough.append(m)
-        factor_rough(m, out)
-
     monkeypatch.setattr(sieve, "_root_classes", counting)
-    monkeypatch.setattr(sieve, "_factor_rough", recording)
+    rough = _record_primality_tests(monkeypatch)
     # max P(n) = 250^2 + 1 < 251^2: the primes up to 250 suffice
     _assert_factored(factor_values(parse_polynomial("x^2+1"), 250))
     assert searched == [primes.sieve_primes(250)] and len(searched[0]) == 53

@@ -1,4 +1,4 @@
-"""Every function under src/polyrmf is entered by nine small CLI calls.
+"""Every function under src/polyrmf is entered by ten small CLI calls.
 
 The calls run in process under ``sys.setprofile``, one per subcommand
 and input shape plus a bad argv; a function that none of them enters is
@@ -26,6 +26,10 @@ CALLS = [
     # values near 1e20 leave composite cofactors for Brent rho
     (["sieve", "--poly", "100000000000000000000,0,1", "--n", "40",
       "--format", "csv", "--out", "sieve.csv"], 0),
+    # 57 cofactors between (B+1)^2 and (B+1)^3: enough for the vector
+    # Miller-Rabin, and the trial split
+    (["sieve", "--poly", "x^3+2x+1", "--n", "800", "--format", "csv",
+      "--out", "cubic.csv"], 0),
     # more than 2^18 pairs: the passes are classed by log_3 mod 65537
     (["energy", "--poly", "x^2+1", "--n", "3000", "--out", "energy.json"], 0),
     (["energy", "--poly", "100000000000000000000,0,1", "--grid", "20,40",
