@@ -18,7 +18,10 @@ costs one broadcast hash (``angles_for_key`` with an array of keys), one
 gather of angles per factor slot and one cos/sin pass.  Slot k holds the
 k-th stored factor of every row with more than k factors, so a row's
 phase adds its e * theta_p from 0 in ascending prime order, the order in
-which a CSR matrix-vector product adds them.
+which a CSR matrix-vector product adds them.  The cos/sin pass runs on
+the cells grouped by argument range, where libm's range branches are
+predicted; every value is still the same libm call on the same float64
+argument, so the grouping changes no bit.
 
 ``replicate_sums`` is the one replicate engine behind both ``clt`` and
 ``fluct``: it sums f(P(n)) over the index sets of a boolean selector
@@ -51,22 +54,26 @@ _NP_C2 = np.uint64(0x94D049BB133111EB)
 # f is evaluated _TILE table rows at a time
 _CHUNK = 256
 _TILE = 128
+# cos and sin run on a tile's cells grouped by floor(_BUCKETS * phase) < 256
+_BUCKETS = 64
 BLOCK_BYTES = 128 << 20
 # each worker holds its own angle block, so threads bound the memory too
 MAX_THREADS = 32
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer: avalanching 64-bit mix."""
-    z &= M64
+def mix64(z: int | np.ndarray) -> int | np.ndarray:
+    """splitmix64 finalizer: avalanching 64-bit mix of an int, or of each
+    entry of a uint64 array (whose arithmetic wraps mod 2^64)."""
+    z = z & M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
     return (z ^ (z >> 31)) & M64
 
 
-def derive_seed(seed: int, replicate: int) -> int:
-    """Fixed, documented per-replicate seed derivation."""
-    return mix64((seed + (replicate + 1) * GOLDEN) & M64)
+def derive_seed(seed: int, replicate: int | np.ndarray) -> int | np.ndarray:
+    """Fixed, documented per-replicate seed derivation; a uint64 array of
+    replicate indices gives the array of their seeds."""
+    return mix64(((seed & M64) + (replicate + 1) * GOLDEN) & M64)
 
 
 def _mix64_np(z: np.ndarray) -> None:
@@ -97,15 +104,18 @@ def angles_for_key(key: int | np.ndarray, primes_u64: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SteinhausSampler:
-    """Deterministic map prime -> angle in [0, 1), keyed by a 64-bit seed."""
+    """Deterministic map prime -> angle in [0, 1), keyed by a 64-bit seed.
 
-    seed: int
-    key: int = field(init=False, repr=False)
+    ``replicate`` with a uint64 array of replicate indices gives one
+    sampler whose seed and key are arrays, one entry per replicate."""
+
+    seed: int | np.ndarray
+    key: int | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "key", mix64(self.seed & M64))
 
-    def replicate(self, r: int) -> "SteinhausSampler":
+    def replicate(self, r: int | np.ndarray) -> "SteinhausSampler":
         return SteinhausSampler(derive_seed(self.seed, r))
 
 
@@ -161,14 +171,16 @@ class PhaseTable:
         """Column b holds f(P(n)) under the b-th angle vector; a 1-D angle
         vector gives the n-vector of f(P(n)).
 
-        ``out`` (complex, rows x angle vectors) receives the values, and
-        ``work`` is float64 scratch of at least two such blocks; both are
-        allocated when not given."""
+        ``out`` (complex, C-contiguous, rows x angle vectors) receives the
+        values, and ``work`` is float64 scratch of three such blocks; both
+        are allocated when not given."""
         theta = angle_matrix if angle_matrix.ndim > 1 else angle_matrix[:, None]
         shape = (self.n_max, theta.shape[1])
         z = np.empty(shape, dtype=np.complex128) if out is None else out
+        if not z.flags.c_contiguous:  # the values are scattered into a flat view
+            raise ValueError("out must be C-contiguous")
         if work is None:
-            work = np.empty((2,) + shape)
+            work = np.empty((3,) + shape)
         ranked, phases = work[0, :shape[0]], work[1, :shape[0]]
         # in rank order, each slot adds e * theta_p to its first rows, so a
         # row's phase adds its factors from 0 in ascending prime order
@@ -186,9 +198,20 @@ class PhaseTable:
         # phases are >= 0, so this is exactly phases % 1.0, and cos and sin
         # of 2*pi times it give the bits of exp(2j*pi*(phases % 1.0))
         phases -= np.floor(phases, out=ranked)
-        phases *= 2 * np.pi
-        np.cos(phases, out=z.real)
-        np.sin(phases, out=z.imag)
+        # libm branches on the argument's range, so cos and sin run on the
+        # cells sorted by floor(_BUCKETS * t) (a radix sort of uint8 keys);
+        # each value is the same call on the same argument, in any order
+        cells = phases.size
+        bucket = ranked.reshape(-1).view(np.uint8)[:cells]
+        np.multiply(phases.reshape(-1), _BUCKETS, out=bucket, casting="unsafe")
+        order = np.argsort(bucket, kind="stable")
+        args = phases.reshape(-1).take(order, mode="clip", out=ranked.reshape(-1))
+        args *= 2 * np.pi
+        # the sorted values go to the phases block and the one after it
+        grouped = work[1:].reshape(-1)[:2 * cells].view(np.complex128)
+        np.cos(args, out=grouped.real)
+        np.sin(args, out=grouped.imag)
+        z.reshape(-1)[order] = grouped
         if len(self.zero_rows):
             z[self.zero_rows] = 0.0
         return z if angle_matrix.ndim > 1 else z[:, 0]
@@ -260,15 +283,16 @@ def replicate_sums(
         tiles.append((pt._rows(lo, hi), folds))
 
     def chunk(lo: int) -> np.ndarray:
-        keys = [root.replicate(r).key for r in range(lo, min(lo + width, reps))]
-        theta = angles_for_key(np.array(keys, dtype=np.uint64), pt.primes_u64)
+        batch = np.arange(lo, min(lo + width, reps), dtype=np.uint64)
+        keys = root.replicate(batch).key
+        theta = angles_for_key(keys, pt.primes_u64)
         if base is not None:
             theta[frozen] = base
         # [sums; head; f-values of one tile] as float64: a complex sum adds
         # re and im apart, so summing the real view gives the same bits
         buf = np.zeros((n_sets + 1 + rows, 2 * len(keys)))
         z = buf.view(np.complex128)
-        work = np.empty((2, rows, len(keys)))
+        work = np.empty((3, rows, len(keys)))
         for tile, folds in tiles:
             tile.unit_values_batch(theta, out=z[n_sets + 1:n_sets + 1 + tile.n_max],
                                    work=work)

@@ -12,6 +12,8 @@ from oracles import (ConditionalSampler, FactoredValue, angle, f_of,
                      sequential_unit_values, table_row, table_rows,
                      unit_values_reference)
 from polyrmf import rmf
+from polyrmf.fluctuations import (build_prime_sets, check_fluct_config,
+                                  classification_labels)
 from polyrmf.polynomial import parse_polynomial
 from polyrmf.primes import factorize, sieve_primes
 from polyrmf.errors import ConfigError
@@ -169,6 +171,23 @@ def test_replicate_seed_derivation():
     s = SteinhausSampler(99)
     assert s.replicate(3).seed == derive_seed(99, 3)
     assert angle(s.replicate(0), 7) != angle(s.replicate(1), 7)
+
+
+def test_vector_replicate_keys_match_derive_seed():
+    # a chunk's keys come from one sampler over a uint64 array of replicate
+    # indices; they must be the scalar derive_seed keys at the seed edges
+    # (a negative seed means seed mod 2^64) and past 2^32
+    for seed in (0, 1, 2**64 - 5, M64, -3):
+        for lo, hi in ((0, 40), (2**32 - 3, 2**32 + 3), (2**40, 2**40 + 2)):
+            r = np.arange(lo, hi, dtype=np.uint64)
+            batch = SteinhausSampler(seed).replicate(r)
+            assert batch.key.dtype == np.uint64
+            assert batch.seed.tolist() == [derive_seed(seed, i) for i in range(lo, hi)]
+            assert batch.key.tolist() == [SteinhausSampler(derive_seed(seed, i)).key
+                                          for i in range(lo, hi)]
+    z = np.array([0, 1, 2**63, M64], dtype=np.uint64)
+    assert mix64(z).tolist() == [mix64(int(v)) for v in z]
+    assert z.tolist() == [0, 1, 2**63, M64]  # the argument is left as it was
 
 
 def test_phase_table_matches_scalar(x2p1):
@@ -383,3 +402,80 @@ def test_check_replicates_caps_the_thread_count():
         with pytest.raises(ConfigError) as info:
             check_replicates(1, threads)
         assert info.value.field == "threads"
+
+
+# cos and sin run on cells grouped by floor(_BUCKETS * phase): 1 bucket keeps
+# the row order, 255 is the most a uint8 key holds; None is the default
+BUCKETS = [1, 255, None]
+
+
+@pytest.mark.parametrize("buckets", BUCKETS)
+def test_grouping_keeps_the_bits_at_the_bucket_edges(buckets, monkeypatch):
+    if buckets:
+        monkeypatch.setattr(rmf, "_BUCKETS", buckets)
+    # P(n) = n on n <= 2: row 2's phases are the angles passed in
+    pt = PhaseTable(factor_values(parse_polynomial("0,1"), 2))
+    edges = np.arange(65) / 64
+    phases = np.concatenate([[0.0, 1 - 2.0 ** -53], edges,
+                             np.nextafter(edges[1:], 0), np.nextafter(edges, 2)])
+    z = pt.unit_values_batch(phases[None, :])
+    assert np.array_equal(z[1], unit_values_reference(phases))
+    assert np.array_equal(z[0], np.ones(len(phases)))
+
+
+@pytest.mark.parametrize("buckets", BUCKETS)
+@pytest.mark.parametrize("text,n", PHASE_TABLES[:3])
+def test_grouping_keeps_the_bits_on_small_shapes(text, n, buckets, monkeypatch):
+    # zero rows (0,-6,1 at n = 6), |P(n)| = 1 rows (-2,0,1 at n = 1), one
+    # replicate, a 1-D angle vector, a given out and a tile of one row
+    if buckets:
+        monkeypatch.setattr(rmf, "_BUCKETS", buckets)
+    table = factor_values(parse_polynomial(text), n)
+    pt = PhaseTable(table)
+    theta = np.random.default_rng(n + 1).random((len(pt.primes), 5))
+    want = sequential_unit_values(table, theta)
+    assert np.array_equal(pt.unit_values_batch(theta), want)
+    assert np.array_equal(pt.unit_values_batch(theta[:, :1]), want[:, :1])
+    assert np.array_equal(pt.unit_values_batch(theta[:, 2]), want[:, 2])
+    out = np.empty((n, 5), dtype=complex)
+    assert pt.unit_values_batch(theta, out=out) is out
+    assert np.array_equal(out, want)
+    for i in (0, 5, n - 1):
+        one = pt._rows(i, i + 1)
+        assert np.array_equal(one.unit_values_batch(theta), want[i:i + 1])
+        assert np.array_equal(one.unit_values_batch(theta[:, 3]), want[i, 3:4])
+
+
+def test_unit_values_refuse_a_strided_out(x2p1):
+    # the values are scattered into a flat view of out
+    pt = PhaseTable(factor_values(x2p1, 10))
+    theta = np.random.default_rng(2).random((len(pt.primes), 4))
+    with pytest.raises(ValueError):
+        pt.unit_values_batch(theta, out=np.empty((10, 8), dtype=complex)[:, ::2])
+
+
+def test_grouping_and_threads_keep_the_replicate_sums(monkeypatch):
+    # a clt selector and a fluct --conditional selector with its frozen
+    # primes, over three chunks of replicates
+    monkeypatch.setattr(rmf, "_CHUNK", 16)
+    poly = parse_polynomial("x^2+1")
+    grid = check_fluct_config(100, 3, 4, 40)
+    table = factor_values(poly, grid.points[-1])
+    family = build_prime_sets(table, grid)
+    labels = classification_labels(table, family)
+    selector = np.zeros((3 * len(labels), table.N), dtype=bool)
+    for i, lab in enumerate(labels):
+        selector[3 * i:3 * i + 3, :len(lab)] = lab == 1, lab == 2, lab >= 0
+    pt = PhaseTable(table)
+    frozen = family.a_scale < 0
+    assert frozen.any() and not frozen.all()
+    cases = [(np.ones((1, table.N), dtype=bool), None), (selector, frozen)]
+    for sel, frozen in cases:
+        default = replicate_sums(pt, 11, 40, sel, frozen=frozen)
+        for buckets in (1, 255, rmf._BUCKETS):
+            with monkeypatch.context() as m:
+                m.setattr(rmf, "_BUCKETS", buckets)
+                for threads in (1, 2):
+                    got = replicate_sums(pt, 11, 40, sel, frozen=frozen,
+                                         threads=threads)
+                    assert np.array_equal(got, default)
