@@ -27,8 +27,10 @@ argument, so the grouping changes no bit.
 ``fluct``: it sums f(P(n)) over the index sets of a boolean selector
 mask for every replicate, in chunks of replicates and tiles of rows
 whose results do not depend on the thread count, the chunk width or the
-tile size.  Memory is bounded by each chunk's primes x replicates angle
-block.
+tile size.  Each chunk holds one angle block: the primes that occur in
+two or more tiles, hashed once per chunk, and below them the primes of
+the current tile alone, hashed just before it.  Memory follows those
+shared primes x replicates, not all of the table's primes.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ _NP_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _NP_C2 = np.uint64(0x94D049BB133111EB)
 
 # replicate chunks hold at most _CHUNK replicates and at most BLOCK_BYTES of
-# float64 prime angles per worker thread; angles are hashed _TILE primes and
-# f is evaluated _TILE table rows at a time
+# float64 prime angles (the shared primes and one tile's own) per worker
+# thread; angles are hashed _TILE primes and f is evaluated _TILE table rows
+# at a time
 _CHUNK = 256
 _TILE = 128
 # cos and sin run on a tile's cells grouped by floor(_BUCKETS * phase) < 256
@@ -85,14 +88,16 @@ def _mix64_np(z: np.ndarray) -> None:
     z ^= z >> np.uint64(31)
 
 
-def angles_for_key(key: int | np.ndarray, primes_u64: np.ndarray) -> np.ndarray:
+def angles_for_key(key: int | np.ndarray, primes_u64: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """theta_p = (mix64(key + p * GOLDEN) >> 11) * 2^-53 of every prime.
 
     A scalar key gives one angle per prime; a 1-D array of keys gives a
-    primes x keys matrix with one column per key.
+    primes x keys matrix with one column per key.  ``out``, of that
+    shape, receives the angles when given.
     """
     keys = np.asarray(key, dtype=np.uint64)
-    theta = np.empty(primes_u64.shape + keys.shape)
+    theta = np.empty(primes_u64.shape + keys.shape) if out is None else out
     # _TILE primes at a time, so that the uint64 scratch stays in cache
     for lo in range(0, len(primes_u64), _TILE):
         z = np.add.outer(primes_u64[lo:lo + _TILE] * _NP_GOLDEN, keys)
@@ -141,14 +146,16 @@ class PhaseTable:
                                   dtype=np.int64)
         self._arrange(0, table.N)
 
-    def _arrange(self, lo: int, hi: int) -> None:
+    def _arrange(self, lo: int, hi: int, cols: np.ndarray | None = None) -> None:
         """Lay out the rows lo..hi-1 in slots.
 
         The rows are ranked by falling factor count, so that slot k, the
         k-th factor of every row with more than k factors, covers the
         first ranks: it is (their columns, the positions among them whose
         exponent is not 1, those exponents).  ``rank[i]`` is row i's rank,
-        and the first ``factored`` ranks are the rows with a factor.
+        and the first ``factored`` ranks are the rows with a factor.  A
+        slot's columns index the angle vectors' rows: the table's column j
+        is row ``cols[j]``, and row j without ``cols``.
         """
         m = self.matrix
         counts = np.diff(m.indptr[lo:hi + 1])
@@ -159,7 +166,8 @@ class PhaseTable:
         for k in range(int(counts.max(initial=0))):
             at = m.indptr[lo + order[:np.count_nonzero(counts > k)]] + k
             pos = np.flatnonzero(m.data[at] != 1)
-            self.slots.append((m.indices[at], pos,
+            at_cols = m.indices[at] if cols is None else cols[m.indices[at]]
+            self.slots.append((at_cols, pos,
                                m.data[at[pos], None].astype(np.float64)))
 
     def angles(self, sampler: SteinhausSampler) -> np.ndarray:
@@ -216,11 +224,13 @@ class PhaseTable:
             z[self.zero_rows] = 0.0
         return z if angle_matrix.ndim > 1 else z[:, 0]
 
-    def _rows(self, lo: int, hi: int) -> "PhaseTable":
-        """The rows lo..hi-1 as a table over the same primes."""
+    def _rows(self, lo: int, hi: int,
+              cols: np.ndarray | None = None) -> "PhaseTable":
+        """The rows lo..hi-1 as a table over the same primes, whose angle
+        vectors are laid out by ``cols`` as in ``_arrange``."""
         tile = copy.copy(self)
         tile.n_max = hi - lo
-        tile._arrange(lo, hi)
+        tile._arrange(lo, hi, cols)
         zeros = self.zero_rows
         tile.zero_rows = zeros[(zeros >= lo) & (zeros < hi)] - lo
         return tile
@@ -251,25 +261,54 @@ def replicate_sums(
     boolean mask ``frozen`` keep their base-stream (``seed``) angle in
     every replicate.
 
-    A chunk of replicates hashes all its angles at once and evaluates f
-    in tiles of ``_TILE`` rows.  Each set folds a tile into its running
-    sum by one ``np.add.reduce`` over the rows [sum; f(n) for its n in
-    the tile], which adds them in that order along axis 0, so every set
-    adds its terms in ascending n, starting from its sum so far; a set
-    that takes the whole tile reduces a slice of the buffer in place of
-    a gathered copy.  Chunks are concatenated in chunk order, so the
-    result is bit-identical for any thread count, chunk width and tile
-    size.
+    A chunk of replicates evaluates f in tiles of ``_TILE`` rows on one
+    block of angles laid out as [shared primes; one tile's local primes].
+    A prime with entries in two or more tiles is shared and hashed once
+    per chunk; every other prime is local to its tile and hashed just
+    before that tile is evaluated, so each prime is hashed once per chunk.
+    Each set folds a tile into its running sum by one ``np.add.reduce``
+    over the rows [sum; f(n) for its n in the tile], which adds them in
+    that order along axis 0, so every set adds its terms in ascending n,
+    starting from its sum so far; a set that takes the whole tile reduces
+    a slice of the buffer in place of a gathered copy.  Each chunk writes
+    its own columns of the result, so the result is bit-identical for any
+    thread count, chunk width and tile size.
     """
     if selector.shape[1] != pt.n_max:
         raise ValueError(f"selector has {selector.shape[1]} columns, "
                          f"the table {pt.n_max} rows")
-    width = max(1, min(_CHUNK, BLOCK_BYTES // (8 * max(1, len(pt.primes)))))
+    m, rows = pt.matrix, _TILE
+    n_sets, n_tiles = selector.shape[0], -(-pt.n_max // rows)
+    # each column's first and last tile; a column without entries reads
+    # (n_tiles, -1) and is hashed with the shared ones
+    tile_of = np.repeat(np.arange(pt.n_max) // rows, np.diff(m.indptr))
+    first = np.full(len(pt.primes), n_tiles)
+    last = np.full(len(pt.primes), -1)
+    np.minimum.at(first, m.indices, tile_of)
+    np.maximum.at(last, m.indices, tile_of)
+    shared = np.flatnonzero(first != last)
+    local = np.flatnonzero(first == last)
+    local = local[np.argsort(first[local], kind="stable")]
+    # tile t's local columns are local[bounds[t]:bounds[t + 1]]
+    bounds = np.searchsorted(first[local], np.arange(n_tiles + 1))
+    n_shared = len(shared)
+    # the block row of each column: shared ones first, then the tile's own
+    cols = np.empty(len(pt.primes), dtype=np.intp)
+    cols[shared] = np.arange(n_shared)
+    cols[local] = n_shared + np.arange(len(local)) - bounds[first[local]]
+    height = n_shared + int(np.diff(bounds).max(initial=0))
+    width = max(1, min(_CHUNK, BLOCK_BYTES // (8 * max(1, height))))
     root = SteinhausSampler(seed)
-    base = None if frozen is None else pt.angles(root)[frozen, None]
-    n_sets, rows = selector.shape[0], _TILE
-    tiles = []
-    for lo in range(0, pt.n_max, rows):
+    base = np.empty(0) if frozen is None else pt.angles(root)
+
+    def part(at: np.ndarray) -> tuple:
+        """The hash input of the columns ``at``, with the block rows and
+        base angles of the frozen ones among them."""
+        keep = at[:0] if frozen is None else at[frozen[at]]
+        return pt.primes_u64[at], cols[keep], base[keep, None]
+
+    shared_part, tiles = part(shared), []
+    for t, lo in enumerate(range(0, pt.n_max, rows)):
         hi = min(lo + rows, pt.n_max)
         # per set: the fold buffer rows it adds, starting at the head row
         # n_sets that gets a copy of its sum; a slice for the whole tile
@@ -280,31 +319,39 @@ def replicate_sums(
                 folds.append((s, slice(n_sets, n_sets + 1 + hi - lo)))
             elif len(idx):
                 folds.append((s, np.concatenate([[n_sets], n_sets + 1 + idx])))
-        tiles.append((pt._rows(lo, hi), folds))
+        tiles.append((pt._rows(lo, hi, cols), part(local[bounds[t]:bounds[t + 1]]),
+                      folds))
+    out = np.empty((n_sets, reps), dtype=np.complex128)
 
-    def chunk(lo: int) -> np.ndarray:
+    def fill(theta: np.ndarray, keys: np.ndarray, at: int, hashed: tuple) -> None:
+        primes_u64, kept, angles = hashed
+        angles_for_key(keys, primes_u64, out=theta[at:at + len(primes_u64)])
+        theta[kept] = angles
+
+    def chunk(lo: int) -> None:
         batch = np.arange(lo, min(lo + width, reps), dtype=np.uint64)
         keys = root.replicate(batch).key
-        theta = angles_for_key(keys, pt.primes_u64)
-        if base is not None:
-            theta[frozen] = base
+        theta = np.empty((height, len(keys)))
+        fill(theta, keys, 0, shared_part)
         # [sums; head; f-values of one tile] as float64: a complex sum adds
         # re and im apart, so summing the real view gives the same bits
         buf = np.zeros((n_sets + 1 + rows, 2 * len(keys)))
         z = buf.view(np.complex128)
         work = np.empty((3, rows, len(keys)))
-        for tile, folds in tiles:
+        for tile, hashed, folds in tiles:
+            fill(theta, keys, n_shared, hashed)
             tile.unit_values_batch(theta, out=z[n_sets + 1:n_sets + 1 + tile.n_max],
                                    work=work)
             for s, take in folds:
                 buf[n_sets] = buf[s]
                 buf[s] = np.add.reduce(buf[take], axis=0)
-        return z[:n_sets]
+        out[:, lo:lo + len(keys)] = z[:n_sets]
 
     starts = range(0, reps, width)
     if threads <= 1:
-        parts = [chunk(lo) for lo in starts]
+        for lo in starts:
+            chunk(lo)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, starts))
-    return np.concatenate(parts, axis=1)
+            list(pool.map(chunk, starts))
+    return out

@@ -479,3 +479,73 @@ def test_grouping_and_threads_keep_the_replicate_sums(monkeypatch):
                     got = replicate_sums(pt, 11, 40, sel, frozen=frozen,
                                          threads=threads)
                     assert np.array_equal(got, default)
+
+
+def test_replicate_sums_memory_follows_the_shared_primes():
+    # x^2+1 at N = 20 000 has 14 000 primes, a tenth of them in two or
+    # more tiles: a primes x replicates block would take 28 MiB at 256
+    # replicates, the shared primes' block about 3 MiB; ten chunks keep
+    # only their own columns of the result
+    n = 20_000
+    pt = PhaseTable(factor_values(parse_polynomial("x^2+1"), n))
+    ones = np.ones((1, n), dtype=bool)
+    peaks = {}
+    for reps in (256, 2560):
+        tracemalloc.start()
+        try:
+            replicate_sums(pt, 5, reps, ones)
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[256] <= 12 * 2 ** 20
+    assert peaks[2560] <= peaks[256] + 2 ** 20
+
+
+@pytest.mark.parametrize("tile", [7, None])
+def test_replicate_sums_hash_each_prime_once_per_chunk(tile, monkeypatch):
+    # the shared primes once per chunk, each tile's local primes once
+    # before the tile: every chunk hashes every prime exactly once
+    if tile:
+        monkeypatch.setattr(rmf, "_TILE", tile)
+    monkeypatch.setattr(rmf, "_CHUNK", 3)
+    n = 1000
+    pt = PhaseTable(factor_values(parse_polynomial("x^2+1"), n))
+    hashed = {}
+
+    def counted(key, primes_u64, out=None):
+        keys = np.asarray(key, dtype=np.uint64)
+        if keys.ndim:
+            hashed.setdefault(int(keys[0]), []).append(primes_u64.tolist())
+        return angles_for_key(key, primes_u64, out=out)
+
+    monkeypatch.setattr(rmf, "angles_for_key", counted)
+    frozen = np.arange(len(pt.primes)) % 3 == 0
+    for frz in (None, frozen):
+        hashed.clear()
+        replicate_sums(pt, 4, 7, np.ones((1, n), dtype=bool), frozen=frz)
+        assert len(hashed) == 3
+        for calls in hashed.values():
+            assert len(calls) == 1 + -(-n // rmf._TILE)
+            assert sorted(p for c in calls for p in c) == sorted(pt.primes)
+
+
+def test_frozen_primes_keep_their_angles_in_head_and_tail(monkeypatch):
+    # tiles of 7 rows: a prime of one tile is hashed into the block's tail
+    # before its tile, a prime of several into the head once per chunk;
+    # frozen primes of both kinds keep their base angles
+    monkeypatch.setattr(rmf, "_TILE", 7)
+    monkeypatch.setattr(rmf, "_CHUNK", 2)
+    n = 60
+    table = factor_values(parse_polynomial("x^2+1"), n)
+    pt = PhaseTable(table)
+    tiles = prime_to_indices(table)
+    shared = np.array([len({(i - 1) // 7 for i in tiles[p]}) > 1
+                       for p in pt.primes])
+    assert shared.any() and not shared.all()
+    idx = np.arange(n)
+    selector = np.vstack([idx >= 0, idx % 4 == 1, idx > n // 3])
+    parity = np.arange(len(pt.primes)) % 2 == 0
+    assert (parity & shared).any() and (parity & ~shared).any()
+    for frozen in (shared, ~shared, parity):
+        assert np.array_equal(replicate_sums(pt, 9, 5, selector, frozen=frozen),
+                              sequential_set_sums(table, 9, 5, selector, frozen))
