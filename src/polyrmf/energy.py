@@ -31,8 +31,8 @@ The certificates come from the sieve's small-prime stage
 (``sieve_small_primes``), with no primality test: a prime p <= B with a
 single kept row on its column, or a cofactor below (B+1)^2, which is
 prime, that no other kept row shares and that divides no kept cofactor
-of (B+1)^2 or more (``_lonely``).  Only R goes through the pair passes
-below.
+of (B+1)^2 or more (``_lonely``, by ``word_hits``).  Only R goes through
+the pair passes below.
 
 Every count is a square sum S(X) = sum_k x_k^2, x_k the weight of key k
 (``_square_sum``; an inner product is (S(X+Y) - S(X) - S(Y))/2): the
@@ -69,8 +69,8 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .polynomial import (IntPolynomial, generalized_even_center,
                          require_not_pure_power)
-from .primes import is_prime
-from .sieve import (SmallPrimes, check_factor_budget, check_grid,
+from .primes import is_prime, word_hits
+from .sieve import (_BLOCK_CELLS, SmallPrimes, check_factor_budget, check_grid,
                     sieve_small_primes)
 
 DEFAULT_PAIR_BUDGET = 80_000_000
@@ -78,7 +78,6 @@ _RUN_ITEMS = 1 << 18  # pairs per class pass: a uint64 column of 2 MiB
 _BLOCK = 8 << 20  # bytes: the least block that _Scratch allocates
 _SMALL = 1 << 16  # bytes: the least array that _Scratch cuts from a block
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
-_CHECK_CELLS = 1 << 17  # (cofactor, q) remainders that _lonely takes at once
 
 
 @dataclass(frozen=True)
@@ -402,8 +401,8 @@ def _lonely(stage: SmallPrimes, size: int) -> np.ndarray:
     divides it, that no other kept row has as its cofactor and that divides
     no kept cofactor >= (B+1)^2.  Such a cofactor is a product of primes
     > B, so q can divide it only when q <= cofactor / (B+1); for those q
-    ``%`` decides.  Cofactors >= (B+1)^2 are never certified, as that would
-    need a primality test."""
+    ``word_hits`` tests every (cofactor, q) cell.  Cofactors >= (B+1)^2 are
+    never certified, as that would need a primality test."""
     square = (stage.bound + 1) ** 2
     kept = stage.values[:size] != 0
     lonely = np.zeros(size, dtype=bool)
@@ -428,10 +427,7 @@ def _lonely(stage: SmallPrimes, size: int) -> np.ndarray:
             # every q is below (B+1)^2, which keeps the bound in int64
             near = np.flatnonzero(
                 qs <= min(int(blocks.max()) // (stage.bound + 1), square))
-            step = max(1, _CHECK_CELLS // blocks.size)
-            for lo in range(0, len(near), step):
-                some = near[lo:lo + step]
-                free[some] = (np.remainder.outer(blocks, qs[some]) != 0).all(0)
+            free[near[word_hits(blocks, qs[near], _BLOCK_CELLS)[1]]] = False
         new[rows[free]] = True
         if not new.any():
             return lonely

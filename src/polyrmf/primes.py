@@ -5,13 +5,15 @@ n < 3.3e24, which covers every value produced at supported scales),
 Brent-cycle Pollard rho for splitting rough cofactors, and a simple
 sieve for generating small primes.
 
-Two array forms serve the sieve's cofactors below 2^40, which have at
-most two prime factors: ``is_prime_batch`` runs Miller-Rabin on a whole
+Three array forms serve the sieve.  ``word_hits`` tests every (value,
+prime) cell of a block with one multiply and one compare: an odd p
+divides a word v exactly when v * p^-1 mod 2^64 <= (2^64 - 1) // p
+(``word_inverses``), and a value of any size is summed from its limbs
+into such a word first.  For the cofactors below 2^40, which have at
+most two prime factors, ``is_prime_batch`` runs Miller-Rabin on a whole
 uint64 array at once, with the witnesses of the tier of its largest
-value, and ``trial_split`` finds each composite's least prime factor
-above a bound with one multiply and one compare per (value, prime):
-an odd p divides a word v exactly when v * p^-1 mod 2^64 <=
-(2^64 - 1) // p (``word_inverses``).
+value, and ``trial_split`` runs the same test prime by prime for each
+composite's least prime factor above a bound.
 """
 
 from __future__ import annotations
@@ -171,6 +173,70 @@ def word_inverses(odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(5):
         inv *= 2 - odd * inv
     return inv, np.uint64(2**64 - 1) // odd
+
+
+def _limbs(values: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+    """The nonnegative ``values`` as uint64 limbs, a row per value, least
+    significant first, and their width b: 64 when all are below 2^64, else
+    the widest of 32, 16 and 8 for which k limbs times residues mod a prime
+    <= ``top`` sum below k (2^b - 1) (top - 1) < 2^64."""
+    big = int(values.max(initial=0))
+    if big < 2**64:
+        return values.astype(np.uint64)[:, None], 64
+    for b in (32, 16, 8):
+        k = -(-big.bit_length() // b)
+        if k * (2**b - 1) * (top - 1) < 2**64:
+            digits = b"".join(v.to_bytes(k * b // 8, "little") for v in values.tolist())
+            limbs = np.frombuffer(digits, f"<u{b // 8}").reshape(-1, k)
+            return limbs.astype(np.uint64), b
+    raise ValueError(f"values of {big.bit_length()} bits are too wide for a "
+                     f"word sum modulo primes up to {top}")
+
+
+def word_hits(values: np.ndarray, primes: list[int] | np.ndarray, cells: int,
+              *, roots: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The cells (i, j) with primes[j] | values[i], as int64 arrays, for
+    nonnegative ``values`` (words, or Python ints as dtype ``object``) and
+    ascending primes below 2^32; with ``roots``, only those with i < p, the
+    residues n = i + 1 <= p of a root search.  Blocks of at most ``cells``
+    cells, or of one row and its primes, take the test of ``word_inverses``
+    (2 divides v exactly when v 2^63 = 0 mod 2^64).  A value in b-bit limbs
+    l_t (``_limbs``) has the residue mod p of W = sum_t l_t (2^(b t) mod p)
+    < 2^64, and W p^-1 = sum_t l_t (2^(b t) p^-1) mod 2^64."""
+    ps = np.asarray(primes, np.int64)
+    top = int(ps.max(initial=0))
+    limbs, b = _limbs(values, top)
+    inv, limit = word_inverses(ps.astype(np.uint64))
+    if top and ps[0] == 2:
+        inv[0], limit[0] = 2**63, 0
+    scaled, weight = [inv], np.ones(len(ps), np.uint64)
+    for _ in range(1, limbs.shape[1]):
+        weight = (weight << np.uint64(b)) % ps.astype(np.uint64)
+        scaled.append(weight * inv)
+    found = [(np.zeros(0, np.int64),) * 2]
+    stop = min(len(limbs), top) if roots or not top else len(limbs)  # top 0: no primes
+    size = max(min(cells, stop * len(ps)), len(ps))
+    product, divides = np.empty(size, np.uint64), np.empty(size, bool)
+    lo = 0
+    while lo < stop:
+        j = int(np.searchsorted(ps, lo, side="right")) if roots else 0
+        k = len(ps) - j
+        hi = min(stop, lo + max(1, cells // k))
+        # one limb column at a time broadcasts along the primes
+        block = product[:(hi - lo) * k].reshape(hi - lo, k)
+        np.multiply(limbs[lo:hi, :1], scaled[0][j:], out=block)
+        for t in range(1, len(scaled)):
+            block += limbs[lo:hi, t:t + 1] * scaled[t][j:]
+        mask = divides[:block.size].reshape(block.shape)
+        np.less_equal(block, limit[j:], out=mask)
+        i, col = np.divmod(np.flatnonzero(mask), k)
+        i, col = i + lo, col + j
+        if roots:  # a prime below hi is searched up to n = p only
+            inside = i < ps[col]
+            i, col = i[inside], col[inside]
+        found.append((i, col))
+        lo = hi
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray, top: int) -> np.ndarray:

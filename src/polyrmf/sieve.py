@@ -8,9 +8,9 @@ divided out of every P(n) with n in a root class.  Since P(n) = P(n mod p)
 n <= min(p, N) with p | P(n), one remainder per residue.  One search
 finds them for every prime at once, with one multiply and one compare
 per cell (n, p) with n <= min(p, N): an odd p divides a word v exactly
-when v * p^-1 mod 2^64 <= (2^64 - 1) // p.  It runs in numpy over blocks
-of ``_BLOCK_CELLS`` cells, and Python-int residuals are first reduced to
-one word per group of consecutive primes whose product is below 2^63.
+when v * p^-1 mod 2^64 <= (2^64 - 1) // p.  It is ``word_hits`` over
+blocks of ``_BLOCK_CELLS`` cells and the first min(N, B) rows; a
+residual of 2^64 or more is split into 32-bit limbs.
 
 The evaluation, the root search and the division form one stage,
 ``sieve_small_primes``, over the x of any range of positive step: row y
@@ -58,7 +58,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt, log, prod
+from math import isqrt, log
 from typing import IO
 
 import numpy as np
@@ -66,7 +66,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .polynomial import IntPolynomial
 from .primes import (_factor_rough, is_prime_batch, sieve_primes, trial_split,
-                     word_inverses)
+                     word_hits)
 
 # the root sieve's largest prime; the table is the same for any bound
 DEFAULT_TRIAL_BOUND = 10_000
@@ -272,78 +272,14 @@ def dump_json(doc: dict, fh: IO[str]) -> None:
     fh.write(tail)
 
 
-def _prime_groups(primes: list[int]) -> list[list[int]]:
-    """``primes`` cut into runs of consecutive primes, each as long as its
-    product stays below 2^63."""
-    groups: list[list[int]] = []
-    for p in primes:
-        if groups and product * p < 2**63:
-            groups[-1].append(p)
-            product *= p
-        else:
-            groups.append([p])
-            product = p
-    return groups
-
-
-def _word_hits(words: np.ndarray, column: np.ndarray,
-               primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (p, n), as int64 arrays (cls_p, cls_n), with n <=
-    min(p, len(words)) and p | words[n-1, c] for the ascending primes and
-    their columns c in the uint64 ``words``, tested in blocks of at most
-    ``_BLOCK_CELLS`` cells (n, p) by the multiply-compare test of
-    ``word_inverses``; p = 2 reads the low bit."""
-    found_p, found_n = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    if primes[:1] == [2]:
-        found_n.append(np.flatnonzero((words[:2, column[0]] & 1) == 0) + 1)
-        found_p.append(np.full(len(found_n[-1]), 2, np.int64))
-        primes, column = primes[1:], column[1:]
-    ps = np.array(primes, dtype=np.int64)
-    inv, limit = word_inverses(ps.astype(np.uint64))
-    stop = min(len(words), max(primes, default=0))
-    size = max(min(_BLOCK_CELLS, stop * len(ps)), len(ps))
-    product, divides = np.empty(size, np.uint64), np.empty(size, bool)
-    lo = 0
-    while lo < stop:
-        j = int(np.searchsorted(ps, lo, side="right"))  # the p >= n = lo + 1
-        k = len(ps) - j
-        hi = min(stop, lo + max(1, _BLOCK_CELLS // k))
-        # one column broadcasts; several are gathered, one per prime
-        block = words[lo:hi] if words.shape[1] == 1 else words[lo:hi, column[j:]]
-        cells = product[:(hi - lo) * k].reshape(hi - lo, k)
-        np.multiply(block, inv[j:], out=cells)
-        mask = divides[:cells.size].reshape(cells.shape)
-        np.less_equal(cells, limit[j:], out=mask)
-        row, col = np.divmod(np.flatnonzero(mask), k)
-        n, p = row + (lo + 1), ps[j + col]
-        inside = n <= p  # a prime below hi is searched up to n = p only
-        found_p.append(p[inside])
-        found_n.append(n[inside])
-        lo = hi
-    return np.concatenate(found_p), np.concatenate(found_n)
-
-
 def _root_classes(residual: np.ndarray,
                   primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (p, n) with p in the ascending ``primes``, n <= min(p, N)
     and p | P(n), as int64 arrays (cls_p, cls_n), from residual[n-1] =
-    |P(n)|.
-
-    int64 residuals are the words of the divisibility test themselves.
-    Python-int residuals are reduced modulo the product of each group of
-    primes, which every prime of the group divides: one word column per
-    group, filled up to the group's largest prime."""
-    if residual.dtype != object:
-        return _word_hits(residual.view(np.uint64)[:, None],
-                          np.zeros(len(primes), np.intp), primes)
-    groups = _prime_groups(primes)
-    words = np.zeros((min(len(residual), max(primes, default=0)), len(groups)),
-                     np.uint64)
-    for c, group in enumerate(groups):
-        rows = residual[:group[-1]]
-        words[:len(rows), c] = rows % prod(group)
-    column = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    return _word_hits(words, column, primes)
+    |P(n)|: ``word_hits`` over the first min(N, max primes) rows."""
+    ps = np.array(primes, np.int64)
+    n, col = word_hits(residual[:ps.max(initial=0)], ps, _BLOCK_CELLS, roots=True)
+    return ps[col], n + 1
 
 
 @dataclass(frozen=True, eq=False)

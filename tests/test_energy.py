@@ -689,6 +689,19 @@ def test_prime_cofactor_that_divides_a_rough_one_is_kept():
     assert energy(poly, ProgressionRange(30)).total == pair_histogram_total(values)
 
 
+def test_lonely_check_takes_values_of_1440_bits():
+    # P(1) = 100019977 is a prime cofactor 24 below (B + 1)^2, checked
+    # against 49 rough cofactors of up to 1438 bits: 45 limbs of 32 bits
+    # could let a limb sum weighted modulo it pass 2^64, so it takes 16
+    poly = parse_polynomial("x^256-x^255+100019977")
+    stage = sieve_small_primes(poly, range(1, 51))
+    assert stage.bound == 10**4 and stage.residual[0] == 10_001**2 - 24
+    rough = stage.residual[stage.residual >= 10_001**2]
+    assert primes._limbs(rough, 10_001**2 - 24)[1] == 16
+    assert energy(poly, ProgressionRange(50)).total == 4950
+    assert lonely_removal_is_valid(stage.values.tolist(), _lonely(stage, 50))
+
+
 @pytest.mark.parametrize("text,kept", [("x^2+1", 0.45), ("x^2+5x+6", 1)])
 def test_lonely_values_skip_the_pair_passes(text, kept):
     # a lonely value has a prime of its own, so x^2+1 drops most values;

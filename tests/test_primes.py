@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from polyrmf import primes
 from polyrmf.primes import (_mulmod, brent_rho, factorize, is_prime, is_prime_batch,
-                            sieve_primes, trial_split)
+                            sieve_primes, trial_split, word_hits)
+from polyrmf.sieve import _BLOCK_CELLS
 
 
 def test_sieve_matches_sympy():
@@ -142,3 +143,45 @@ def test_trial_split_finds_the_least_factor_above_the_bound(cells):
     others = np.array([10_007, 3 * 5, 10_009 * 3], np.uint64)
     assert trial_split(others, bound, cells).tolist() == [0, 0, 0]
     assert trial_split(others[1:2], 2, cells).tolist() == [3]
+
+
+# the three largest primes below (B + 1)^2 for the sieve's bound B = 10^4,
+# the largest cofactors that the lonely check tests
+_BELOW_SQUARE = [q for q in range(10_001**2 - 1, 10_001**2 - 200, -1)
+                 if is_prime(q)][:3]
+
+
+@st.composite
+def _word_hit_cases(draw):
+    """(values, primes): int64 words, or Python ints below about 2^1500
+    with the limb edges 2^(32k) +- 1, 2^63, 2^64 + p and p (2^70 + 1), and
+    ascending primes: 2, the odd primes up to 10^4, often small ones, and
+    those just below (B + 1)^2; multiples of the primes come up often."""
+    ps = sorted(draw(st.sets(st.sampled_from(sieve_primes(40))
+                             | st.sampled_from(sieve_primes(10_000))
+                             | st.sampled_from(_BELOW_SQUARE),
+                             min_size=1, max_size=12)))
+    p = st.sampled_from(ps)
+    if draw(st.booleans()):
+        values = st.integers(0, 2**63 - 1) | st.builds(
+            lambda p, m: p * m, p, st.integers(0, (2**63 - 1) // ps[-1]))
+        return np.array(draw(st.lists(values, min_size=1, max_size=30)), np.int64), ps
+    edges = [2**63] + [2**(32 * k) + d for k in range(1, 47) for d in (-1, 1)]
+    values = (st.integers(0, 2**1500) | st.sampled_from(edges)
+              | st.builds(lambda p: 2**64 + p, p)
+              | st.builds(lambda p: p * (2**70 + 1), p)
+              | st.builds(lambda p, m: p * m, p, st.integers(0, 2**1470)))
+    return np.array(draw(st.lists(values, min_size=1, max_size=30)), object), ps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_word_hit_cases(), roots=st.booleans(),
+       cells=st.sampled_from([1, 7, _BLOCK_CELLS]))
+def test_word_hits_match_remainders(case, roots, cells):
+    values, ps = case
+    i, j = word_hits(values, ps, cells, roots=roots)
+    assert i.dtype == j.dtype == np.int64
+    # with roots, row i is tested against the primes p > i alone
+    assert sorted(zip(i.tolist(), j.tolist())) == [
+        (r, c) for r, v in enumerate(values.tolist()) for c, p in enumerate(ps)
+        if v % p == 0 and (r < p or not roots)]

@@ -401,25 +401,33 @@ def test_divisibility_test_at_the_word_extremes(p):
     # the test is exact for every uint64 word, not only for int64 residuals
     top = (2**64 - 1) // p * p
     for v in (top - 1, top, (top + 1) % 2**64, 2**63, 2**64 - 1):
-        words = np.array([[v]], dtype=np.uint64)
-        hits = _hits(*sieve._word_hits(words, np.zeros(1, np.intp), [p]))
+        i, j = primes.word_hits(np.array([v], dtype=np.uint64), [p],
+                                sieve._BLOCK_CELLS, roots=True)
+        hits = _hits(np.array([p])[j], i + 1)
         assert hits == ([(p, 1)] if v % p == 0 else []), v
 
 
-def test_object_residuals_are_reduced_per_prime_group():
+def test_object_residuals_are_reduced_by_limbs():
     ps = primes.sieve_primes(60_000)
     # the run of four consecutive primes with the largest product below 2^63
     i = max(i for i in range(len(ps) - 3) if prod(ps[i:i + 4]) < 2**63)
     group, q = ps[i:i + 4], prod(ps[i:i + 4])
     assert 0 < 2**63 - q < 2**63 // 1000  # within 0.1 %
-    assert sieve._prime_groups(ps[i:i + 5]) == [group, [ps[i + 4]]]
-    groups = sieve._prime_groups(primes.sieve_primes(DEFAULT_TRIAL_BOUND))
-    assert sum(groups, []) == primes.sieve_primes(DEFAULT_TRIAL_BOUND)
-    assert all(prod(g) < 2**63 <= prod(g) * h[0] for g, h in zip(groups, groups[1:]))
     values = [q - 1, q, q + 1, 2 * q, 2 * q + group[0], 2**63, 2**63 + 1,
               2**64 - 1, 2**64 + group[1], group[2] * (2**70 + 1),
               group[3] * (q - 1), q * q - 1, group[0] * group[3], 1, 0]
     residual = np.array(values, dtype=object)
+    # below 2^64 every value is its own word
+    words, b = primes._limbs(residual[:8], group[-1])
+    assert b == 64 and words.dtype == np.uint64 and words[:, 0].tolist() == values[:8]
+    # from 2^64 on, 32-bit limbs, least significant first
+    limbs, b = primes._limbs(residual, group[-1])
+    assert b == 32 and limbs.shape == (len(values), 4) and limbs.dtype == np.uint64
+    assert [sum(d << (32 * t) for t, d in enumerate(row))
+            for row in limbs.tolist()] == values
+    # 32 bits while k (2^32 - 1) (p - 1) < 2^64 for k limbs, then 16
+    assert primes._limbs(residual, 2**30 + 1)[1] == 32
+    assert primes._limbs(residual, 2**30 + 2)[1] == 16
     expected = _hits(*root_classes_reference(residual, group))
     assert expected == sorted((p, n) for n, v in enumerate(values, 1)
                               for p in group if v % p == 0)
