@@ -43,9 +43,12 @@ residue mod 2^64 and mod k primes q_i < 2^31, in machine words.  With V the larg
 of 2^64 * prod(q_i), so they are equal once V^2 < 2^63 * prod(q_i) (the
 CRT); k is the least count that makes this hold, 0 when V^2 < 2^63, so
 the keys are exact for every value size, as are those of a reduced
-ratio's parts, at most V.  A square sum sorts the low words by value to
-find those that repeat; only the items that carry one are sorted by
-index, and every other item adds its weight squared.  The energy and
+ratio's parts, at most V.  A square sum mixes each key row into one
+word in wrapping uint64 and sorts the top 32 bits of the words, as
+uint32, to find those that repeat; rows that are equal share their word,
+so an item whose top word is its own adds its weight squared, and only
+the items that carry a repeating one are sorted, by their whole word,
+with a lexsort over all the keys should two rows share it.  The energy and
 the audit's grouped counts build each pair once, in passes classed by
 the discrete logarithm mod 65537.  A pass holds about 2^18 pairs, so
 that one uint64 column of it (2 MiB) stays in a core's L2 cache, and
@@ -78,6 +81,7 @@ _RUN_ITEMS = 1 << 18  # pairs per class pass: a uint64 column of 2 MiB
 _BLOCK = 8 << 20  # bytes: the least block that _Scratch allocates
 _SMALL = 1 << 16  # bytes: the least array that _Scratch cuts from a block
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
+_HIGH = int(np.little_endian)  # the high half of a uint64 viewed as two uint32
 
 
 @dataclass(frozen=True)
@@ -201,52 +205,69 @@ class _Scratch:
 def _square_sum(keys: list[np.ndarray], weights: np.ndarray,
                 scratch: _Scratch | None = None) -> int:
     """Sum over the distinct key rows of the squared total weight of their
-    items, 0 for none.  keys[0] is the uint64 low word.  Sorting its values
-    finds the low words that repeat, and a multiplicative hash of them
-    marks every item that may carry one; an unmarked item's key row is its
-    own, and adds its weight squared.  Only the marked items are argsorted
-    by their low word, or lexsorted by all keys when some run of equal low
-    words carries more than one key row.  The work arrays "low", "flag"
-    and "marked" come from ``scratch``, a fresh one when None; the keys and
-    weights must not be among them."""
+    items, 0 for none.  Each row is mixed into one word h in wrapping
+    uint64, h = k_0 C, then h = (h + k_c) C for each further column
+    (C = ``_MIX``, odd), so equal rows have equal h.  Sorting the top 32
+    bits of h, as uint32, finds the top words that repeat, and a bit table
+    indexed by the leading bits of h marks every item that may carry one;
+    an unmarked item's top word is its own, hence so is its key row, and
+    it adds its weight squared.  Only the marked items are argsorted, by
+    h, and a run starts wherever a key column changes; when some column
+    changes inside a run of equal h, they are lexsorted by all columns
+    instead.  The work arrays come from ``scratch``, a fresh one when
+    None; the keys and weights must not be among them."""
     scratch = scratch or _Scratch()
     n = len(weights)
-    s = scratch.get("low", n, np.uint64)
-    np.copyto(s, keys[0])
-    s.sort()
-    repeats = np.equal(s[1:], s[:-1], out=scratch.get("flag", n, bool)[1:])
-    twice = s[1:][repeats]  # every low word that repeats, and more
-    square = s.view(np.int64)  # the sorted words are spent
+    h = np.multiply(keys[0], _MIX, out=scratch.get("mix", n, np.uint64),
+                    dtype=np.uint64, casting="unsafe")
+    for k in keys[1:]:  # int64 columns wrap into uint64
+        np.add(h, k, out=h, dtype=np.uint64, casting="unsafe")
+        h *= _MIX
+    word = scratch.get("word", n, np.uint64)
+    top = word.view(np.uint32)[:n]  # spent before the word is rewritten
+    np.copyto(top, h.view(np.uint32)[_HIGH::2])
+    top.sort()
+    repeats = np.equal(top[1:], top[:-1], out=scratch.get("flag", n, bool)[1:])
+    twice = top[1:][repeats]  # every top word that repeats, and more
+    square = word.view(np.int64)
     if not twice.size:
         np.copyto(square, weights)
         return int(np.dot(square, square))
     # more than min(64 t, n) flags for the t repeating words, so that few
     # other items share a flag with one of them
     bits = min(64 * twice.size, n).bit_length()
-    shift = np.uint64(64 - bits)
     table = np.zeros(1 << bits, dtype=bool)
-    table[(twice * _MIX) >> shift] = True
-    at = np.multiply(keys[0], _MIX, out=s)
-    at >>= shift
-    marked = table.take(at, out=scratch.get("flag", n, bool), mode="clip")
+    table[twice >> (32 - bits)] = True
+    marked = table.take(np.right_shift(h, 64 - bits, out=word),
+                        out=scratch.get("flag", n, bool), mode="clip")
     np.copyto(square, weights)
     np.copyto(square, 0, where=marked)
     once = int(np.dot(square, square))
-    size = np.count_nonzero(marked)
-    weights = weights.compress(marked, out=scratch.get("marked", size, weights.dtype))
-    keys = [k.compress(marked, out=scratch.get(f"marked {c}", size, k.dtype))
-            for c, k in enumerate(keys)]
+    at = np.flatnonzero(marked)
+    size = len(at)
+    step = scratch.get("step", size, bool)[1:]
 
-    def runs(order):  # where each key changes between neighbours in order
-        return [(s := k[order])[1:] != s[:-1] for k in keys]
+    def runs(order):  # where any key changes between neighbours in order
+        new = scratch.get("new", size, bool)[1:]
+        new.fill(False)
+        for c, k in enumerate(keys):
+            s = k.take(order, out=scratch.get(f"marked {c}", size, k.dtype), mode="clip")
+            new |= np.not_equal(s[1:], s[:-1], out=step)
+        return new
 
-    order = np.argsort(keys[0])
+    mixed = h.take(at, out=scratch.get("marked mix", size, np.uint64), mode="clip")
+    order = at.take(mixed.argsort(), out=scratch.get("order", size, np.int64),
+                    mode="clip")
     new = runs(order)
-    if any((n & ~new[0]).any() for n in new[1:]):
-        order = np.lexsort(keys[::-1])
+    mixed = h.take(order, out=mixed, mode="clip")
+    if np.count_nonzero(new) != np.count_nonzero(
+            np.not_equal(mixed[1:], mixed[:-1], out=step)):
+        order = at[np.lexsort([k[at] for k in keys[::-1]])]
         new = runs(order)
-    starts = np.r_[0, np.flatnonzero(np.logical_or.reduce(new)) + 1]
-    sums = np.add.reduceat(weights[order], starts, dtype=np.int64)
+    starts = np.r_[0, np.flatnonzero(new) + 1]
+    sums = np.add.reduceat(
+        weights.take(order, out=scratch.get("marked", size, weights.dtype), mode="clip"),
+        starts, dtype=np.int64)
     return once + int(np.dot(sums, sums))
 
 
@@ -401,8 +422,10 @@ def _lonely(stage: SmallPrimes, size: int) -> np.ndarray:
     divides it, that no other kept row has as its cofactor and that divides
     no kept cofactor >= (B+1)^2.  Such a cofactor is a product of primes
     > B, so q can divide it only when q <= cofactor / (B+1); for those q
-    ``word_hits`` tests every (cofactor, q) cell.  Cofactors >= (B+1)^2 are
-    never certified, as that would need a primality test."""
+    ``word_hits`` tests every (cofactor, q) cell once, before the rounds,
+    and each round keeps the hits whose cofactor's row is still kept.
+    Cofactors >= (B+1)^2 are never certified, as that would need a
+    primality test."""
     square = (stage.bound + 1) ** 2
     kept = stage.values[:size] != 0
     lonely = np.zeros(size, dtype=bool)
@@ -411,6 +434,15 @@ def _lonely(stage: SmallPrimes, size: int) -> np.ndarray:
     cofactor = stage.residual[:size]
     rough = cofactor >= square
     prime = (cofactor > 1) & ~rough
+    blocks = np.flatnonzero(rough & kept)
+    divided_row = divided_q = np.zeros(0, dtype=np.int64)
+    if blocks.size:
+        # a multiple of q with no prime factor <= B is at least q (B+1);
+        # every q is below (B+1)^2, which keeps the bound in int64
+        near = np.unique(cofactor[prime].astype(np.int64))
+        near = near[near <= min(int(cofactor[blocks].max()) // (stage.bound + 1), square)]
+        at, col = word_hits(cofactor[blocks], near, _BLOCK_CELLS)
+        divided_row, divided_q = blocks[at], near[col]
     while True:
         live = kept[hit_row]
         p, row = hit_p[live], hit_row[live]
@@ -420,15 +452,7 @@ def _lonely(stage: SmallPrimes, size: int) -> np.ndarray:
         qs, at, times = np.unique(cofactor[rows].astype(np.int64),
                                   return_index=True, return_counts=True)
         rows, qs = rows[at[times == 1]], qs[times == 1]
-        blocks = cofactor[rough & kept]
-        free = np.ones(len(qs), dtype=bool)
-        if blocks.size:
-            # a multiple of q with no prime factor <= B is at least q (B+1);
-            # every q is below (B+1)^2, which keeps the bound in int64
-            near = np.flatnonzero(
-                qs <= min(int(blocks.max()) // (stage.bound + 1), square))
-            free[near[word_hits(blocks, qs[near], _BLOCK_CELLS)[1]]] = False
-        new[rows[free]] = True
+        new[rows[~np.isin(qs, divided_q[kept[divided_row]])]] = True
         if not new.any():
             return lonely
         lonely |= new

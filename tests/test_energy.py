@@ -47,6 +47,7 @@ from polyrmf.energy import (
     error_exponent,
     exponent_fit,
     group_pair_counts,
+    value_pair_count,
 )
 from polyrmf.errors import BudgetError
 from polyrmf.polynomial import IntPolynomial, classify, parse_polynomial
@@ -280,15 +281,45 @@ def test_crt_keys_at_their_edges(values):
         assert pair_total_in_passes(values, run_items) == want
 
 
-def test_low_word_collisions_are_lexsorted():
-    # argsort alone would leave 2^70, 2^64 and 0 interleaved in one run
+def _forced_mix(mix):
+    """``_square_sum`` with the mixing constant C = ``mix``: 0 gives every
+    key row the mixed word 0, and 1 leaves a single key column as its own
+    word, so keys that differ in their low 32 bits alone share a top word."""
+    return mock.patch.object(energy_module, "_MIX", np.uint64(mix))
+
+
+def test_mixed_word_collisions_are_lexsorted():
+    # with C = 0 the argsort by the mixed word alone would leave 2^70, 2^64
+    # and 0 interleaved in one run
     for key in ("mod 2^64", "mod 2^64 (2^31-1)"):
-        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-            _pair_total(CRT_EDGE_INPUTS[key])
+        values = CRT_EDGE_INPUTS[key]
+        with _forced_mix(0), mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            assert _pair_total(values) == energy_quadruple_loop(values)
         assert lexsort.called
     with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
         _pair_total(CRT_EDGE_INPUTS["beyond 2^64"])
     assert not lexsort.called
+
+
+def _assert_counts_are_exact(values):
+    """``_pair_total``, ``value_pair_count`` (with and without tags) and
+    ``group_pair_counts`` of ``values`` against the Counter oracles."""
+    assert _pair_total(values) == pair_histogram_total(values)
+    assert pair_total_in_passes(values, 7) == pair_histogram_total(values)
+    tags = np.arange(len(values)) % 3
+    for keys, t in ((values, None), (list(zip(values, tags.tolist())), tags)):
+        assert value_pair_count(values, t) == sum(c * c for c in Counter(keys).values())
+    nonzero = [v for v in values if v]
+    groups = [g for g in (nonzero[::2], nonzero[1::2]) if g]
+    if groups:
+        assert group_pair_counts(*_flatten(groups)) == group_pair_counter(groups)
+
+
+@pytest.mark.parametrize("mix", [0, 1])
+@pytest.mark.parametrize("values", CRT_EDGE_INPUTS.values(), ids=CRT_EDGE_INPUTS)
+def test_forced_mixed_words_keep_the_crt_edges_exact(mix, values):
+    with _forced_mix(mix):
+        _assert_counts_are_exact(values)
 
 
 def _sorted_dtypes(values):
@@ -349,13 +380,27 @@ _COLLIDING = sorted({v * w for v in CRT_EDGE_INPUTS["mod 2^64"]
 @example([(2**70, 0, 1), (2**64, 0, 2), (0, 0, 3), (2**70, 0, 4), (0, 1, 5)])
 @settings(max_examples=150, deadline=None)
 def test_square_sum_matches_counter(items):
-    # keyed by (value, tag) with mixed weights, against a Counter
+    # keyed by (value, tag) with mixed weights, against a Counter, at the
+    # real mixing constant and at both forced ones
     values = [v for v, _, _ in items]
     tags = np.array([t for _, t, _ in items], dtype=np.int64)
     weights = np.array([w for _, _, w in items], dtype=np.int64)
     arr, qs = _exact_array(values)
-    got = _square_sum(_residue_keys(arr, qs) + [tags], weights)
-    assert got == square_sum_counter(zip(values, tags.tolist()), weights.tolist())
+    want = square_sum_counter(zip(values, tags.tolist()), weights.tolist())
+    for mix in (energy_module._MIX, 0, 1):
+        with _forced_mix(mix):
+            assert _square_sum(_residue_keys(arr, qs) + [tags], weights) == want
+
+
+@pytest.mark.parametrize("mix", [0, 1])
+@given(values=st.lists(st.sampled_from(_COLLIDING) | st.integers(-2**70, 2**70)
+                       | st.integers(-2**8, 2**8).map(lambda k: 2**40 + k),
+                       min_size=1, max_size=20))
+@settings(max_examples=40, deadline=None)
+def test_forced_mixed_words_keep_drawn_values_exact(mix, values):
+    # the values 2^40 + k share their top 32 bits
+    with _forced_mix(mix):
+        _assert_counts_are_exact(values)
 
 
 def test_many_passes_equal_one_pass():
@@ -687,6 +732,26 @@ def test_prime_cofactor_that_divides_a_rough_one_is_kept():
     values = stage.values.tolist()
     assert lonely_removal_is_valid(values, lonely)
     assert energy(poly, ProgressionRange(30)).total == pair_histogram_total(values)
+
+
+def test_lonely_tests_each_cell_once():
+    # P(2) = 3 q r goes lonely on 3 in the first round, and only then is
+    # P(1) = q free of the rough cofactor q r: the hit found before the
+    # rounds drops with its row
+    q, r = 10007, 10009
+    stage = sieve_small_primes(IntPolynomial((2 * q - 3 * q * r, 3 * q * r - q)),
+                               range(1, 3))
+    assert stage.residual.tolist() == [q, q * r]
+    with mock.patch.object(energy_module, "word_hits", wraps=primes.word_hits) as spy:
+        assert _lonely(stage, 2).tolist() == [True, True]
+    assert spy.call_count == 1
+    # seven removal rounds, and one word_hits call for all of them
+    poly = parse_polynomial("5x^3+11x+10")
+    stage = sieve_small_primes(poly, range(1, 1401))
+    with mock.patch.object(energy_module, "word_hits", wraps=primes.word_hits) as spy:
+        lonely = _lonely(stage, 1400)
+    assert spy.call_count == 1 and lonely.sum() == 1078
+    assert lonely_removal_is_valid(stage.values.tolist(), lonely)
 
 
 def test_lonely_check_takes_values_of_1440_bits():
